@@ -17,7 +17,7 @@ from .linalg import (
     kernel,
     mat_from_columns,
     mat_inverse,
-    mat_mul,
+    mat_vec,
     stack_rows,
     vec_neg,
 )
@@ -346,14 +346,6 @@ def ker_rho(h):
     return kernel(stack_rows(*blocks), ncols=n)
 
 
-def _residual_matrix(space):
-    """Matrix of v -> v reduced along the subspace basis; zero exactly on
-    members."""
-    n = space.ambient
-    cols = [space.reduce(basis_vector(n, j)) for j in range(n)]
-    return mat_from_columns(cols, nrows=n)
-
-
 def _rule_maps(h):
     """Linear maps whose images an ideal must absorb, one matrix each."""
     n = h.dimL
@@ -378,19 +370,38 @@ def _rule_maps(h):
     return maps
 
 
-def _h_part_window(h, rd, f_space, maps):
+def _from_h_coords(rd, w):
+    """The subspace of L whose coordinates in the RREF basis of H span w."""
+    to_l = mat_from_columns(rd.H.basis, nrows=rd.H.ambient)
+    return Subspace(rd.H.ambient, [mat_vec(to_l, c) for c in w.basis])
+
+
+def _h_part_window(rd, f_space, images):
     """Greatest subspace W of H whose rule images stay inside W + F,
-    shrunk iteratively from H."""
-    n = h.dimL
-    w = rd.H
+    shrunk iteratively from H.
+
+    images holds, for each rule map that does not vanish on H, the images
+    of the basis of H.  W is tracked in H-coordinates: each step reduces
+    those images along W + F and keeps the coordinates whose combined
+    residuals vanish.  The greatest such W is unique, so the result does
+    not depend on how it is computed.
+    """
+    d = rd.H.dim
+    w = Subspace.full(d)
     while True:
-        target = w.add(f_space)
-        res = _residual_matrix(target)
-        stacked = stack_rows(*[mat_mul(res, m) for m in maps])
-        shrunk = w.intersect(kernel(stacked, ncols=n))
+        target = _from_h_coords(rd, w).add(f_space)
+        cols = [tuple(x for imgs in images for x in target.reduce(imgs[i])) for i in range(d)]
+        shrunk = w.intersect(kernel(mat_from_columns(cols), ncols=d))
         if shrunk == w:
-            return w
+            return _from_h_coords(rd, w)
         w = shrunk
+
+
+def _is_graded(rd, space):
+    """True when space is the sum of its intersections with the zero space
+    and the root spaces."""
+    parts = [rd.zero_space] + [rd.root_spaces[g] for g in rd.gamma]
+    return sum(space.intersect(p).dim for p in parts) == space.dim
 
 
 @dataclass(frozen=True)
@@ -403,6 +414,26 @@ class EnumeratedIdeals:
 def enumerate_ideals(h, rd, cap=512):
     """All ideals assembled from root subsets and compatible H-parts.
 
+    A candidate is F_S + W for a root subset S, with F_S the sum of the root
+    spaces in S and W a subspace of H.  S is feasible when the ideal
+    generated by F_S meets no root space outside S.
+
+    The rules that close an ideal are linear maps, so the ideal generated by
+    F_S is the sum of the single-root closures C_g = closure(L_g), g in S.
+    When every C_g is graded (the sum of its pieces in the zero space and
+    the root spaces, checked here; it always holds on split inputs, since
+    closures are invariant under the twisted adjoint action of H), so is
+    each such sum, and it meets L_d exactly when some C_g with g in S does.
+    The feasible subsets are then the down-closed ones: supp(C_g) lies in S
+    for every g in S, where supp(C_g) is the set of roots d with C_g meeting
+    L_d.  Only the |Gamma| single-root closures are computed; infeasible
+    subsets are never closed.  If some C_g is not graded, every subset is
+    closed instead (`_enumerate_by_subsets`).
+
+    For a feasible S the H-part ranges from (sum of C_g) meet H up to the
+    greatest W in H whose rule images stay in W + F_S; both ends are
+    candidates, and every candidate passes `is_ideal` before it is kept.
+
     Complete when every root space is one-dimensional, the subset count
     stays under the cap, and for each feasible subset the window of
     compatible H-parts spans at most one extra dimension; the completeness
@@ -411,37 +442,60 @@ def enumerate_ideals(h, rd, cap=512):
     """
     n = h.dimL
     gamma = rd.gamma
-    maximal = all(rd.root_spaces[g].dim == 1 for g in gamma)
+    closures = [ideal_closure(h, rd.space(g)).space for g in gamma]
     if 2 ** len(gamma) > cap:
-        found = {Subspace.zero(n), h.full_L()}
-        for g in gamma:
-            found.add(ideal_closure(h, rd.space(g)).space)
+        found = {Subspace.zero(n), h.full_L(), *closures}
         return EnumeratedIdeals(
             ideals=tuple(sorted(found, key=lambda s: (s.dim, s.basis))),
             complete=False,
             note=f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only",
         )
+    if not all(_is_graded(rd, c) for c in closures):
+        return _enumerate_by_subsets(h, rd)
+    support = [
+        sum(1 << j for j, d in enumerate(gamma) if not c.intersect(rd.space(d)).is_zero) for c in closures
+    ]
+    closed = []
+    for mask in range(2 ** len(gamma)):
+        members = [i for i in range(len(gamma)) if mask >> i & 1]
+        if all(support[i] & ~mask == 0 for i in members):
+            closed.append((members, Subspace(n, [b for i in members for b in closures[i].basis])))
+    return _ideals_from_closed_sets(h, rd, closed)
+
+
+def _enumerate_by_subsets(h, rd):
+    """`enumerate_ideals` by closing every one of the 2^|Gamma| root
+    subsets; the fallback when a single-root closure is not graded."""
+    n = h.dimL
+    gamma = rd.gamma
+    closed = []
+    for mask in range(2 ** len(gamma)):
+        members = [i for i in range(len(gamma)) if mask >> i & 1]
+        f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
+        closure = ideal_closure(h, f_space).space
+        if all(i in members or closure.intersect(rd.space(g)).is_zero for i, g in enumerate(gamma)):
+            closed.append((members, closure))
+    return _ideals_from_closed_sets(h, rd, closed)
+
+
+def _ideals_from_closed_sets(h, rd, closed):
+    """Ideals from (feasible root subset as indices into gamma, the ideal it
+    generates) pairs: each H-part window's ends that pass `is_ideal`."""
+    n = h.dimL
+    gamma = rd.gamma
+    maximal = all(rd.root_spaces[g].dim == 1 for g in gamma)
     found = set()
     complete = maximal
     note = "" if maximal else "a root space has dimension above one; enumeration is heuristic"
-    maps = _rule_maps(h)
-    for mask in range(2 ** len(gamma)):
-        subset = [gamma[i] for i in range(len(gamma)) if mask >> i & 1]
-        f_space = Subspace.zero(n)
-        for g in subset:
-            f_space = f_space.add(rd.space(g))
-        closure = ideal_closure(h, f_space).space
-        feasible = True
-        for g in gamma:
-            if g in subset:
-                continue
-            if not closure.intersect(rd.space(g)).is_zero:
-                feasible = False
-                break
-        if not feasible:
-            continue
+    images = []
+    for m in _rule_maps(h):
+        imgs = [mat_vec(m, b) for b in rd.H.basis]
+        if any(map(any, imgs)):
+            images.append(imgs)
+    for members, closure in closed:
+        f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
         w_min = closure.intersect(rd.H)
-        w_max = _h_part_window(h, rd, f_space, maps)
+        w_max = _h_part_window(rd, f_space, images)
         if not w_max.contains_space(w_min):
             continue
         gap = w_max.dim - w_min.dim

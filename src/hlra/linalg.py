@@ -59,10 +59,6 @@ def identity_matrix(n):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows, cols):
-    return tuple((ZERO,) * cols for _ in range(rows))
-
-
 def mat_mul(a, b):
     if not a:
         return ()
@@ -83,10 +79,6 @@ def mat_sub(a, b):
 
 def mat_scale(c, m):
     return tuple(tuple(c * x for x in row) for row in m)
-
-
-def mat_eq_zero(m):
-    return all(all(x == 0 for x in row) for row in m)
 
 
 def mat_from_columns(cols, nrows=None):

@@ -159,11 +159,6 @@ class HLRAlgebra:
         cols = [self.act_vec(a, basis_vector(self.dimL, j)) for j in range(self.dimL)]
         return mat_from_columns(cols, nrows=self.dimL)
 
-    def mul_matrix(self, a):
-        """Matrix of b -> a * b."""
-        cols = [self.mul_vec(a, basis_vector(self.dimA, j)) for j in range(self.dimA)]
-        return mat_from_columns(cols, nrows=self.dimA)
-
     def anchor_matrix(self, x):
         """Matrix of a -> rho(x)(a)."""
         cols = [self.anchor_vec(x, basis_vector(self.dimA, j)) for j in range(self.dimA)]

@@ -109,13 +109,3 @@ def partition_lines(name, part, out):
 
 def _yn(flag):
     return "yes" if flag else "no"
-
-
-def matrix_json(m):
-    return [[format_scalar(x) for x in row] for row in m]
-
-
-def matrix_text(m):
-    if not m:
-        return "[]"
-    return "; ".join("[" + " ".join(format_scalar(x) for x in row) + "]" for row in m)

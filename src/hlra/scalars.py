@@ -38,7 +38,3 @@ def format_scalar(q):
 def format_vector(v):
     """Render a tuple of Fractions as a bracketed list of canonical scalars."""
     return "[" + ", ".join(format_scalar(c) for c in v) + "]"
-
-
-def format_rows(rows):
-    return "[" + ", ".join(format_vector(r) for r in rows) + "]"

@@ -3,11 +3,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from hlra import decomposition, fixtures
 from hlra.decomposition import enumerate_ideals, run_decomposition
-from hlra.linalg import Subspace
-from hlra.model import is_ideal
-from hlra.roots import root_decomposition, verify_lemma_closures, weight_decomposition
+from hlra.linalg import (
+    Subspace,
+    basis_vector,
+    kernel,
+    mat_from_columns,
+    mat_mul,
+    mat_vec,
+    stack_rows,
+    vec_add,
+)
+from hlra.model import is_ideal, twist_by_endomorphism
+from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
 
 from conftest import SPLIT_NAMES
 
@@ -167,3 +178,94 @@ def test_violating_ideal_is_reported(reports):
     assert sim.verdict == "not_simple"
     assert sim.violating is not None
     assert sim.violating.basis == ((F(0), F(1)),)
+
+
+# -- fast enumeration against the subset-closing oracle ---------------------
+
+
+def assert_matches_oracle(h):
+    rd = root_decomposition(h)
+    assert enumerate_ideals(h, rd) == decomposition._enumerate_by_subsets(h, rd)
+
+
+def test_enumeration_matches_oracle_on_bundled(bundled):
+    for name in SPLIT_NAMES:
+        assert_matches_oracle(bundled[name])
+
+
+@pytest.mark.parametrize("a", (1, 2, 3))
+@pytest.mark.parametrize("b", (1, 2, 3))
+def test_enumeration_matches_oracle_on_s_products(a, b):
+    assert_matches_oracle(fixtures.product_sum([fixtures._s_like(a), fixtures._s_like(b)]))
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_enumeration_matches_oracle_on_shared_scalar_sums(k):
+    assert_matches_oracle(fixtures.shared_scalar_sum([fixtures.fix_b()] * k))
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 10**6), st.booleans())
+def test_enumeration_matches_oracle_on_random_instances(seed, twisted):
+    h, g, f = fixtures.random_instance(seed)
+    if twisted:
+        h = twist_by_endomorphism(h, g, f)
+    try:
+        rd = root_decomposition(h)
+    except CartanError:
+        assume(False)
+    assume(rd.split and len(rd.gamma) <= 8)
+    assert enumerate_ideals(h, rd) == decomposition._enumerate_by_subsets(h, rd)
+
+
+def test_fallback_when_a_closure_is_not_graded(bundled, monkeypatch):
+    h = bundled["fix_s"]
+    rd = root_decomposition(h)
+    expected = decomposition._enumerate_by_subsets(h, rd)
+    calls = []
+
+    def not_graded(rd, space):
+        calls.append(space)
+        return False
+
+    monkeypatch.setattr(decomposition, "_is_graded", not_graded)
+    assert enumerate_ideals(h, rd) == expected
+    assert calls
+
+
+def test_gradedness_predicate(bundled):
+    h = bundled["fix_s"]
+    rd = root_decomposition(h)
+    g, d = rd.gamma[:2]
+    assert decomposition._is_graded(rd, rd.space(g))
+    assert decomposition._is_graded(rd, rd.space(g).add(rd.H))
+    mixed = vec_add(rd.space(g).basis[0], rd.space(d).basis[0])
+    assert not decomposition._is_graded(rd, Subspace(h.dimL, [mixed]))
+
+
+def _window_by_residual_matrices(h, rd, f_space):
+    """The H-part window computed on n x n matrices: W shrinks to the
+    vectors whose images under every rule map, reduced along W + F, vanish."""
+    n = h.dimL
+    maps = decomposition._rule_maps(h)
+    w = rd.H
+    while True:
+        target = w.add(f_space)
+        res = mat_from_columns([target.reduce(basis_vector(n, j)) for j in range(n)], nrows=n)
+        shrunk = w.intersect(kernel(stack_rows(*[mat_mul(res, m) for m in maps]), ncols=n))
+        if shrunk == w:
+            return w
+        w = shrunk
+
+
+def test_window_matches_residual_matrices(bundled):
+    for name in ("fix_a", "fix_b", "fix_s", "fix_w", "fix_p", "fix_t", "fix_b2", "fix_e2", "fix_p2"):
+        h = bundled[name]
+        rd = root_decomposition(h)
+        gamma = rd.gamma
+        images = [[mat_vec(m, b) for b in rd.H.basis] for m in decomposition._rule_maps(h)]
+        for mask in range(2 ** len(gamma)):
+            members = [g for i, g in enumerate(gamma) if mask >> i & 1]
+            f_space = Subspace(h.dimL, [b for g in members for b in rd.space(g).basis])
+            got = decomposition._h_part_window(rd, f_space, images)
+            assert got == _window_by_residual_matrices(h, rd, f_space), (name, mask)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hlra import cli
+from hlra import cli, fixtures
 from hlra.fileio import ParseError, dumps_algebra, loads_algebra
 
 
@@ -30,6 +30,13 @@ def test_every_bundled_file_round_trips_byte_identically(data_dir):
     for f in files:
         text = f.read_text()
         assert dumps_algebra(loads_algebra(text)) == text, f.name
+
+
+def test_every_bundled_file_matches_its_fixture(data_dir):
+    files = sorted(f.name for f in data_dir.glob("*.json"))
+    assert files == sorted(f"{name}.json" for name in fixtures.BUNDLED)
+    for name, make in fixtures.BUNDLED.items():
+        assert loads_algebra((data_dir / f"{name}.json").read_text()) == make(), name
 
 
 def test_dump_is_a_fixed_point(bundled):
