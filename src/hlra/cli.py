@@ -13,8 +13,7 @@ import time
 
 from . import reporting
 from .claims import ClaimResult, FAIL, PASS
-from .connections import root_partition, weight_partition
-from .decomposition import enumerate_ideals, run_decomposition
+from .decomposition import run_decomposition
 from .fileio import dumps_algebra, loads_algebra
 from .model import (
     FiberClosureError,
@@ -30,7 +29,7 @@ from .model import (
 )
 from .roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
 from .scalars import parse_scalar
-from .structure import run_structure
+from .structure import Analysis, run_structure
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -96,9 +95,16 @@ def _emit(args, doc, lines):
     sys.stdout.write(reporting.render(doc, lines, args.format))
 
 
-def _validation_gate(h, doc, lines):
-    """Relaxed validation before any decomposition work.  Returns True when
-    the run can continue; on failure the report carries the failing checks."""
+def _open_split(args):
+    """Shared opening of the decomposition commands: load, header, relaxed
+    validation, H, both eigen-decompositions and the split status.
+
+    Returns (Analysis, doc, lines) when the instance splits; otherwise the
+    report already says why, has been emitted, and the exit code comes back.
+    """
+    h, text = _load(args.file)
+    digest, lines = _header(args.file, text)
+    doc = {"command": args.command, "input": args.file, "sha256": digest}
     rep = validate_hlr(h, strictness=RELAXED)
     doc["validation_ok"] = rep.ok
     if not rep.ok:
@@ -106,45 +112,31 @@ def _validation_gate(h, doc, lines):
         for c in rep.failures():
             lines.append(reporting.check_line(c))
         doc["validation_failures"] = [reporting.check_json(c) for c in rep.failures()]
-    return rep.ok
-
-
-def _decomposition_inputs(args, h, doc, lines):
-    """Resolve H, run both eigen-decompositions, report the split status.
-
-    Returns (rd, wd) on success and None when the run must stop; in the
-    latter case the report already says why and the caller exits 1.
-    """
+        return _finish(args, doc, lines, failed=True)
     H = _matrix_arg(args.cartan, "--cartan") if args.cartan else None
     rd = root_decomposition(h, H)
     wd = weight_decomposition(h, rd)
     doc["cartan"] = reporting.space_json(rd.H)
     lines.append(f"cartan subalgebra: {reporting.space_text(rd.H)}")
-    doc["roots"] = [
-        {"root": reporting.functional(g), "dim": rd.space(g).dim} for g in rd.gamma
-    ]
-    lines.append(
-        f"roots ({len(rd.gamma)}): "
-        + ("; ".join(f"{reporting.functional(g)} dim {rd.space(g).dim}" for g in rd.gamma) or "none")
-    )
-    lines.append(f"zero root space: dim {rd.zero_space.dim}")
-    doc["weights"] = [
-        {"weight": reporting.functional(a), "dim": wd.space(a).dim} for a in wd.lam
-    ]
-    lines.append(
-        f"weights ({len(wd.lam)}): "
-        + ("; ".join(f"{reporting.functional(a)} dim {wd.space(a).dim}" for a in wd.lam) or "none")
-    )
-    lines.append(f"zero weight space: dim {wd.A0.dim}")
+    for name, items, space, zero in (
+        ("root", rd.gamma, rd.space, rd.zero_space),
+        ("weight", wd.lam, wd.space, wd.A0),
+    ):
+        doc[f"{name}s"] = [{name: reporting.functional(f), "dim": space(f).dim} for f in items]
+        lines.append(
+            f"{name}s ({len(items)}): "
+            + ("; ".join(f"{reporting.functional(f)} dim {space(f).dim}" for f in items) or "none")
+        )
+        lines.append(f"zero {name} space: dim {zero.dim}")
     doc["split"] = rd.split and wd.split
     if not rd.split or not wd.split:
         side = "bracket side" if not rd.split else "scalar side"
         diag = rd.diagnosis if not rd.split else wd.diagnosis
         lines.append(f"split: no ({side}): {diag}")
         doc["diagnosis"] = diag
-        return None
+        return _finish(args, doc, lines, failed=True)
     lines.append("split: yes")
-    return rd, wd
+    return Analysis(h, rd, wd), doc, lines
 
 
 def _append_claims(claims, doc, lines):
@@ -187,37 +179,23 @@ def cmd_validate(args):
 
 
 def cmd_decompose(args):
-    h, text = _load(args.file)
-    digest, lines = _header(args.file, text)
-    doc = {"command": "decompose", "input": args.file, "sha256": digest}
-    if not _validation_gate(h, doc, lines):
-        return _finish(args, doc, lines, failed=True)
-    got = _decomposition_inputs(args, h, doc, lines)
-    if got is None:
-        return _finish(args, doc, lines, failed=True)
-    rd, wd = got
-    lemma_claims = verify_lemma_closures(h, rd, wd)
-    dec = run_decomposition(h, rd, wd, lemma_claims)
+    opened = _open_split(args)
+    if isinstance(opened, int):
+        return opened
+    a, doc, lines = opened
+    h, rd = a.h, a.rd
+    dec = run_decomposition(a, verify_lemma_closures(h, rd, a.wd))
     if not rd.gamma and dec.U == rd.H and rd.H.dim == h.dimL:
         lines.append("no roots; L = U = H")
-    doc["root_classes"] = [[reporting.functional(f) for f in c] for c in dec.root_part.classes]
-    doc["weight_classes"] = [[reporting.functional(f) for f in c] for c in dec.weight_part.classes]
-    doc["root_class_ideals"] = []
-    for ideal in dec.root_ideals:
-        lines.append(
-            f"root class {reporting.class_text(ideal.cls)} ideal: dim {ideal.space.dim}"
-        )
-        doc["root_class_ideals"].append(
-            {"class": [reporting.functional(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
-        )
-    doc["weight_class_ideals"] = []
-    for ideal in dec.weight_ideals:
-        lines.append(
-            f"weight class {reporting.class_text(ideal.cls)} ideal: dim {ideal.space.dim}"
-        )
-        doc["weight_class_ideals"].append(
-            {"class": [reporting.functional(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
-        )
+    doc["root_classes"] = [[reporting.functional(f) for f in c] for c in a.root_part.classes]
+    doc["weight_classes"] = [[reporting.functional(f) for f in c] for c in a.weight_part.classes]
+    for side, ideals in (("root", dec.root_ideals), ("weight", dec.weight_ideals)):
+        doc[f"{side}_class_ideals"] = []
+        for ideal in ideals:
+            lines.append(f"{side} class {reporting.class_text(ideal.cls)} ideal: dim {ideal.space.dim}")
+            doc[f"{side}_class_ideals"].append(
+                {"class": [reporting.functional(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
+            )
     lines.append(f"bracket-side complement U: {reporting.space_text(dec.U)}")
     lines.append(f"scalar-side complement V: {reporting.space_text(dec.V)}")
     doc["U"] = reporting.space_json(dec.U)
@@ -238,19 +216,12 @@ def cmd_decompose(args):
 
 
 def cmd_analyze(args):
-    h, text = _load(args.file)
-    digest, lines = _header(args.file, text)
-    doc = {"command": "analyze", "input": args.file, "sha256": digest}
-    if not _validation_gate(h, doc, lines):
-        return _finish(args, doc, lines, failed=True)
-    got = _decomposition_inputs(args, h, doc, lines)
-    if got is None:
-        return _finish(args, doc, lines, failed=True)
-    rd, wd = got
-    jrep = compute_J(h)
-    enum = enumerate_ideals(h, rd)
-    st = run_structure(h, rd, wd, jrep=jrep, enum=enum)
-    js, prof = st.js, st.profile
+    opened = _open_split(args)
+    if isinstance(opened, int):
+        return opened
+    a, doc, lines = opened
+    st = run_structure(a)
+    js, prof, enum = st.js, st.profile, a.enum
 
     lines.append(f"ideal J: {reporting.space_text(js.J)}")
     lines.append(
@@ -392,17 +363,11 @@ def cmd_morphism(args):
 
 
 def cmd_connect(args):
-    h, text = _load(args.file)
-    digest, lines = _header(args.file, text)
-    doc = {"command": "connect", "input": args.file, "sha256": digest}
-    if not _validation_gate(h, doc, lines):
-        return _finish(args, doc, lines, failed=True)
-    got = _decomposition_inputs(args, h, doc, lines)
-    if got is None:
-        return _finish(args, doc, lines, failed=True)
-    rd, wd = got
-    rp = root_partition(rd, wd)
-    wp = weight_partition(rd, wd)
+    opened = _open_split(args)
+    if isinstance(opened, int):
+        return opened
+    a, doc, lines = opened
+    rp, wp = a.root_part, a.weight_part
     reporting.partition_lines("root", rp, lines)
     reporting.partition_lines("weight", wp, lines)
     doc["root_partition"] = reporting.partition_json(rp)

@@ -64,56 +64,18 @@ def roots_connected(gamma, xi, rd, wd, restrict=None):
             return ConnectionWitness(kind="direct", epsilon=-1, z=-i)
 
     allowed_roots = set(map(tuple, restrict)) if restrict is not None else set(rd.gamma)
-    sigma_set = _pm(allowed_roots)
     family = sorted(_pm(wd.lam) | _pm(allowed_roots))
-    orbit_xi = psi_orbit(xi, rd)
     targets = {}
-    for m, member in enumerate(orbit_xi):
+    for m, member in enumerate(psi_orbit(xi, rd)):
         targets.setdefault(tuple(member), (1, m))
         targets.setdefault(vec_neg(member), (-1, m))
-
-    starts = [o for o in orbit_g if tuple(o) in set(family)]
-    parent = {}
-    frontier = sorted(set(map(tuple, starts)))
-    for s in frontier:
-        parent[s] = None
-    max_depth = len(_pm(allowed_roots) | _pm(wd.lam)) + 2
-
-    def rebuild(node, last_zeta):
-        chain = [last_zeta]
-        while parent[node] is not None:
-            prev, zeta = parent[node]
-            chain.append(zeta)
-            node = prev
-        chain.append(node)
-        chain.reverse()
-        return tuple(chain)
-
-    depth = 1
-    while frontier and depth < max_depth:
-        completions = []
-        next_parent = {}
-        for sigma in frontier:
-            for zeta in family:
-                nxt = compose_psi_power(vec_add(sigma, zeta), -1, rd)
-                if nxt in targets:
-                    end_sign, end_power = targets[nxt]
-                    completions.append(
-                        ConnectionWitness(
-                            kind="chain",
-                            elements=rebuild(sigma, zeta),
-                            end_sign=end_sign,
-                            end_power=end_power,
-                        )
-                    )
-                if nxt in sigma_set and nxt not in parent and nxt not in next_parent:
-                    next_parent[nxt] = (sigma, zeta)
-        if completions:
-            return min(completions, key=lambda w: w.elements)
-        parent.update(next_parent)
-        frontier = sorted(next_parent)
-        depth += 1
-    return None
+    return _shortest_chain(
+        starts=[o for o in orbit_g if tuple(o) in set(family)],
+        family=family,
+        sigma_set=_pm(allowed_roots),
+        targets=targets,
+        step=lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd),
+    )
 
 
 def weights_connected(alpha, beta, rd, wd):
@@ -128,13 +90,29 @@ def weights_connected(alpha, beta, rd, wd):
         return ConnectionWitness(kind="direct", epsilon=1)
     if beta == vec_neg(alpha):
         return ConnectionWitness(kind="direct", epsilon=-1)
-
     sigma_set = _pm(wd.lam) | _pm(rd.gamma)
-    family = sorted(sigma_set)
-    targets = {beta: 1, vec_neg(beta): -1}
-    parent = {alpha: None}
-    frontier = [alpha]
-    max_depth = len(sigma_set) + 2
+    return _shortest_chain(
+        starts=[alpha],
+        family=sorted(sigma_set),
+        sigma_set=sigma_set,
+        targets={beta: (1, 0), vec_neg(beta): (-1, 0)},
+        step=vec_add,
+    )
+
+
+def _shortest_chain(starts, family, sigma_set, targets, step):
+    """Breadth-first chain search shared by both walkers.
+
+    A chain is a start followed by family members; each step(sum, member)
+    must stay in sigma_set until it lands in targets, which maps an endpoint
+    to its (end_sign, end_power).  Returns the lexicographically least chain
+    of the least length as a witness, or None.
+    """
+    parent = {}
+    frontier = sorted(set(map(tuple, starts)))
+    for s in frontier:
+        parent[s] = None
+    max_depth = len(family) + 2
 
     def rebuild(node, last_zeta):
         chain = [last_zeta]
@@ -152,13 +130,15 @@ def weights_connected(alpha, beta, rd, wd):
         next_parent = {}
         for sigma in frontier:
             for zeta in family:
-                nxt = vec_add(sigma, zeta)
+                nxt = step(sigma, zeta)
                 if nxt in targets:
+                    end_sign, end_power = targets[nxt]
                     completions.append(
                         ConnectionWitness(
                             kind="chain",
                             elements=rebuild(sigma, zeta),
-                            end_sign=targets[nxt],
+                            end_sign=end_sign,
+                            end_power=end_power,
                         )
                     )
                 if nxt in sigma_set and nxt not in parent and nxt not in next_parent:

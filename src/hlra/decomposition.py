@@ -4,12 +4,15 @@ Every verifier works on one concrete decomposed instance and reports exact
 subspace facts as ClaimResults keyed by the stable catalog labels.  Nothing
 here proves anything in general: a PASS means the statement held on this
 instance, a REFUSED means its hypotheses were not met and says which ones.
+
+The verifiers take the instance as a `structure.Analysis`, which holds the
+algebra `h`, its decompositions `rd` and `wd`, and every derived object
+(partitions, class ideals, J, the enumerated ideals), each built once.
 """
 
 from dataclasses import dataclass
 
 from .claims import FAIL, INFO, PASS, REFUSED, ClaimResult
-from .connections import root_partition, weight_partition
 from .linalg import (
     Subspace,
     basis_vector,
@@ -18,11 +21,15 @@ from .linalg import (
     mat_from_columns,
     mat_inverse,
     mat_vec,
-    stack_rows,
+    span,
+    sum_and_overlap,
     vec_neg,
 )
-from .model import annihilator_Z, center_ZA, compute_J, ideal_closure, is_ideal
-from .roots import format_root
+from .model import annihilator, center_ZA, ideal_closure, is_ideal
+from .roots import format_class
+
+# root subset count above which enumeration keeps only the closure seeds
+ENUMERATION_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -37,23 +44,14 @@ class RootClassIdeal:
 
 def build_root_ideal(h, rd, wd, cls):
     """Ideal attached to one root class: opposite products inside H plus
-    the root spaces of the class.  Empty summands drop out through the
-    zero-space lookups."""
-    n = h.dimL
-    zero_part = Subspace.zero(n)
-    graded = Subspace.zero(n)
-    for xi in cls:
-        lxi = rd.space(xi)
-        graded = graded.add(lxi)
-        neg = vec_neg(xi)
-        zero_part = zero_part.add(h.act_space(wd.space(neg), lxi))
-        zero_part = zero_part.add(h.bracket_space(rd.space(neg) if any(neg) else Subspace.zero(n), lxi))
-    space = zero_part.add(graded)
+    the root spaces of the class."""
+    zero_part = root_inner_sum(h, rd, wd, cls)
+    graded = span(h.dimL, [rd.space(xi) for xi in cls])
     return RootClassIdeal(
         cls=tuple(cls),
         zero_part=zero_part,
         graded_part=graded,
-        space=space,
+        space=zero_part.add(graded),
         zero_part_in_H=rd.H.contains_space(zero_part),
         direct=zero_part.intersect(graded).is_zero,
     )
@@ -72,123 +70,110 @@ class WeightClassIdeal:
 def build_weight_ideal(h, rd, wd, cls):
     """Ideal of A attached to one weight class: anchor images and opposite
     products inside the zero weight space, plus the weight spaces."""
-    na = h.dimA
-    zero_part = Subspace.zero(na)
-    graded = Subspace.zero(na)
-    for beta in cls:
-        abeta = wd.space(beta)
-        graded = graded.add(abeta)
-        neg = vec_neg(beta)
-        zero_part = zero_part.add(h.anchor_space(rd.space(neg) if any(neg) else Subspace.zero(h.dimL), abeta))
-        zero_part = zero_part.add(h.mul_space(wd.space(neg) if any(neg) else Subspace.zero(na), abeta))
-    space = zero_part.add(graded)
+    zero_part = weight_inner_sum(h, rd, wd, cls, rd.root_spaces)
+    graded = span(h.dimA, [wd.space(beta) for beta in cls])
     return WeightClassIdeal(
         cls=tuple(cls),
         zero_part=zero_part,
         graded_part=graded,
-        space=space,
+        space=zero_part.add(graded),
         zero_part_in_A0=wd.A0.contains_space(zero_part),
         direct=zero_part.intersect(graded).is_zero,
     )
 
 
-def _cls_name(cls):
-    return "{" + ", ".join(format_root(f) for f in cls) + "}"
+def root_inner_sum(h, rd, wd, roots):
+    """Sum of opposite-weight actions and opposite-root brackets over the
+    given (nonzero) roots; the candidate generator of H."""
+    parts = []
+    for g in roots:
+        neg = vec_neg(g)
+        parts.append(h.act_space(wd.space(neg), rd.space(g)))
+        parts.append(h.bracket_space(rd.space(neg), rd.space(g)))
+    return span(h.dimL, parts)
 
 
-def verify_prop_3_3(h, rd, wd, ideals):
-    claims = []
-    bad = None
+def weight_inner_sum(h, rd, wd, weights, anchor_roots):
+    """Sum of anchor images and opposite-weight products over the given
+    (nonzero) weights; the candidate generator of the zero weight space.
+    The anchor image at a weight counts only when its negative is in
+    anchor_roots; passing every root counts them all."""
+    parts = []
+    for a in weights:
+        neg = vec_neg(a)
+        if neg in anchor_roots:
+            parts.append(h.anchor_space(rd.space(neg), wd.space(a)))
+        parts.append(h.mul_space(wd.space(neg), wd.space(a)))
+    return span(h.dimA, parts)
+
+
+def _every_ideal(claim_id, ideals, holds, fail, ok):
+    """PASS with detail ok when holds(space) is true for every class ideal,
+    else FAIL naming the first class that breaks it in fail."""
     for ci in ideals:
-        if not ci.space.contains_space(h.bracket_space(ci.space, ci.space)):
-            bad = f"bracket escapes the ideal of class {_cls_name(ci.cls)}"
-            break
-    claims.append(ClaimResult("prop3.3.1", FAIL if bad else PASS, bad or f"{len(ideals)} class ideals"))
+        if not holds(ci.space):
+            return ClaimResult(claim_id, FAIL, fail.format(format_class(ci.cls)))
+    return ClaimResult(claim_id, PASS, ok)
 
-    bad = None
-    for ci in ideals:
-        if ci.space.image(h.psi) != ci.space:
-            bad = f"twist image differs on the ideal of class {_cls_name(ci.cls)}"
-            break
-    claims.append(ClaimResult("prop3.3.2", FAIL if bad else PASS, bad or "twist fixes every class ideal"))
 
-    bad = None
-    for ci in ideals:
-        if not ci.space.contains_space(h.act_space(h.full_A(), ci.space)):
-            bad = f"scalar action escapes the ideal of class {_cls_name(ci.cls)}"
-            break
-    claims.append(ClaimResult("prop3.3.3", FAIL if bad else PASS, bad or "scalar action absorbed"))
-
-    bad = None
-    for ci in ideals:
-        pushed = h.act_space(h.anchor_space(ci.space, h.full_A()), h.full_L())
-        if not ci.space.contains_space(pushed):
-            bad = f"anchor push-through escapes the ideal of class {_cls_name(ci.cls)}"
-            break
-    claims.append(ClaimResult("prop3.3.4", FAIL if bad else PASS, bad or "anchor push-through absorbed"))
-
-    bad = None
-    pairs = 0
+def first_nonzero_pair(ideals, product, ordered):
+    """The first pair (ci, cj) of distinct class ideals, in index order and
+    with i < j unless ordered, whose spaces have a nonzero product; or None."""
     for i, ci in enumerate(ideals):
         for j, cj in enumerate(ideals):
-            if i == j:
-                continue
-            pairs += 1
-            if not h.bracket_space(ci.space, cj.space).is_zero:
-                bad = f"classes {_cls_name(ci.cls)} and {_cls_name(cj.cls)} bracket nontrivially"
-                break
-        if bad:
-            break
-    claims.append(ClaimResult("prop3.3.5", FAIL if bad else PASS, bad or f"{pairs} ordered pairs zero"))
+            if (i != j if ordered else i < j) and not product(ci.space, cj.space).is_zero:
+                return ci, cj
+    return None
+
+
+def verify_prop_3_3(a):
+    h, ideals = a.h, a.root_ideals
+    claims = [
+        _every_ideal(
+            "prop3.3.1", ideals, lambda s: s.contains_space(h.bracket_space(s, s)),
+            "bracket escapes the ideal of class {}", f"{len(ideals)} class ideals",
+        ),
+        _every_ideal(
+            "prop3.3.2", ideals, lambda s: s.image(h.psi) == s,
+            "twist image differs on the ideal of class {}", "twist fixes every class ideal",
+        ),
+        _every_ideal(
+            "prop3.3.3", ideals, lambda s: s.contains_space(h.act_space(h.full_A(), s)),
+            "scalar action escapes the ideal of class {}", "scalar action absorbed",
+        ),
+        _every_ideal(
+            "prop3.3.4", ideals,
+            lambda s: s.contains_space(h.act_space(h.anchor_space(s, h.full_A()), h.full_L())),
+            "anchor push-through escapes the ideal of class {}", "anchor push-through absorbed",
+        ),
+    ]
+    pair = first_nonzero_pair(ideals, h.bracket_space, ordered=True)
+    if pair:
+        detail = f"classes {format_class(pair[0].cls)} and {format_class(pair[1].cls)} bracket nontrivially"
+    else:
+        detail = f"{len(ideals) * (len(ideals) - 1)} ordered pairs zero"
+    claims.append(ClaimResult("prop3.3.5", FAIL if pair else PASS, detail))
     return claims
 
 
-def verify_thm_3_5_1(h, ideals):
-    bad = None
-    for ci in ideals:
-        ok, failed = is_ideal(h, ci.space)
+def verify_thm_3_5_1(a):
+    for ci in a.root_ideals:
+        ok, failed = is_ideal(a.h, ci.space)
         if not ok:
-            bad = f"class {_cls_name(ci.cls)} fails ideal rules: {', '.join(failed)}"
-            break
-    return ClaimResult("thm3.5.1", FAIL if bad else PASS, bad or f"{len(ideals)} class ideals pass every rule")
+            return ClaimResult("thm3.5.1", FAIL, f"class {format_class(ci.cls)} fails ideal rules: {', '.join(failed)}")
+    return ClaimResult("thm3.5.1", PASS, f"{len(a.root_ideals)} class ideals pass every rule")
 
 
-def root_inner_sum(h, rd, wd, roots):
-    """Sum of opposite-weight actions and opposite-root brackets over the
-    given roots; the candidate generator of H."""
-    n = h.dimL
-    inner = Subspace.zero(n)
-    for g in roots:
-        neg = vec_neg(g)
-        inner = inner.add(h.act_space(wd.space(neg), rd.space(g)))
-        inner = inner.add(h.bracket_space(rd.space(neg) if any(neg) else Subspace.zero(n), rd.space(g)))
-    return inner
-
-
-def weight_inner_sum(h, rd, wd, weights):
-    """Sum of anchor images and opposite-weight products over the given
-    weights; the candidate generator of the zero weight space."""
-    na = h.dimA
-    inner = Subspace.zero(na)
-    for a in weights:
-        neg = vec_neg(a)
-        inner = inner.add(h.anchor_space(rd.space(neg) if any(neg) else Subspace.zero(h.dimL), wd.space(a)))
-        inner = inner.add(h.mul_space(wd.space(neg) if any(neg) else Subspace.zero(na), wd.space(a)))
-    return inner
-
-
-def verify_thm_3_6(h, rd, wd, ideals):
+def verify_thm_3_6(a):
     """L equals a complement inside H plus the sum of the class ideals."""
-    inner = root_inner_sum(h, rd, wd, rd.gamma)
-    if not rd.H.contains_space(inner):
+    h, rd, ideals = a.h, a.rd, a.root_ideals
+    if not rd.H.contains_space(a.root_inner):
         return (
             ClaimResult("thm3.6", FAIL, "the opposite-product sum escapes H; broken closure"),
             None,
         )
-    u = complement(inner, rd.H)
-    total = u
-    for ci in ideals:
-        total = total.add(ci.space)
+    u = complement(a.root_inner, rd.H)
+    total = span(h.dimL, [u] + [ci.space for ci in ideals])
     ok = total == h.full_L()
     return (
         ClaimResult(
@@ -200,64 +185,49 @@ def verify_thm_3_6(h, rd, wd, ideals):
     )
 
 
-def verify_cor_3_8(h, rd, wd, ideals):
-    z = annihilator_Z(h)
-    inner = root_inner_sum(h, rd, wd, rd.gamma)
+def verify_cor_3_8(a):
+    h, ideals = a.h, a.root_ideals
     missing = []
-    if not z.is_zero:
-        missing.append(f"the annihilator is nonzero (dim {z.dim})")
-    if inner != rd.H:
+    if not a.Z.is_zero:
+        missing.append(f"the annihilator is nonzero (dim {a.Z.dim})")
+    if a.root_inner != a.rd.H:
         missing.append("H is not generated by the opposite products")
     if missing:
         return ClaimResult("cor3.8", REFUSED, "hypotheses not met: " + "; ".join(missing))
-    total = Subspace.zero(h.dimL)
-    for ci in ideals:
-        total = total.add(ci.space)
+    total, overlap = sum_and_overlap(h.dimL, [ci.space for ci in ideals])
     if total != h.full_L():
         return ClaimResult("cor3.8", FAIL, "the class ideals do not sum to L")
-    for i, ci in enumerate(ideals):
-        rest = Subspace.zero(h.dimL)
-        for j, cj in enumerate(ideals):
-            if j != i:
-                rest = rest.add(cj.space)
-        if not ci.space.intersect(rest).is_zero:
-            return ClaimResult(
-                "cor3.8", FAIL, f"class {_cls_name(ci.cls)} meets the sum of the others"
-            )
+    if overlap is not None:
+        return ClaimResult("cor3.8", FAIL, f"class {format_class(ideals[overlap].cls)} meets the sum of the others")
     return ClaimResult("cor3.8", PASS, f"direct sum of {len(ideals)} class ideals")
 
 
-def verify_prop_4_3(h, rd, wd, wideals):
-    claims = []
-    bad = None
-    for ci in wideals:
-        if not ci.space.contains_space(h.mul_space(ci.space, ci.space)):
-            bad = f"products escape the weight ideal of class {_cls_name(ci.cls)}"
-            break
-    claims.append(ClaimResult("prop4.3.1", FAIL if bad else PASS, bad or f"{len(wideals)} weight ideals"))
-    bad = None
-    pairs = 0
-    for i, ci in enumerate(wideals):
-        for cj in wideals[i + 1 :]:
-            pairs += 1
-            if not h.mul_space(ci.space, cj.space).is_zero:
-                bad = f"classes {_cls_name(ci.cls)} and {_cls_name(cj.cls)} multiply nontrivially"
-                break
-        if bad:
-            break
-    claims.append(ClaimResult("prop4.3.2", FAIL if bad else PASS, bad or f"{pairs} cross pairs zero"))
+def verify_prop_4_3(a):
+    h, wideals = a.h, a.weight_ideals
+    claims = [
+        _every_ideal(
+            "prop4.3.1", wideals, lambda s: s.contains_space(h.mul_space(s, s)),
+            "products escape the weight ideal of class {}", f"{len(wideals)} weight ideals",
+        )
+    ]
+    pair = first_nonzero_pair(wideals, h.mul_space, ordered=False)
+    if pair:
+        detail = f"classes {format_class(pair[0].cls)} and {format_class(pair[1].cls)} multiply nontrivially"
+    else:
+        detail = f"{len(wideals) * (len(wideals) - 1) // 2} cross pairs zero"
+    claims.append(ClaimResult("prop4.3.2", FAIL if pair else PASS, detail))
     return claims
 
 
-def verify_thm_4_4(h, rd, wd, wideals, a_verdict, a_witness):
-    claims = []
-    bad = None
-    for ci in wideals:
-        if not ci.space.contains_space(h.mul_space(ci.space, h.full_A())):
-            bad = f"weight ideal of class {_cls_name(ci.cls)} is not an ideal of A"
-            break
-    claims.append(ClaimResult("thm4.4.1", FAIL if bad else PASS, bad or "every weight ideal absorbs A"))
-
+def verify_thm_4_4(a):
+    h, wd = a.h, a.wd
+    claims = [
+        _every_ideal(
+            "thm4.4.1", a.weight_ideals, lambda s: s.contains_space(h.mul_space(s, h.full_A())),
+            "weight ideal of class {} is not an ideal of A", "every weight ideal absorbs A",
+        )
+    ]
+    a_verdict, a_witness = a_simplicity_probe(h, wd)
     if a_verdict == "not_simple":
         claims.append(
             ClaimResult("thm4.4.2", REFUSED, f"hypothesis not met: the scalar algebra is not simple ({a_witness})")
@@ -275,27 +245,23 @@ def verify_thm_4_4(h, rd, wd, wideals, a_verdict, a_witness):
             )
         )
     else:
-        part = weight_partition(rd, wd)
-        one_class = len(part.classes) == 1
-        inner = weight_inner_sum(h, rd, wd, wd.lam)
-        generated = inner == wd.A0
+        one_class = len(a.weight_part.classes) == 1
+        generated = a.weight_inner == wd.A0
         ok = one_class and generated
         detail = f"one weight class: {one_class}; zero weight space generated: {generated}"
         claims.append(ClaimResult("thm4.4.2", PASS if ok else FAIL, detail))
     return claims
 
 
-def verify_thm_4_5(h, rd, wd, wideals):
-    inner = weight_inner_sum(h, rd, wd, wd.lam)
-    if not wd.A0.contains_space(inner):
+def verify_thm_4_5(a):
+    h, wd, wideals = a.h, a.wd, a.weight_ideals
+    if not wd.A0.contains_space(a.weight_inner):
         return (
             ClaimResult("thm4.5", FAIL, "the generator sum escapes the zero weight space; broken closure"),
             None,
         )
-    v = complement(inner, wd.A0)
-    total = v
-    for ci in wideals:
-        total = total.add(ci.space)
+    v = complement(a.weight_inner, wd.A0)
+    total = span(h.dimA, [v] + [ci.space for ci in wideals])
     ok = total == h.full_A()
     return (
         ClaimResult(
@@ -307,43 +273,25 @@ def verify_thm_4_5(h, rd, wd, wideals):
     )
 
 
-def verify_cor_4_6(h, rd, wd, wideals):
+def verify_cor_4_6(a):
+    h, wideals = a.h, a.weight_ideals
     za = center_ZA(h)
-    inner = weight_inner_sum(h, rd, wd, wd.lam)
     missing = []
     if not za.is_zero:
         missing.append(f"the scalar annihilator is nonzero (dim {za.dim})")
-    if inner != wd.A0:
+    if a.weight_inner != a.wd.A0:
         missing.append("the zero weight space is not generated by anchor images and opposite products")
     if missing:
         return ClaimResult("cor4.6", REFUSED, "hypotheses not met: " + "; ".join(missing))
-    total = Subspace.zero(h.dimA)
-    for ci in wideals:
-        total = total.add(ci.space)
+    total, overlap = sum_and_overlap(h.dimA, [ci.space for ci in wideals])
     if total != h.full_A():
         return ClaimResult("cor4.6", FAIL, "the weight ideals do not sum to A")
-    for i, ci in enumerate(wideals):
-        rest = Subspace.zero(h.dimA)
-        for j, cj in enumerate(wideals):
-            if j != i:
-                rest = rest.add(cj.space)
-        if not ci.space.intersect(rest).is_zero:
-            return ClaimResult("cor4.6", FAIL, f"class {_cls_name(ci.cls)} meets the sum of the others")
+    if overlap is not None:
+        return ClaimResult("cor4.6", FAIL, f"class {format_class(wideals[overlap].cls)} meets the sum of the others")
     return ClaimResult("cor4.6", PASS, f"direct sum of {len(wideals)} weight ideals")
 
 
 # -- ideal enumeration and simplicity ---------------------------------------
-
-
-def ker_rho(h):
-    n = h.dimL
-    blocks = []
-    for j in range(h.dimA):
-        cols = [h.anchor_vec(basis_vector(n, i), basis_vector(h.dimA, j)) for i in range(n)]
-        blocks.append(mat_from_columns(cols, nrows=h.dimA))
-    if not blocks:
-        return Subspace.full(n)
-    return kernel(stack_rows(*blocks), ncols=n)
 
 
 def _rule_maps(h):
@@ -411,7 +359,7 @@ class EnumeratedIdeals:
     note: str
 
 
-def enumerate_ideals(h, rd, cap=512):
+def enumerate_ideals(h, rd):
     """All ideals assembled from root subsets and compatible H-parts.
 
     A candidate is F_S + W for a root subset S, with F_S the sum of the root
@@ -435,7 +383,7 @@ def enumerate_ideals(h, rd, cap=512):
     candidates, and every candidate passes `is_ideal` before it is kept.
 
     Complete when every root space is one-dimensional, the subset count
-    stays under the cap, and for each feasible subset the window of
+    stays under ENUMERATION_CAP, and for each feasible subset the window of
     compatible H-parts spans at most one extra dimension; the completeness
     argument additionally rests on gradedness of ideals, which the caller
     re-verifies on everything found here.
@@ -443,7 +391,7 @@ def enumerate_ideals(h, rd, cap=512):
     n = h.dimL
     gamma = rd.gamma
     closures = [ideal_closure(h, rd.space(g)).space for g in gamma]
-    if 2 ** len(gamma) > cap:
+    if 2 ** len(gamma) > ENUMERATION_CAP:
         found = {Subspace.zero(n), h.full_L(), *closures}
         return EnumeratedIdeals(
             ideals=tuple(sorted(found, key=lambda s: (s.dim, s.basis))),
@@ -531,12 +479,13 @@ class SimplicityReport:
         return ClaimResult("def3.4", INFO, detail)
 
 
-def simplicity_check(h, rd, wd, jrep):
+def simplicity_check(a):
     """Verdict against the allowed-ideal list {0, J, L, ker rho}.
 
     A simple verdict is only issued when the enumeration was complete;
     otherwise the honest answer is inconclusive.
     """
+    h = a.h
     n = h.dimL
     full = h.full_L()
     basics = []
@@ -546,74 +495,37 @@ def simplicity_check(h, rd, wd, jrep):
         basics.append("the scalar product is identically zero")
     if h.act_space(h.full_A(), full).is_zero:
         basics.append("the scalar action is identically zero")
-    kr = ker_rho(h)
-    allowed = {
-        Subspace.zero(n): "0",
-        jrep.J: "J",
-        full: "L",
-        kr: "ker_rho",
-    }
+    j = a.jrep.J
+    ker_rho = annihilator(h, Subspace.zero(n))
+    allowed = {Subspace.zero(n): "0", j: "J", full: "L", ker_rho: "ker_rho"}
     coincidences = []
-    if jrep.J.is_zero:
+    if j.is_zero:
         coincidences.append("J=0")
-    if jrep.J == full:
+    if j == full:
         coincidences.append("J=L")
-    if kr == full:
+    if ker_rho == full:
         coincidences.append("ker_rho=L")
-    if kr.is_zero:
+    if ker_rho.is_zero:
         coincidences.append("ker_rho=0")
-    enum = enumerate_ideals(h, rd)
-    violating = None
-    for cand in enum.ideals:
-        if cand not in allowed:
-            violating = cand
-            break
-    part = root_partition(rd, wd)
-    one_class = len(part.classes) <= 1
-    inner = root_inner_sum(h, rd, wd, rd.gamma)
-    h_generated = inner == rd.H
+    enum = a.enum
+    violating = next((cand for cand in enum.ideals if cand not in allowed), None)
     if basics:
-        return SimplicityReport(
-            verdict="not_simple",
-            reason="; ".join(basics),
-            enumerated=enum,
-            violating=None,
-            allowed=tuple(sorted(set(allowed.values()))),
-            coincidences=tuple(coincidences),
-            one_class=one_class,
-            h_generated=h_generated,
-        )
-    if violating is not None:
-        return SimplicityReport(
-            verdict="not_simple",
-            reason=f"found an ideal of dimension {violating.dim} outside the allowed list",
-            enumerated=enum,
-            violating=violating,
-            allowed=tuple(sorted(set(allowed.values()))),
-            coincidences=tuple(coincidences),
-            one_class=one_class,
-            h_generated=h_generated,
-        )
-    if enum.complete:
-        return SimplicityReport(
-            verdict="simple",
-            reason=f"complete enumeration found {len(enum.ideals)} ideals, all allowed",
-            enumerated=enum,
-            violating=None,
-            allowed=tuple(sorted(set(allowed.values()))),
-            coincidences=tuple(coincidences),
-            one_class=one_class,
-            h_generated=h_generated,
-        )
+        verdict, reason, violating = "not_simple", "; ".join(basics), None
+    elif violating is not None:
+        verdict, reason = "not_simple", f"found an ideal of dimension {violating.dim} outside the allowed list"
+    elif enum.complete:
+        verdict, reason = "simple", f"complete enumeration found {len(enum.ideals)} ideals, all allowed"
+    else:
+        verdict, reason = "inconclusive", f"incomplete search ({enum.note}); no violating ideal found"
     return SimplicityReport(
-        verdict="inconclusive",
-        reason=f"incomplete search ({enum.note}); no violating ideal found",
+        verdict=verdict,
+        reason=reason,
         enumerated=enum,
-        violating=None,
+        violating=violating,
         allowed=tuple(sorted(set(allowed.values()))),
         coincidences=tuple(coincidences),
-        one_class=one_class,
-        h_generated=h_generated,
+        one_class=len(a.root_part.classes) <= 1,
+        h_generated=a.root_inner == a.rd.H,
     )
 
 
@@ -650,11 +562,6 @@ def a_simplicity_probe(h, wd):
 
 @dataclass
 class DecompositionReport:
-    rd: object
-    wd: object
-    jrep: object
-    root_part: object
-    weight_part: object
     root_ideals: tuple
     weight_ideals: tuple
     U: object
@@ -663,37 +570,26 @@ class DecompositionReport:
     claims: tuple
 
 
-def run_decomposition(h, rd, wd, lemma_claims):
-    """Assemble class ideals and run every decomposition verifier."""
-    if not rd.split or not wd.split:
+def run_decomposition(a, lemma_claims):
+    """Run every decomposition verifier on the class ideals of a."""
+    if not a.rd.split or not a.wd.split:
         raise ValueError("decomposition is not split; nothing to verify")
-    jrep = compute_J(h)
-    root_part = root_partition(rd, wd)
-    weight_part = weight_partition(rd, wd)
-    root_ideals = tuple(build_root_ideal(h, rd, wd, c) for c in root_part.classes)
-    weight_ideals = tuple(build_weight_ideal(h, rd, wd, c) for c in weight_part.classes)
     claims = list(lemma_claims)
-    claims.extend(verify_prop_3_3(h, rd, wd, root_ideals))
-    claims.append(verify_thm_3_5_1(h, root_ideals))
-    thm36, u = verify_thm_3_6(h, rd, wd, root_ideals)
+    claims.extend(verify_prop_3_3(a))
+    claims.append(verify_thm_3_5_1(a))
+    thm36, u = verify_thm_3_6(a)
     claims.append(thm36)
-    claims.append(verify_cor_3_8(h, rd, wd, root_ideals))
-    claims.extend(verify_prop_4_3(h, rd, wd, weight_ideals))
-    a_verdict, a_witness = a_simplicity_probe(h, wd)
-    claims.extend(verify_thm_4_4(h, rd, wd, weight_ideals, a_verdict, a_witness))
-    thm45, v = verify_thm_4_5(h, rd, wd, weight_ideals)
+    claims.append(verify_cor_3_8(a))
+    claims.extend(verify_prop_4_3(a))
+    claims.extend(verify_thm_4_4(a))
+    thm45, v = verify_thm_4_5(a)
     claims.append(thm45)
-    claims.append(verify_cor_4_6(h, rd, wd, weight_ideals))
-    simplicity = simplicity_check(h, rd, wd, jrep)
+    claims.append(verify_cor_4_6(a))
+    simplicity = simplicity_check(a)
     claims.append(simplicity.claim())
     return DecompositionReport(
-        rd=rd,
-        wd=wd,
-        jrep=jrep,
-        root_part=root_part,
-        weight_part=weight_part,
-        root_ideals=root_ideals,
-        weight_ideals=weight_ideals,
+        root_ideals=a.root_ideals,
+        weight_ideals=a.weight_ideals,
         U=u,
         V=v,
         simplicity=simplicity,

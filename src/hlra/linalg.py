@@ -323,6 +323,23 @@ def complement(inner, outer):
     return Subspace(outer.ambient, chosen)
 
 
+def span(ambient, spaces):
+    """The sum of subspaces of Q^ambient."""
+    return Subspace(ambient, [b for s in spaces for b in s.basis])
+
+
+def sum_and_overlap(ambient, spaces):
+    """The sum of subspaces of Q^ambient, and the index of the first one
+    meeting the sum of the others (None when the sum is direct)."""
+    spaces = list(spaces)
+    total = span(ambient, spaces)
+    if total.dim == sum(s.dim for s in spaces):
+        return total, None
+    for i, s in enumerate(spaces):
+        if not s.intersect(span(ambient, spaces[:i] + spaces[i + 1 :])).is_zero:
+            return total, i
+
+
 def charpoly(m):
     """Coefficients of det(tI - M), low degree first, via Faddeev-LeVerrier."""
     n = len(m)

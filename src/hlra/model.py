@@ -847,14 +847,15 @@ def compute_J(h):
     )
 
 
-def annihilator_Z(h):
-    """Z(L): vectors bracketing to zero on both sides with zero anchor."""
+def annihilator(h, space):
+    """Vectors with zero anchor that bracket to zero, on both sides, with
+    every vector of space.  Over all of L this is Z(L); over the zero space
+    it is the kernel of the anchor."""
     n = h.dimL
     blocks = []
-    for j in range(n):
-        x = basis_vector(n, j)
-        blocks.append(h.ad_right(x))  # v -> [v, x_j]
-        blocks.append(h.ad_left(x))  # v -> [x_j, v]
+    for s in space.basis:
+        blocks.append(h.ad_right(s))  # v -> [v, s]
+        blocks.append(h.ad_left(s))  # v -> [s, v]
     for j in range(h.dimA):
         # v -> rho(v)(a_j), rows indexed by output coordinate
         cols = [h.anchor_vec(basis_vector(n, i), basis_vector(h.dimA, j)) for i in range(n)]
@@ -862,6 +863,11 @@ def annihilator_Z(h):
     if not blocks:
         return Subspace.full(n)
     return kernel(stack_rows(*blocks), ncols=n)
+
+
+def annihilator_Z(h):
+    """Z(L): vectors bracketing to zero on both sides with zero anchor."""
+    return annihilator(h, h.full_L())
 
 
 def center_ZA(h):

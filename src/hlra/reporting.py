@@ -10,7 +10,7 @@ import hashlib
 import json
 
 from .claims import title
-from .roots import format_root
+from .roots import format_class, format_root
 from .scalars import format_scalar, format_vector
 
 
@@ -79,8 +79,7 @@ def functional(f):
     return format_root(f)
 
 
-def class_text(cls):
-    return "{" + ", ".join(format_root(f) for f in cls) + "}"
+class_text = format_class
 
 
 def partition_json(part):

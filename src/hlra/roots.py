@@ -7,22 +7,22 @@ with the twist acts on those coordinate tuples through the transpose of
 the restricted twist matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .claims import FAIL, PASS, ClaimResult
 from .linalg import (
     Subspace,
     complement,
     joint_eigenspaces,
-    kernel,
     mat_columns,
     mat_inverse,
     mat_mul,
     mat_vec,
+    vec_add,
     zero_vector,
 )
 from .model import InputError
-from .scalars import format_scalar, format_vector
+from .scalars import format_scalar
 
 
 class CartanError(ValueError):
@@ -39,6 +39,10 @@ class OrbitError(ValueError):
 
 def format_root(f):
     return "(" + ", ".join(format_scalar(c) for c in f) + ")"
+
+
+def format_class(cls):
+    return "{" + ", ".join(format_root(f) for f in cls) + "}"
 
 
 @dataclass(eq=False)
@@ -105,6 +109,9 @@ def _resolve_h(h, H):
         return Subspace(h.dimL, h.declared_H)
     if isinstance(H, Subspace):
         return H
+    for i, row in enumerate(H):
+        if len(row) != h.dimL:
+            raise InputError(f"subalgebra row {i} has {len(row)} entries; expected {h.dimL}, the dimension of L")
     return Subspace(h.dimL, H)
 
 
@@ -293,97 +300,49 @@ def verify_lemma_closures(h, rd, wd):
         ClaimResult("lem2.11.2", FAIL if bad else PASS, bad or f"checked {len(rd.gamma)} roots, both directions")
     )
 
-    def contained(product, target_space, where):
-        if product.is_zero:
-            return None
-        if not target_space.contains_space(product):
-            return f"at {where}: nonzero product escapes its target space"
-        return None
+    def twisted_sum(g, x):
+        return vec_add(compose_psi_power(g, -1, rd), compose_psi_power(x, -1, rd))
 
-    bad = ""
-    nonzero = 0
-    for g in gamma0:
-        for x in gamma0:
-            prod = h.bracket_space(rd.space(g), rd.space(x))
-            if prod.is_zero:
-                continue
-            nonzero += 1
-            tgt = tuple(
-                a + b
-                for a, b in zip(compose_psi_power(g, -1, rd), compose_psi_power(x, -1, rd))
-            )
-            bad = contained(prod, rd.space(tgt), f"[{format_root(g)}, {format_root(x)}] -> {format_root(tgt)}")
-            if bad:
-                break
-        if bad:
-            break
     claims.append(
-        ClaimResult(
-            "lem2.11.3", FAIL if bad else PASS, bad or f"{len(gamma0) ** 2} pairs, {nonzero} nonzero brackets"
+        _products_land(
+            "lem2.11.3", gamma0, gamma0, lambda g, x: h.bracket_space(rd.space(g), rd.space(x)),
+            twisted_sum, rd.space, "[{0}, {1}] -> {2}", "brackets",
         )
     )
-
-    bad = ""
-    nonzero = 0
-    for a in lam0:
-        for b in lam0:
-            prod = h.mul_space(wd.space(a), wd.space(b))
-            if prod.is_zero:
-                continue
-            nonzero += 1
-            tgt = tuple(x + y for x, y in zip(a, b))
-            bad = contained(prod, wd.space(tgt), f"{format_root(a)}*{format_root(b)} -> {format_root(tgt)}")
-            if bad:
-                break
-        if bad:
-            break
     claims.append(
-        ClaimResult(
-            "lem2.11.4", FAIL if bad else PASS, bad or f"{len(lam0) ** 2} pairs, {nonzero} nonzero products"
+        _products_land(
+            "lem2.11.4", lam0, lam0, lambda a, b: h.mul_space(wd.space(a), wd.space(b)),
+            vec_add, wd.space, "{0}*{1} -> {2}", "products",
         )
     )
-
-    bad = ""
-    nonzero = 0
-    for a in lam0:
-        for g in gamma0:
-            prod = h.act_space(wd.space(a), rd.space(g))
-            if prod.is_zero:
-                continue
-            nonzero += 1
-            tgt = tuple(x + y for x, y in zip(a, g))
-            bad = contained(prod, rd.space(tgt), f"{format_root(a)}.{format_root(g)} -> {format_root(tgt)}")
-            if bad:
-                break
-        if bad:
-            break
     claims.append(
-        ClaimResult(
-            "lem2.11.5",
-            FAIL if bad else PASS,
-            bad or f"{len(lam0) * len(gamma0)} pairs, {nonzero} nonzero actions",
+        _products_land(
+            "lem2.11.5", lam0, gamma0, lambda a, g: h.act_space(wd.space(a), rd.space(g)),
+            vec_add, rd.space, "{0}.{1} -> {2}", "actions",
         )
     )
-
-    bad = ""
-    nonzero = 0
-    for g in gamma0:
-        for a in lam0:
-            prod = h.anchor_space(rd.space(g), wd.space(a))
-            if prod.is_zero:
-                continue
-            nonzero += 1
-            tgt = tuple(x + y for x, y in zip(a, g))
-            bad = contained(prod, wd.space(tgt), f"rho({format_root(g)})({format_root(a)}) -> {format_root(tgt)}")
-            if bad:
-                break
-        if bad:
-            break
     claims.append(
-        ClaimResult(
-            "lem2.11.6",
-            FAIL if bad else PASS,
-            bad or f"{len(lam0) * len(gamma0)} pairs, {nonzero} nonzero anchor images",
+        _products_land(
+            "lem2.11.6", gamma0, lam0, lambda g, a: h.anchor_space(rd.space(g), wd.space(a)),
+            vec_add, wd.space, "rho({0})({1}) -> {2}", "anchor images",
         )
     )
     return claims
+
+
+def _products_land(claim_id, left, right, product, index_sum, space, where, noun):
+    """Every nonzero product of the pieces at (x, y), x in left and y in
+    right, lies in the piece at index_sum(x, y); where formats the first
+    pair that escapes."""
+    nonzero = 0
+    for x in left:
+        for y in right:
+            prod = product(x, y)
+            if prod.is_zero:
+                continue
+            nonzero += 1
+            tgt = index_sum(x, y)
+            if not space(tgt).contains_space(prod):
+                at = where.format(format_root(x), format_root(y), format_root(tgt))
+                return ClaimResult(claim_id, FAIL, f"at {at}: nonzero product escapes its target space")
+    return ClaimResult(claim_id, PASS, f"{len(left) * len(right)} pairs, {nonzero} nonzero {noun}")

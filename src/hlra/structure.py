@@ -5,9 +5,15 @@ maximal length, root multiplicativity, the Lie annihilator, tightness, the
 complement construction for ideals inside J, the simple-component
 decomposition, and the zero/nonzero pairing counts between scalar and root
 class ideals.
+
+`Analysis` holds one split instance and builds each derived object once, on
+first use; every verifier here and in `decomposition` reads it.  It lives
+here because this module already imports `decomposition`, so the class can
+own the J-split and the profile without an import cycle.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .claims import FAIL, INFO, PASS, REFUSED, ClaimResult
 from .connections import root_partition, weight_partition
@@ -15,11 +21,87 @@ from .decomposition import (
     build_root_ideal,
     build_weight_ideal,
     enumerate_ideals,
+    first_nonzero_pair,
+    root_inner_sum,
     simplicity_check,
+    weight_inner_sum,
 )
-from .linalg import Subspace, basis_vector, kernel, mat_from_columns, stack_rows, vec_neg
-from .model import ClosureError, annihilator_Z, center_ZA, compute_J, is_ideal, sub_algebra
-from .roots import CartanError, compose_psi_power, format_root, root_decomposition, weight_decomposition
+from .linalg import Subspace, span, sum_and_overlap, vec_add, vec_neg
+from .model import ClosureError, annihilator, annihilator_Z, center_ZA, compute_J, is_ideal, sub_algebra
+from .roots import CartanError, compose_psi_power, format_class, format_root, root_decomposition, weight_decomposition
+
+
+class Analysis:
+    """One split instance: the algebra h with its root decomposition rd and
+    weight decomposition wd.  Every derived object is a member computed on
+    first use and kept, so one run builds each of them at most once."""
+
+    def __init__(self, h, rd, wd):
+        self.h = h
+        self.rd = rd
+        self.wd = wd
+
+    @cached_property
+    def jrep(self):
+        return compute_J(self.h)
+
+    @cached_property
+    def js(self):
+        return j_split(self.h, self.rd, self.jrep)
+
+    @cached_property
+    def root_part(self):
+        return root_partition(self.rd, self.wd)
+
+    @cached_property
+    def weight_part(self):
+        return weight_partition(self.rd, self.wd)
+
+    @cached_property
+    def root_ideals(self):
+        return tuple(build_root_ideal(self.h, self.rd, self.wd, c) for c in self.root_part.classes)
+
+    @cached_property
+    def weight_ideals(self):
+        return tuple(build_weight_ideal(self.h, self.rd, self.wd, c) for c in self.weight_part.classes)
+
+    @cached_property
+    def root_inner(self):
+        """The part of H generated by opposite products over all roots."""
+        return root_inner_sum(self.h, self.rd, self.wd, self.rd.gamma)
+
+    @cached_property
+    def weight_inner(self):
+        """The part of the zero weight space generated over all weights."""
+        return weight_inner_sum(self.h, self.rd, self.wd, self.wd.lam, self.rd.root_spaces)
+
+    @cached_property
+    def enum(self):
+        return enumerate_ideals(self.h, self.rd)
+
+    @cached_property
+    def Z(self):
+        """The annihilator Z(L)."""
+        return annihilator_Z(self.h)
+
+    @cached_property
+    def Z_Lie(self):
+        """The Lie annihilator: the annihilator against H plus the not-J
+        root spaces."""
+        spaces = [self.rd.H] + [self.rd.space(g) for g in self.js.gamma_notJ]
+        return annihilator(self.h, span(self.h.dimL, spaces))
+
+    @cached_property
+    def rm_claims(self):
+        return tuple(root_multiplicativity_check(self))
+
+    @cached_property
+    def tight_claims(self):
+        return tuple(tightness_check(self))
+
+    @cached_property
+    def profile(self):
+        return structure_profile(self)
 
 
 @dataclass(frozen=True)
@@ -47,9 +129,7 @@ def j_split(h, rd, jrep):
             if inter != rd.space(g):
                 clean = False
                 notes.append(f"J meets the root space of {format_root(g)} partially (dim {inter.dim})")
-    parts = jrep.J.intersect(rd.H)
-    for g in rd.gamma:
-        parts = parts.add(jrep.J.intersect(rd.space(g)))
+    parts = span(h.dimL, [jrep.J.intersect(rd.H)] + [jrep.J.intersect(rd.space(g)) for g in rd.gamma])
     graded = parts == jrep.J
     if not graded:
         notes.append("J does not decompose into its H and root parts")
@@ -74,184 +154,76 @@ def _symmetric(functionals):
     return all(vec_neg(f) in s for f in s)
 
 
-def root_multiplicativity_check(h, rd, wd, js):
+def _products_nonzero(claim_id, left, right, index_sum, indices, product, fail, noun):
+    """Every product of the pieces at (x, y), x in left and y in right,
+    whose index_sum(x, y) is in indices is nonzero; fail formats the first
+    pair where it vanishes."""
+    applicable = 0
+    for x in left:
+        for y in right:
+            if index_sum(x, y) not in indices:
+                continue
+            applicable += 1
+            if product(x, y).is_zero:
+                return ClaimResult(claim_id, FAIL, fail.format(format_root(x), format_root(y)))
+    return ClaimResult(
+        claim_id,
+        PASS,
+        f"{applicable} applicable pairs, all {noun} nonzero" if applicable else "vacuous: no applicable pairs",
+    )
+
+
+def root_multiplicativity_check(a):
     """Four product-nonvanishing clauses over their applicable index pairs.
     Vacuously true clauses pass with a zero pair count."""
-    claims = []
-    gset = set(rd.gamma)
-    gj = set(js.gamma_J)
-    gnj = set(js.gamma_notJ)
+    h, rd, wd, js = a.h, a.rd, a.wd, a.js
 
-    applicable = 0
-    bad = None
-    for g in js.gamma_notJ:
-        for d in js.gamma_notJ:
-            target = compose_psi_power(tuple(x + y for x, y in zip(g, d)), -1, rd)
-            if target not in gset:
-                continue
-            applicable += 1
-            if h.bracket_space(rd.space(g), rd.space(d)).is_zero:
-                bad = f"roots {format_root(g)}, {format_root(d)} bracket to zero"
-                break
-        if bad:
-            break
-    claims.append(
-        ClaimResult(
-            "def5.3.1",
-            FAIL if bad else PASS,
-            bad or (f"{applicable} applicable pairs, all brackets nonzero" if applicable else "vacuous: no applicable pairs"),
-        )
-    )
+    def twisted_sum(g, d):
+        return compose_psi_power(vec_add(g, d), -1, rd)
 
-    applicable = 0
-    bad = None
-    for g in js.gamma_J:
-        for d in js.gamma_notJ:
-            target = compose_psi_power(tuple(x + y for x, y in zip(g, d)), -1, rd)
-            if target not in gj:
-                continue
-            applicable += 1
-            if h.bracket_space(rd.space(g), rd.space(d)).is_zero:
-                bad = f"roots {format_root(g)}, {format_root(d)} bracket to zero"
-                break
-        if bad:
-            break
-    claims.append(
-        ClaimResult(
-            "def5.3.2",
-            FAIL if bad else PASS,
-            bad or (f"{applicable} applicable pairs, all brackets nonzero" if applicable else "vacuous: no applicable pairs"),
-        )
-    )
+    def bracket(g, d):
+        return h.bracket_space(rd.space(g), rd.space(d))
 
-    applicable = 0
-    bad = None
-    for a in wd.lam:
-        for g in rd.gamma:
-            target = tuple(x + y for x, y in zip(a, g))
-            if target not in gset:
-                continue
-            applicable += 1
-            if h.act_space(wd.space(a), rd.space(g)).is_zero:
-                bad = f"weight {format_root(a)} acts as zero on root {format_root(g)}"
-                break
-        if bad:
-            break
-    claims.append(
-        ClaimResult(
-            "def5.3.3",
-            FAIL if bad else PASS,
-            bad or (f"{applicable} applicable pairs, all actions nonzero" if applicable else "vacuous: no applicable pairs"),
-        )
-    )
-
-    lset = set(wd.lam)
-    applicable = 0
-    bad = None
-    for a in wd.lam:
-        for b in wd.lam:
-            target = tuple(x + y for x, y in zip(a, b))
-            if target not in lset:
-                continue
-            applicable += 1
-            if h.mul_space(wd.space(a), wd.space(b)).is_zero:
-                bad = f"weights {format_root(a)}, {format_root(b)} multiply to zero"
-                break
-        if bad:
-            break
-    claims.append(
-        ClaimResult(
-            "def5.3.4",
-            FAIL if bad else PASS,
-            bad or (f"{applicable} applicable pairs, all products nonzero" if applicable else "vacuous: no applicable pairs"),
-        )
-    )
-    return claims
+    return [
+        _products_nonzero(
+            "def5.3.1", js.gamma_notJ, js.gamma_notJ, twisted_sum, set(rd.gamma), bracket,
+            "roots {}, {} bracket to zero", "brackets",
+        ),
+        _products_nonzero(
+            "def5.3.2", js.gamma_J, js.gamma_notJ, twisted_sum, set(js.gamma_J), bracket,
+            "roots {}, {} bracket to zero", "brackets",
+        ),
+        _products_nonzero(
+            "def5.3.3", wd.lam, rd.gamma, vec_add, set(rd.gamma),
+            lambda x, g: h.act_space(wd.space(x), rd.space(g)),
+            "weight {} acts as zero on root {}", "actions",
+        ),
+        _products_nonzero(
+            "def5.3.4", wd.lam, wd.lam, vec_add, set(wd.lam),
+            lambda x, y: h.mul_space(wd.space(x), wd.space(y)),
+            "weights {}, {} multiply to zero", "products",
+        ),
+    ]
 
 
-def lie_annihilator(h, rd, js):
-    """Vectors killing the anchor and bracketing to zero, on both sides,
-    against H plus the not-J root spaces."""
-    n = h.dimL
-    m_space = rd.H
-    for g in js.gamma_notJ:
-        m_space = m_space.add(rd.space(g))
-    blocks = []
-    for row in m_space.basis:
-        blocks.append(h.ad_right(list(row)))
-        blocks.append(h.ad_left(list(row)))
-    for j in range(h.dimA):
-        cols = [h.anchor_vec(basis_vector(n, i), basis_vector(h.dimA, j)) for i in range(n)]
-        blocks.append(mat_from_columns(cols, nrows=h.dimA))
-    if not blocks:
-        return Subspace.full(n)
-    return kernel(stack_rows(*blocks), ncols=n)
-
-
-def tight_h_sum(h, rd, wd, js):
-    """Opposite products restricted to not-J roots; the tightness H clause."""
-    n = h.dimL
-    total = Subspace.zero(n)
-    for g in js.gamma_notJ:
-        neg = vec_neg(g)
-        total = total.add(h.act_space(wd.space(neg), rd.space(g)))
-        total = total.add(h.bracket_space(rd.space(neg) if any(neg) else Subspace.zero(n), rd.space(g)))
-    return total
-
-
-def tight_a0_sum(h, rd, wd, js):
-    """Anchor images over weights whose negatives are not-J roots, plus all
-    opposite weight products; the tightness zero-weight clause."""
-    na = h.dimA
-    gnj = set(js.gamma_notJ)
-    total = Subspace.zero(na)
-    for a in wd.lam:
-        neg = vec_neg(a)
-        if neg in gnj:
-            total = total.add(h.anchor_space(rd.space(neg), wd.space(a)))
-        total = total.add(h.mul_space(wd.space(neg) if any(neg) else Subspace.zero(na), wd.space(a)))
-    return total
-
-
-def tightness_check(h, rd, wd, js):
-    claims = []
-    zl = lie_annihilator(h, rd, js)
-    claims.append(
-        ClaimResult("tight.1", PASS if zl.is_zero else FAIL, f"Lie annihilator dim {zl.dim}")
-    )
+def tightness_check(a):
+    h, rd, wd, js = a.h, a.rd, a.wd, a.js
+    zl = a.Z_Lie
     za = center_ZA(h)
-    claims.append(
-        ClaimResult("tight.2", PASS if za.is_zero else FAIL, f"scalar annihilator dim {za.dim}")
-    )
     aa = h.mul_space(h.full_A(), h.full_A())
-    claims.append(
-        ClaimResult(
-            "tight.3", PASS if aa == h.full_A() else FAIL, f"span of products dim {aa.dim} of {h.dimA}"
-        )
-    )
     al = h.act_space(h.full_A(), h.full_L())
-    claims.append(
-        ClaimResult(
-            "tight.4", PASS if al == h.full_L() else FAIL, f"span of actions dim {al.dim} of {h.dimL}"
-        )
+    # opposite products and anchor images restricted to the not-J roots
+    hs = root_inner_sum(h, rd, wd, js.gamma_notJ)
+    a0s = weight_inner_sum(h, rd, wd, wd.lam, set(js.gamma_notJ))
+    clauses = (
+        ("tight.1", zl.is_zero, f"Lie annihilator dim {zl.dim}"),
+        ("tight.2", za.is_zero, f"scalar annihilator dim {za.dim}"),
+        ("tight.3", aa == h.full_A(), f"span of products dim {aa.dim} of {h.dimA}"),
+        ("tight.4", al == h.full_L(), f"span of actions dim {al.dim} of {h.dimL}"),
+        ("tight.5", hs == rd.H, f"generated part of H has dim {hs.dim} of {rd.H.dim}"),
+        ("tight.6", a0s == wd.A0, f"generated part of the zero weight space has dim {a0s.dim} of {wd.A0.dim}"),
     )
-    hs = tight_h_sum(h, rd, wd, js)
-    claims.append(
-        ClaimResult(
-            "tight.5",
-            PASS if hs == rd.H else FAIL,
-            f"generated part of H has dim {hs.dim} of {rd.H.dim}",
-        )
-    )
-    a0s = tight_a0_sum(h, rd, wd, js)
-    claims.append(
-        ClaimResult(
-            "tight.6",
-            PASS if a0s == wd.A0 else FAIL,
-            f"generated part of the zero weight space has dim {a0s.dim} of {wd.A0.dim}",
-        )
-    )
-    return claims
+    return [ClaimResult(cid, PASS if ok else FAIL, detail) for cid, ok, detail in clauses]
 
 
 @dataclass(frozen=True)
@@ -267,23 +239,19 @@ class StructureProfile:
     weights_all_connected: bool
 
 
-def structure_profile(h, rd, wd, js, rm_claims=None, tight_claims=None):
-    if rm_claims is None:
-        rm_claims = root_multiplicativity_check(h, rd, wd, js)
-    if tight_claims is None:
-        tight_claims = tightness_check(h, rd, wd, js)
+def structure_profile(a):
+    rd, wd, js = a.rd, a.wd, a.js
     notj_part = root_partition(rd, wd, restrict=js.gamma_notJ)
-    w_part = weight_partition(rd, wd)
     return StructureProfile(
         maximal_length=maximal_length_check(rd, wd),
-        root_multiplicative=tuple(c.status == PASS for c in rm_claims),
-        tight=tuple(c.status == PASS for c in tight_claims),
-        Z_Lie=lie_annihilator(h, rd, js),
+        root_multiplicative=tuple(c.status == PASS for c in a.rm_claims),
+        tight=tuple(c.status == PASS for c in a.tight_claims),
+        Z_Lie=a.Z_Lie,
         symmetric_Lambda=_symmetric(wd.lam),
         symmetric_gamma_J=_symmetric(js.gamma_J),
         symmetric_gamma_notJ=_symmetric(js.gamma_notJ),
         notJ_all_connected=len(notj_part.classes) <= 1,
-        weights_all_connected=len(w_part.classes) <= 1,
+        weights_all_connected=len(a.weight_part.classes) <= 1,
     )
 
 
@@ -308,12 +276,11 @@ def _hypothesis_gaps(profile, need_weights_connected=False):
     return missing
 
 
-def verify_lemma_5_1(h, rd, enum):
+def verify_lemma_5_1(a):
+    rd, enum = a.rd, a.enum
     bad = None
     for ideal in enum.ideals:
-        parts = ideal.intersect(rd.H)
-        for g in rd.gamma:
-            parts = parts.add(ideal.intersect(rd.space(g)))
+        parts = span(ideal.ambient, [ideal.intersect(rd.H)] + [ideal.intersect(rd.space(g)) for g in rd.gamma])
         if parts != ideal:
             bad = f"an ideal of dim {ideal.dim} does not split into H and root parts"
             break
@@ -325,10 +292,10 @@ def verify_lemma_5_1(h, rd, enum):
     )
 
 
-def verify_lemma_5_2(h, rd, enum):
-    z = annihilator_Z(h)
-    if not z.is_zero:
-        return ClaimResult("lem5.2", REFUSED, f"hypothesis not met: the annihilator has dim {z.dim}")
+def verify_lemma_5_2(a):
+    rd, enum = a.rd, a.enum
+    if not a.Z.is_zero:
+        return ClaimResult("lem5.2", REFUSED, f"hypothesis not met: the annihilator has dim {a.Z.dim}")
     bad = None
     inside = 0
     for ideal in enum.ideals:
@@ -345,7 +312,8 @@ def verify_lemma_5_2(h, rd, enum):
     )
 
 
-def verify_prop_5_5(h, rd, wd, js, profile, enum):
+def verify_prop_5_5(a):
+    profile, enum = a.profile, a.enum
     missing = []
     if not profile.maximal_length:
         missing.append("maximal length fails")
@@ -360,14 +328,14 @@ def verify_prop_5_5(h, rd, wd, js, profile, enum):
         missing.append("the not-J roots are not all connected")
     if missing:
         return ClaimResult("prop5.5", REFUSED, "hypotheses not met: " + "; ".join(missing))
-    hj = rd.H.add(js.J)
+    hj = a.rd.H.add(a.js.J)
     escaping = 0
     bad = None
     for ideal in enum.ideals:
         if hj.contains_space(ideal):
             continue
         escaping += 1
-        if ideal != h.full_L():
+        if ideal != a.h.full_L():
             bad = f"an ideal of dim {ideal.dim} escapes H+J without filling L"
             break
     scope = "" if enum.complete else " (bounded search)"
@@ -388,7 +356,8 @@ class Thm512Run:
     I_prime: object  # Subspace or None
 
 
-def _thm512_branch(h, rd, wd, js, seed):
+def _thm512_branch(a, seed):
+    h, rd, wd, js = a.h, a.rd, a.wd, a.js
     gamma_ji = tuple(g for g in js.gamma_J if not seed.intersect(rd.space(g)).is_zero)
     if seed.is_zero:
         ok, failed = is_ideal(h, js.J)
@@ -453,20 +422,18 @@ def _thm512_branch(h, rd, wd, js, seed):
     )
 
 
-def verify_theorem_5_12(h, rd, wd, js, seed, assume_hypotheses=False, profile=None):
+def verify_theorem_5_12(a, seed, assume_hypotheses=False):
     """One seed ideal inside J: either it is J, or J splits off a
     complementary ideal built from the negative seed roots."""
-    if not js.J.contains_space(seed):
+    if not a.js.J.contains_space(seed):
         raise ValueError("the seed ideal is not contained in J")
-    if profile is None:
-        profile = structure_profile(h, rd, wd, js)
-    missing = _hypothesis_gaps(profile)
+    missing = _hypothesis_gaps(a.profile)
     if missing and not assume_hypotheses:
         return (
             ClaimResult("thm5.12", REFUSED, "hypotheses not met: " + "; ".join(missing)),
             None,
         )
-    run = _thm512_branch(h, rd, wd, js, seed)
+    run = _thm512_branch(a, seed)
     prefix = "hypotheses assumed by caller: " if (missing and assume_hypotheses) else ""
     return (
         ClaimResult(
@@ -513,16 +480,13 @@ def _component_simplicity(h, rd, l_space, a_space):
         return f"decomposition failed ({exc.reason})"
     if not sub_rd.split:
         return "component not split"
-    sub_wd = weight_decomposition(sub, sub_rd)
-    rep = simplicity_check(sub, sub_rd, sub_wd, compute_J(sub))
-    return rep.verdict
+    return simplicity_check(Analysis(sub, sub_rd, weight_decomposition(sub, sub_rd))).verdict
 
 
-def verify_cor_5_13(h, rd, wd, js, assume_hypotheses=False, profile=None):
+def verify_cor_5_13(a, assume_hypotheses=False):
     """Simple-component decomposition of both algebras with the pairing."""
-    if profile is None:
-        profile = structure_profile(h, rd, wd, js)
-    missing = _hypothesis_gaps(profile, need_weights_connected=True)
+    h = a.h
+    missing = _hypothesis_gaps(a.profile, need_weights_connected=True)
     if missing and not assume_hypotheses:
         return Cor513Report(
             claim=ClaimResult("cor5.13", REFUSED, "hypotheses not met: " + "; ".join(missing)),
@@ -530,50 +494,30 @@ def verify_cor_5_13(h, rd, wd, js, assume_hypotheses=False, profile=None):
             weight_dims=(),
             assumed=False,
         )
-    root_part = root_partition(rd, wd)
-    weight_part = weight_partition(rd, wd)
-    l_ideals = [build_root_ideal(h, rd, wd, c) for c in root_part.classes]
-    a_ideals = [build_weight_ideal(h, rd, wd, c) for c in weight_part.classes]
+    l_ideals = a.root_ideals
+    a_ideals = a.weight_ideals
     problems = []
 
-    total_l = Subspace.zero(h.dimL)
-    for ci in l_ideals:
-        total_l = total_l.add(ci.space)
+    total_l, overlap = sum_and_overlap(h.dimL, [ci.space for ci in l_ideals])
     if total_l != h.full_L():
         problems.append(f"components span dim {total_l.dim} of {h.dimL}")
-    for i, ci in enumerate(l_ideals):
-        rest = Subspace.zero(h.dimL)
-        for j, cj in enumerate(l_ideals):
-            if j != i:
-                rest = rest.add(cj.space)
-        if not ci.space.intersect(rest).is_zero:
-            problems.append("component sum is not direct")
-            break
-    for i, ci in enumerate(l_ideals):
-        for j, cj in enumerate(l_ideals):
-            if i != j and not h.bracket_space(ci.space, cj.space).is_zero:
-                problems.append("distinct components bracket nontrivially")
-                break
+    if overlap is not None:
+        problems.append("component sum is not direct")
+    if first_nonzero_pair(l_ideals, h.bracket_space, ordered=True):
+        problems.append("distinct components bracket nontrivially")
 
-    total_a = Subspace.zero(h.dimA)
-    for ci in a_ideals:
-        total_a = total_a.add(ci.space)
+    total_a = span(h.dimA, [ci.space for ci in a_ideals])
     if total_a != h.full_A():
         problems.append(f"scalar components span dim {total_a.dim} of {h.dimA}")
-    for i, ci in enumerate(a_ideals):
-        for cj in a_ideals[i + 1 :]:
-            if not h.mul_space(ci.space, cj.space).is_zero:
-                problems.append("distinct scalar components multiply nontrivially")
-                break
+    if first_nonzero_pair(a_ideals, h.mul_space, ordered=False):
+        problems.append("distinct scalar components multiply nontrivially")
 
     components = []
     verdict_gap = None
     for ci in l_ideals:
         hits = [j for j, cj in enumerate(a_ideals) if not h.act_space(cj.space, ci.space).is_zero]
         if len(hits) != 1:
-            problems.append(
-                f"component of class {{{', '.join(format_root(f) for f in ci.cls)}}} pairs with {len(hits)} scalar components"
-            )
+            problems.append(f"component of class {format_class(ci.cls)} pairs with {len(hits)} scalar components")
             # no unique scalar partner; judge simplicity over all of A,
             # which always restricts because the component is an ideal
             paired = -1
@@ -581,7 +525,7 @@ def verify_cor_5_13(h, rd, wd, js, assume_hypotheses=False, profile=None):
         else:
             paired = hits[0]
             scalar_space = a_ideals[paired].space
-        verdict = _component_simplicity(h, rd, ci.space, scalar_space)
+        verdict = _component_simplicity(h, a.rd, ci.space, scalar_space)
         if verdict == "not_simple":
             problems.append("a component is not simple")
         elif verdict != "simple":
@@ -626,34 +570,24 @@ class PairingReport:
     tight: bool
 
 
-def verify_pairing_5_9(h, rd, wd, js, tight_ok, criterion=None):
+def verify_pairing_5_9(a, criterion=None):
     """Zero and nonzero pairing counts between scalar class ideals and the
     root class ideals.  The source statements disagree on which count
     should be one, so both are reported; an optional criterion turns one
     reading into a pass/fail."""
-    part = root_partition(rd, wd)
-    weight_part = weight_partition(rd, wd)
-    a_ideals = [build_weight_ideal(h, rd, wd, c) for c in weight_part.classes]
     rows = []
-    for cls in part.classes:
-        ci = build_root_ideal(h, rd, wd, cls)
-        zero = 0
-        nonzero = 0
-        for cj in a_ideals:
-            if h.act_space(cj.space, ci.space).is_zero:
-                zero += 1
-            else:
-                nonzero += 1
-        rows.append(PairingRow(root_class=tuple(cls), zero_classes=zero, nonzero_classes=nonzero))
+    for ci in a.root_ideals:
+        zero = sum(1 for cj in a.weight_ideals if a.h.act_space(cj.space, ci.space).is_zero)
+        rows.append(PairingRow(root_class=ci.cls, zero_classes=zero, nonzero_classes=len(a.weight_ideals) - zero))
+    tight_ok = all(a.profile.tight)
     tight_note = "tight" if tight_ok else "not tight"
     if not rows:
         body = "vacuous: no root classes"
-    elif not a_ideals:
+    elif not a.weight_ideals:
         body = "vacuous: no weight classes"
     else:
         body = "; ".join(
-            f"class {{{', '.join(format_root(f) for f in r.root_class)}}}: zero={r.zero_classes}, nonzero={r.nonzero_classes}"
-            for r in rows
+            f"class {format_class(r.root_class)}: zero={r.zero_classes}, nonzero={r.nonzero_classes}" for r in rows
         )
     if criterion is None:
         return PairingReport(
@@ -680,19 +614,11 @@ class StructureReport:
     claims: tuple
 
 
-def run_structure(h, rd, wd, jrep=None, enum=None):
+def run_structure(a):
     """Assemble the J-split, the profile, and every structure verifier."""
-    if jrep is None:
-        jrep = compute_J(h)
-    js = j_split(h, rd, jrep)
-    if enum is None:
-        enum = enumerate_ideals(h, rd)
-    rm_claims = root_multiplicativity_check(h, rd, wd, js)
-    tight_claims = tightness_check(h, rd, wd, js)
-    profile = structure_profile(h, rd, wd, js, rm_claims=rm_claims, tight_claims=tight_claims)
-
-    claims = [verify_lemma_5_1(h, rd, enum), verify_lemma_5_2(h, rd, enum)]
-    claims.extend(rm_claims)
+    js, profile = a.js, a.profile
+    claims = [verify_lemma_5_1(a), verify_lemma_5_2(a)]
+    claims.extend(a.rm_claims)
     ml = profile.maximal_length
     claims.append(
         ClaimResult(
@@ -701,8 +627,8 @@ def run_structure(h, rd, wd, jrep=None, enum=None):
             "every root and weight space is a line" if ml else "some root or weight space has dimension above one",
         )
     )
-    claims.append(verify_prop_5_5(h, rd, wd, js, profile, enum))
-    z_contains = profile.Z_Lie.contains_space(annihilator_Z(h))
+    claims.append(verify_prop_5_5(a))
+    z_contains = profile.Z_Lie.contains_space(a.Z)
     caveat = "" if ml else "; caveat: stated for maximal length, which fails here"
     claims.append(
         ClaimResult(
@@ -711,17 +637,17 @@ def run_structure(h, rd, wd, jrep=None, enum=None):
             f"Lie annihilator dim {profile.Z_Lie.dim}; contains the plain annihilator: {'yes' if z_contains else 'NO'}{caveat}",
         )
     )
-    claims.extend(tight_claims)
+    claims.extend(a.tight_claims)
 
     missing = _hypothesis_gaps(profile)
     runs = []
     if missing:
         claims.append(ClaimResult("thm5.12", REFUSED, "hypotheses not met: " + "; ".join(missing)))
     else:
-        seeds = [ideal for ideal in enum.ideals if js.J.contains_space(ideal)]
+        seeds = [ideal for ideal in a.enum.ideals if js.J.contains_space(ideal)]
         bad = None
         for seed in seeds:
-            _claim, run = verify_theorem_5_12(h, rd, wd, js, seed, profile=profile)
+            _claim, run = verify_theorem_5_12(a, seed)
             runs.append(run)
             if not run.ok and bad is None:
                 bad = f"seed of dim {run.seed_dim}: {run.detail}"
@@ -732,9 +658,9 @@ def run_structure(h, rd, wd, jrep=None, enum=None):
                 bad or f"{len(seeds)} seed ideals inside J, every branch verified",
             )
         )
-    cor = verify_cor_5_13(h, rd, wd, js, profile=profile)
+    cor = verify_cor_5_13(a)
     claims.append(cor.claim)
-    pairing = verify_pairing_5_9(h, rd, wd, js, tight_ok=all(profile.tight))
+    pairing = verify_pairing_5_9(a)
     claims.append(pairing.claim)
     return StructureReport(
         js=js,

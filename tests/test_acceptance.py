@@ -32,7 +32,7 @@ from hlra.model import (
     validate_hlr,
 )
 from hlra.roots import root_decomposition, verify_lemma_closures, weight_decomposition
-from hlra.structure import j_split, run_structure, verify_cor_5_13, verify_theorem_5_12
+from hlra.structure import Analysis, j_split, run_structure, verify_cor_5_13, verify_theorem_5_12
 
 from conftest import SPLIT_NAMES
 
@@ -285,7 +285,7 @@ CORE = (
 def test_criterion_6_decomposition_theorems(capsys, decomps):
     problems = []
     for name, (h, rd, wd) in decomps.items():
-        dec = run_decomposition(h, rd, wd, verify_lemma_closures(h, rd, wd))
+        dec = run_decomposition(Analysis(h, rd, wd), verify_lemma_closures(h, rd, wd))
         got = {c.claim_id: c for c in dec.claims}
         for cid in CORE:
             if got[cid].status != "PASS":
@@ -321,7 +321,7 @@ def test_criterion_6_decomposition_theorems(capsys, decomps):
 def test_criterion_7_structure_theorems(capsys, decomps):
     problems = []
     for name, (h, rd, wd) in decomps.items():
-        st = run_structure(h, rd, wd)
+        st = run_structure(Analysis(h, rd, wd))
         if sorted(st.js.gamma_J + st.js.gamma_notJ) != rd.gamma:
             problems.append(f"{name}: j-split misses roots")
         if set(st.js.gamma_J) & set(st.js.gamma_notJ):
@@ -336,7 +336,7 @@ def test_criterion_7_structure_theorems(capsys, decomps):
 
     # the zero algebra meets every hypothesis outright; 0 + 0 = 0
     h, rd, wd = decomps["fix_zero"]
-    st = run_structure(h, rd, wd)
+    st = run_structure(Analysis(h, rd, wd))
     got = {c.claim_id: c for c in st.claims}
     if got["thm5.12"].status != "PASS" or got["cor5.13"].status != "PASS":
         problems.append("zero algebra does not verify the split theorems")
@@ -349,7 +349,8 @@ def test_criterion_7_structure_theorems(capsys, decomps):
 
     # hypothesis refusal names the exact failing clauses
     h, rd, wd = decomps["fix_s"]
-    st = run_structure(h, rd, wd)
+    a = Analysis(h, rd, wd)
+    st = run_structure(a)
     got = {c.claim_id: c for c in st.claims}
     if got["thm5.12"].status != "REFUSED" or "tight.5" not in got["thm5.12"].detail:
         problems.append("refusal does not name tight.5")
@@ -359,7 +360,7 @@ def test_criterion_7_structure_theorems(capsys, decomps):
     from hlra.linalg import Subspace
 
     claim, run = verify_theorem_5_12(
-        h, rd, wd, js, Subspace(5, ((0, 0, 0, 1, 0),)), assume_hypotheses=True
+        a, Subspace(5, ((0, 0, 0, 1, 0),)), assume_hypotheses=True
     )
     if not (
         claim.status == "PASS"
@@ -368,7 +369,7 @@ def test_criterion_7_structure_theorems(capsys, decomps):
     ):
         problems.append("1+1=2 complement run failed")
     for seed, branch in ((js.J, "equal_J"), (Subspace.zero(5), "degenerate")):
-        claim, run = verify_theorem_5_12(h, rd, wd, js, seed, assume_hypotheses=True)
+        claim, run = verify_theorem_5_12(a, seed, assume_hypotheses=True)
         if claim.status != "PASS" or run.branch != branch:
             problems.append(f"{branch} branch failed")
     h2, rd2, wd2 = decomps["fix_s2"]
@@ -376,20 +377,20 @@ def test_criterion_7_structure_theorems(capsys, decomps):
     seed2 = Subspace(
         10, ((0, 0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1, 0))
     )
-    claim, run = verify_theorem_5_12(h2, rd2, wd2, js2, seed2, assume_hypotheses=True)
+    claim, run = verify_theorem_5_12(Analysis(h2, rd2, wd2), seed2, assume_hypotheses=True)
     if not (claim.status == "PASS" and run.seed_dim + run.I_prime.dim == js2.J.dim == 4):
         problems.append("2+2=4 complement run failed")
 
     he, rde, wde = decomps["fix_e2"]
-    cor = verify_cor_5_13(he, rde, wde, j_split(he, rde, compute_J(he)), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(he, rde, wde), assume_hypotheses=True)
     if sum(c.dim for c in cor.components) != he.dimL:
         problems.append("two-block components do not sum to dim L")
     ht, rdt, wdt = decomps["fix_t"]
-    cor = verify_cor_5_13(ht, rdt, wdt, j_split(ht, rdt, compute_J(ht)), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(ht, rdt, wdt), assume_hypotheses=True)
     if sum(cor.weight_dims) != ht.dimA:
         problems.append("scalar components do not sum to dim A")
     hp, rdp, wdp = decomps["fix_p2"]
-    cor = verify_cor_5_13(hp, rdp, wdp, j_split(hp, rdp, compute_J(hp)), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(hp, rdp, wdp), assume_hypotheses=True)
     paired = [c.paired for c in cor.components]
     if sorted(paired) != [0, 1]:
         problems.append(f"pairing is not a function onto distinct scalar classes: {paired}")

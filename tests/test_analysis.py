@@ -1,0 +1,47 @@
+"""Each derived object is computed at most once per report command."""
+
+import sys
+
+import pytest
+
+from hlra import cli, connections, decomposition, model
+
+# (module, name) of each counted builder; root_partition counts only the
+# unrestricted partition, since the profile also takes the not-J one
+COUNTED = (
+    (model, "compute_J"),
+    (model, "annihilator_Z"),
+    (decomposition, "enumerate_ideals"),
+    (connections, "weight_partition"),
+    (connections, "root_partition"),
+)
+
+
+def count_calls(monkeypatch):
+    """Wrap each counted builder in every hlra module that binds it, since
+    `from .model import compute_J` copies the name at import time."""
+    counts = {}
+    modules = [m for n, m in sys.modules.items() if n == "hlra" or n.startswith("hlra.")]
+    for owner, name in COUNTED:
+        orig = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            if kwargs.get("restrict") is None:
+                counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command", ("decompose", "analyze"))
+@pytest.mark.parametrize("name", ("fix_s2", "fix_e", "fix_zero"))
+def test_each_builder_runs_at_most_once(monkeypatch, capsys, data_dir, command, name):
+    counts = count_calls(monkeypatch)
+    cli.main([command, str(data_dir / f"{name}.json")])
+    capsys.readouterr()
+    assert all(n <= 1 for n in counts.values()), counts

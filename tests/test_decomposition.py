@@ -19,6 +19,7 @@ from hlra.linalg import (
 )
 from hlra.model import is_ideal, twist_by_endomorphism
 from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
+from hlra.structure import Analysis
 
 from conftest import SPLIT_NAMES
 
@@ -80,7 +81,7 @@ BOUNDED_SEARCH = {"fix_a", "fix_b2", "fix_s2", "fix_p2"}
 def run(h):
     rd = root_decomposition(h)
     wd = weight_decomposition(h, rd)
-    return run_decomposition(h, rd, wd, verify_lemma_closures(h, rd, wd))
+    return run_decomposition(Analysis(h, rd, wd), verify_lemma_closures(h, rd, wd))
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +150,7 @@ def test_non_split_input_is_rejected(bundled):
     rd = root_decomposition(h, H=((0, 1),))
     wd = weight_decomposition(h, rd)
     with pytest.raises(ValueError):
-        run_decomposition(h, rd, wd, [])
+        run_decomposition(Analysis(h, rd, wd), [])
 
 
 # -- ideal enumeration ------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 from hlra import fixtures
 from hlra.decomposition import run_decomposition
 from hlra.roots import format_root, root_decomposition, verify_lemma_closures, weight_decomposition
-from hlra.structure import run_structure, verify_cor_5_13, verify_pairing_5_9, verify_theorem_5_12
+from hlra.structure import Analysis, run_structure, verify_cor_5_13, verify_pairing_5_9, verify_theorem_5_12
 
 from conftest import SPLIT_NAMES
 
@@ -38,15 +38,15 @@ def triple(claim):
 def snapshot(h):
     rd = root_decomposition(h)
     wd = weight_decomposition(h, rd)
-    dec = run_decomposition(h, rd, wd, verify_lemma_closures(h, rd, wd))
-    st = run_structure(h, rd, wd)
+    a = Analysis(h, rd, wd)
+    dec = run_decomposition(a, verify_lemma_closures(h, rd, wd))
+    st = run_structure(a)
     js = st.js
-    cor = verify_cor_5_13(h, rd, wd, js, assume_hypotheses=True)
+    cor = verify_cor_5_13(a, assume_hypotheses=True)
     seeds = [ideal for ideal in dec.simplicity.enumerated.ideals if js.J.contains_space(ideal)]
-    thm512 = [triple(verify_theorem_5_12(h, rd, wd, js, seed, assume_hypotheses=True)[0]) for seed in seeds]
-    tight_ok = all(st.profile.tight)
+    thm512 = [triple(verify_theorem_5_12(a, seed, assume_hypotheses=True)[0]) for seed in seeds]
     pairing = {
-        str(criterion): triple(verify_pairing_5_9(h, rd, wd, js, tight_ok, criterion=criterion).claim)
+        str(criterion): triple(verify_pairing_5_9(a, criterion=criterion).claim)
         for criterion in (None, "zero_unique", "nonzero_unique")
     }
     return {

@@ -148,6 +148,14 @@ def test_malformed_cartan_flag(capsys, data_dir):
     code, _, err = run(capsys, "decompose", path(data_dir, "fix_b"), "--cartan", "nope")
     assert code == 2
     assert err.startswith("error:")
+    # rows of the wrong length, uniform or ragged, name the row and the length
+    for command in ("decompose", "analyze", "connect"):
+        for rows, bad_row in (('[["1","2","3"]]', 0), ('[["1"],["1","0"]]', 0), ('[["1","0"],["1"]]', 1)):
+            code, out, err = run(capsys, command, path(data_dir, "fix_b"), "--cartan", rows)
+            assert code == 2, (command, rows)
+            assert out == ""
+            assert err.startswith(f"error: subalgebra row {bad_row} has "), (command, rows, err)
+            assert "expected 2" in err
 
 
 def test_analyze_descriptive_failures_do_not_flip_the_exit_code(capsys, data_dir):

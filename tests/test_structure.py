@@ -8,6 +8,7 @@ from hlra.linalg import Subspace
 from hlra.model import annihilator_Z, compute_J
 from hlra.roots import root_decomposition, weight_decomposition
 from hlra.structure import (
+    Analysis,
     j_split,
     run_structure,
     verify_cor_5_13,
@@ -53,7 +54,7 @@ def reports(bundled):
         h = bundled[name]
         rd = root_decomposition(h)
         wd = weight_decomposition(h, rd)
-        out[name] = (h, rd, wd, run_structure(h, rd, wd))
+        out[name] = (h, rd, wd, run_structure(Analysis(h, rd, wd)))
     return out
 
 
@@ -147,7 +148,7 @@ def test_annihilator_refusal_for_lemma(reports):
 
 def test_thm512_refuses_without_hypotheses(bundled):
     h, rd, wd, js = setup(bundled, "fix_s")
-    claim, run = verify_theorem_5_12(h, rd, wd, js, Subspace(5, ((0, 0, 0, 1, 0),)))
+    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), Subspace(5, ((0, 0, 0, 1, 0),)))
     assert claim.status == "REFUSED" and run is None
     assert "tight.5" in claim.detail and "tight.6" in claim.detail
 
@@ -160,7 +161,7 @@ def test_thm512_branches_under_assumed_hypotheses(bundled):
         (js.J, "equal_J", "expected I=J"),
     ]
     for seed, branch, phrase in cases:
-        claim, run = verify_theorem_5_12(h, rd, wd, js, seed, assume_hypotheses=True)
+        claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed, assume_hypotheses=True)
         assert claim.status == "PASS", (branch, claim.detail)
         assert claim.detail.startswith("hypotheses assumed by caller: ")
         assert run.branch == branch
@@ -170,7 +171,7 @@ def test_thm512_branches_under_assumed_hypotheses(bundled):
 def test_thm512_complement_sum_is_exact(bundled):
     h, rd, wd, js = setup(bundled, "fix_s")
     seed = Subspace(5, ((0, 0, 0, 1, 0),))
-    claim, run = verify_theorem_5_12(h, rd, wd, js, seed, assume_hypotheses=True)
+    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed, assume_hypotheses=True)
     assert run.I_prime is not None
     assert seed.add(run.I_prime) == js.J
     assert seed.intersect(run.I_prime).is_zero
@@ -182,7 +183,7 @@ def test_thm512_two_block_split(bundled):
         10,
         ((0, 0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     )
-    claim, run = verify_theorem_5_12(h, rd, wd, js, seed, assume_hypotheses=True)
+    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed, assume_hypotheses=True)
     assert claim.status == "PASS"
     assert "J = I + I' with dims 2+2=4" in claim.detail
 
@@ -192,7 +193,7 @@ def test_thm512_two_block_split(bundled):
 
 def test_cor513_assumed_on_two_block(bundled):
     h, rd, wd, js = setup(bundled, "fix_e2")
-    cor = verify_cor_5_13(h, rd, wd, js, assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(h, rd, wd), assume_hypotheses=True)
     assert cor.assumed
     assert cor.claim.status == "FAIL"  # the pairing genuinely degenerates
     assert [(c.dim, c.simple_verdict) for c in cor.components] == [
@@ -205,7 +206,7 @@ def test_cor513_assumed_on_two_block(bundled):
 
 def test_cor513_weight_sum_can_still_cover_a(bundled):
     h, rd, wd, js = setup(bundled, "fix_t")
-    cor = verify_cor_5_13(h, rd, wd, js, assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(h, rd, wd), assume_hypotheses=True)
     assert cor.claim.status == "FAIL"
     assert cor.weight_dims == (2,)
     assert sum(cor.weight_dims) == h.dimA
@@ -213,7 +214,7 @@ def test_cor513_weight_sum_can_still_cover_a(bundled):
 
 def test_cor513_pairing_when_it_works(bundled):
     h, rd, wd, js = setup(bundled, "fix_p2")
-    cor = verify_cor_5_13(h, rd, wd, js, assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(h, rd, wd), assume_hypotheses=True)
     assert [c.paired for c in cor.components] == [0, 1]
     assert "components span dim 4 of 6" in cor.claim.detail
 
@@ -230,12 +231,12 @@ def test_pairing_rows(reports):
 
 def test_pairing_criterion_variants(bundled):
     h, rd, wd, js = setup(bundled, "fix_p2")
-    rep = verify_pairing_5_9(h, rd, wd, js, tight_ok=False, criterion="nonzero_unique")
+    rep = verify_pairing_5_9(Analysis(h, rd, wd), criterion="nonzero_unique")
     assert rep.claim.status == "PASS"
-    rep = verify_pairing_5_9(h, rd, wd, js, tight_ok=False, criterion="zero_unique")
+    rep = verify_pairing_5_9(Analysis(h, rd, wd), criterion="zero_unique")
     assert rep.claim.status == "PASS"
     h, rd, wd, js = setup(bundled, "fix_e")
-    rep = verify_pairing_5_9(h, rd, wd, js, tight_ok=False, criterion="zero_unique")
+    rep = verify_pairing_5_9(Analysis(h, rd, wd), criterion="zero_unique")
     assert rep.claim.status == "PASS"
-    rep = verify_pairing_5_9(h, rd, wd, js, tight_ok=False, criterion="nonzero_unique")
+    rep = verify_pairing_5_9(Analysis(h, rd, wd), criterion="nonzero_unique")
     assert rep.claim.status == "FAIL"
