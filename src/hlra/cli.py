@@ -72,14 +72,17 @@ def _load(path):
     return loads_algebra(text), text
 
 
-def _matrix_arg(text, flag):
-    """JSON rows with integer or rational-string entries."""
+def _matrix_arg(text, flag, shape=None):
+    """JSON rows with integer or rational-string entries; with shape
+    (rows, columns) the matrix must have exactly that shape."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{flag}: not valid JSON: {exc.msg}")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{flag}: expected a JSON array of arrays")
+    if shape and (len(rows) != shape[0] or any(len(r) != shape[1] for r in rows)):
+        raise InputError(f"{flag}: expected a {shape[0]}x{shape[1]} matrix")
     try:
         return tuple(tuple(parse_scalar(x) for x in r) for r in rows)
     except (TypeError, ValueError) as exc:
@@ -313,8 +316,8 @@ def cmd_analyze(args):
 
 def cmd_twist(args):
     h, _text = _load(args.file)
-    f = _matrix_arg(args.psi, "--psi")
-    g = _matrix_arg(args.phi, "--phi")
+    f = _matrix_arg(args.psi, "--psi", (h.dimL, h.dimL))
+    g = _matrix_arg(args.phi, "--phi", (h.dimA, h.dimA))
     twisted = twist_by_endomorphism(h, g, f)
     sys.stdout.write(dumps_algebra(twisted))
     return EXIT_OK
@@ -336,8 +339,8 @@ def cmd_fiber(args):
 def cmd_morphism(args):
     src, t1 = _load(args.file1)
     dst, t2 = _load(args.file2)
-    g = _matrix_arg(args.g, "--g")
-    f = _matrix_arg(args.f, "--f")
+    g = _matrix_arg(args.g, "--g", (dst.dimA, src.dimA))
+    f = _matrix_arg(args.f, "--f", (dst.dimL, src.dimL))
     checks = check_morphism(g, f, src, dst)
     lines = [
         f"source: {args.file1}",

@@ -19,13 +19,12 @@ from .linalg import (
     complement,
     kernel,
     mat_from_columns,
-    mat_inverse,
     mat_vec,
     span,
     sum_and_overlap,
     vec_neg,
 )
-from .model import annihilator, center_ZA, ideal_closure, is_ideal
+from .model import absorbs, annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal
 from .roots import format_class
 
 # root subset count above which enumeration keeps only the closure seeds
@@ -128,6 +127,7 @@ def first_nonzero_pair(ideals, product, ordered):
 
 def verify_prop_3_3(a):
     h, ideals = a.h, a.root_ideals
+    rules = dict(ideal_rules(h))
     claims = [
         _every_ideal(
             "prop3.3.1", ideals, lambda s: s.contains_space(h.bracket_space(s, s)),
@@ -138,12 +138,11 @@ def verify_prop_3_3(a):
             "twist image differs on the ideal of class {}", "twist fixes every class ideal",
         ),
         _every_ideal(
-            "prop3.3.3", ideals, lambda s: s.contains_space(h.act_space(h.full_A(), s)),
+            "prop3.3.3", ideals, lambda s: absorbs(s, rules["action"]),
             "scalar action escapes the ideal of class {}", "scalar action absorbed",
         ),
         _every_ideal(
-            "prop3.3.4", ideals,
-            lambda s: s.contains_space(h.act_space(h.anchor_space(s, h.full_A()), h.full_L())),
+            "prop3.3.4", ideals, lambda s: absorbs(s, rules["anchor"]),
             "anchor push-through escapes the ideal of class {}", "anchor push-through absorbed",
         ),
     ]
@@ -174,7 +173,7 @@ def verify_thm_3_6(a):
         )
     u = complement(a.root_inner, rd.H)
     total = span(h.dimL, [u] + [ci.space for ci in ideals])
-    ok = total == h.full_L()
+    ok = total == h.full_L
     return (
         ClaimResult(
             "thm3.6",
@@ -195,7 +194,7 @@ def verify_cor_3_8(a):
     if missing:
         return ClaimResult("cor3.8", REFUSED, "hypotheses not met: " + "; ".join(missing))
     total, overlap = sum_and_overlap(h.dimL, [ci.space for ci in ideals])
-    if total != h.full_L():
+    if total != h.full_L:
         return ClaimResult("cor3.8", FAIL, "the class ideals do not sum to L")
     if overlap is not None:
         return ClaimResult("cor3.8", FAIL, f"class {format_class(ideals[overlap].cls)} meets the sum of the others")
@@ -223,7 +222,7 @@ def verify_thm_4_4(a):
     h, wd = a.h, a.wd
     claims = [
         _every_ideal(
-            "thm4.4.1", a.weight_ideals, lambda s: s.contains_space(h.mul_space(s, h.full_A())),
+            "thm4.4.1", a.weight_ideals, lambda s: s.contains_space(h.mul_space(s, h.full_A)),
             "weight ideal of class {} is not an ideal of A", "every weight ideal absorbs A",
         )
     ]
@@ -262,7 +261,7 @@ def verify_thm_4_5(a):
         )
     v = complement(a.weight_inner, wd.A0)
     total = span(h.dimA, [v] + [ci.space for ci in wideals])
-    ok = total == h.full_A()
+    ok = total == h.full_A
     return (
         ClaimResult(
             "thm4.5",
@@ -284,7 +283,7 @@ def verify_cor_4_6(a):
     if missing:
         return ClaimResult("cor4.6", REFUSED, "hypotheses not met: " + "; ".join(missing))
     total, overlap = sum_and_overlap(h.dimA, [ci.space for ci in wideals])
-    if total != h.full_A():
+    if total != h.full_A:
         return ClaimResult("cor4.6", FAIL, "the weight ideals do not sum to A")
     if overlap is not None:
         return ClaimResult("cor4.6", FAIL, f"class {format_class(wideals[overlap].cls)} meets the sum of the others")
@@ -292,30 +291,6 @@ def verify_cor_4_6(a):
 
 
 # -- ideal enumeration and simplicity ---------------------------------------
-
-
-def _rule_maps(h):
-    """Linear maps whose images an ideal must absorb, one matrix each."""
-    n = h.dimL
-    maps = []
-    for j in range(n):
-        x = basis_vector(n, j)
-        maps.append(h.ad_right(x))
-        maps.append(h.ad_left(x))
-    for i in range(h.dimA):
-        maps.append(h.act_matrix(basis_vector(h.dimA, i)))
-    for i in range(h.dimA):
-        for j in range(n):
-            cols = [
-                h.act_vec(h.anchor_vec(basis_vector(n, k), basis_vector(h.dimA, i)), basis_vector(n, j))
-                for k in range(n)
-            ]
-            maps.append(mat_from_columns(cols, nrows=n))
-    maps.append(h.psi)
-    psi_inv = mat_inverse(h.psi)
-    if psi_inv is not None:
-        maps.append(psi_inv)
-    return maps
 
 
 def _from_h_coords(rd, w):
@@ -343,13 +318,6 @@ def _h_part_window(rd, f_space, images):
         if shrunk == w:
             return _from_h_coords(rd, w)
         w = shrunk
-
-
-def _is_graded(rd, space):
-    """True when space is the sum of its intersections with the zero space
-    and the root spaces."""
-    parts = [rd.zero_space] + [rd.root_spaces[g] for g in rd.gamma]
-    return sum(space.intersect(p).dim for p in parts) == space.dim
 
 
 @dataclass(frozen=True)
@@ -392,13 +360,13 @@ def enumerate_ideals(h, rd):
     gamma = rd.gamma
     closures = [ideal_closure(h, rd.space(g)).space for g in gamma]
     if 2 ** len(gamma) > ENUMERATION_CAP:
-        found = {Subspace.zero(n), h.full_L(), *closures}
+        found = {Subspace.zero(n), h.full_L, *closures}
         return EnumeratedIdeals(
             ideals=tuple(sorted(found, key=lambda s: (s.dim, s.basis))),
             complete=False,
             note=f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only",
         )
-    if not all(_is_graded(rd, c) for c in closures):
+    if not all(rd.is_graded(c) for c in closures):
         return _enumerate_by_subsets(h, rd)
     support = [
         sum(1 << j for j, d in enumerate(gamma) if not c.intersect(rd.space(d)).is_zero) for c in closures
@@ -435,11 +403,10 @@ def _ideals_from_closed_sets(h, rd, closed):
     found = set()
     complete = maximal
     note = "" if maximal else "a root space has dimension above one; enumeration is heuristic"
-    images = []
-    for m in _rule_maps(h):
-        imgs = [mat_vec(m, b) for b in rd.H.basis]
-        if any(map(any, imgs)):
-            images.append(imgs)
+    # images[m][i]: rule map m applied to basis vector i of H; maps that
+    # vanish on H are dropped
+    per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
+    images = [imgs for imgs in zip(*per_basis) if any(map(any, imgs))]
     for members, closure in closed:
         f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
         w_min = closure.intersect(rd.H)
@@ -487,13 +454,13 @@ def simplicity_check(a):
     """
     h = a.h
     n = h.dimL
-    full = h.full_L()
+    full = h.full_L
     basics = []
     if h.bracket_space(full, full).is_zero:
         basics.append("the bracket is identically zero")
-    if h.mul_space(h.full_A(), h.full_A()).is_zero:
+    if h.mul_space(h.full_A, h.full_A).is_zero:
         basics.append("the scalar product is identically zero")
-    if h.act_space(h.full_A(), full).is_zero:
+    if h.act_space(h.full_A, full).is_zero:
         basics.append("the scalar action is identically zero")
     j = a.jrep.J
     ker_rho = annihilator(h, Subspace.zero(n))
@@ -536,7 +503,7 @@ def a_simplicity_probe(h, wd):
     counterexample ideals by closing weight spaces and coordinate lines
     under multiplication.  Returns (verdict, description)."""
     na = h.dimA
-    full = h.full_A()
+    full = h.full_A
     if na == 0:
         return "not_simple", "the scalar algebra is zero"
     if h.mul_space(full, full).is_zero:

@@ -8,6 +8,7 @@ endomorphism pair, so twisting stays inside the validated world.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .model import HLRAlgebra, twist_by_endomorphism
@@ -276,36 +277,15 @@ def fix_t():
     """fix_s bracket over a square-zero two-dimensional scalar algebra with
     a trivial action: only the anchor rho(h): t -> t, rho(f): t -> s moves
     scalars, which makes the zero-weight space anchor-generated."""
-    bracket = _tensor(
-        5,
-        5,
-        5,
-        {
-            (0, 1, 1): 1,
-            (1, 0, 1): -1,
-            (0, 2, 2): -1,
-            (2, 0, 2): 1,
-            (0, 3, 3): 2,
-            (0, 4, 4): -2,
-            (1, 1, 3): 1,
-            (2, 2, 4): 1,
-        },
-    )
-    anchor = _tensor(5, 2, 2, {(0, 1, 1): 1, (2, 1, 0): 1})
-    return HLRAlgebra(
-        dimL=5,
+    return replace(
+        fix_s(),
         dimA=2,
-        bracket=bracket,
         mul=_tensor(2, 2, 2),
         action=_tensor(2, 5, 5),
-        anchor=anchor,
-        psi=_identity(5),
+        anchor=_tensor(5, 2, 2, {(0, 1, 1): 1, (2, 1, 0): 1}),
         phi=_identity(2),
-        L_labels=("h", "e", "f", "u", "v"),
         A_labels=("s", "t"),
-        regular=True,
         unital=False,
-        declared_H=((1, 0, 0, 0, 0),),
     )
 
 
@@ -329,6 +309,37 @@ def fix_zero():
 # -- composition helpers -----------------------------------------------------
 
 
+def _offsets(dims):
+    """Start index of each block along one axis, and the total dimension."""
+    offs = []
+    total = 0
+    for d in dims:
+        offs.append(total)
+        total += d
+    return offs, total
+
+
+def _embed(entries, tensor, offs):
+    """Copy the nonzero entries of one block's tensor into entries, each
+    index shifted by its axis offset."""
+    for i, plane in enumerate(tensor):
+        for j, row in enumerate(plane):
+            for k, v in enumerate(row):
+                if v:
+                    entries[(offs[0] + i, offs[1] + j, offs[2] + k)] = v
+
+
+def _bracket_side(blocks, l_offs, a_offs, nl, na):
+    """Bracket, action and anchor tensors of the blocks placed on the
+    diagonal at the given L and A offsets."""
+    bracket, action, anchor = {}, {}, {}
+    for b, lo, ao in zip(blocks, l_offs, a_offs):
+        _embed(bracket, b.bracket, (lo, lo, lo))
+        _embed(action, b.action, (ao, lo, lo))
+        _embed(anchor, b.anchor, (lo, ao, ao))
+    return _tensor(nl, nl, nl, bracket), _tensor(na, nl, nl, action), _tensor(nl, na, na, anchor)
+
+
 def shared_scalar_sum(blocks):
     """Direct sum of the bracket sides over one common scalar algebra.
 
@@ -344,47 +355,22 @@ def shared_scalar_sum(blocks):
             raise ValueError("blocks disagree on the scalar algebra")
     if len(blocks) == 1:
         return first
-    na = first.dimA
-    offs = []
-    nl = 0
-    for b in blocks:
-        offs.append(nl)
-        nl += b.dimL
-    bracket = {}
-    action = {}
-    anchor = {}
-    for b, off in zip(blocks, offs):
-        for i in range(b.dimL):
-            for j in range(b.dimL):
-                for k in range(b.dimL):
-                    if b.bracket[i][j][k]:
-                        bracket[(off + i, off + j, off + k)] = b.bracket[i][j][k]
-        for i in range(na):
-            for j in range(b.dimL):
-                for k in range(b.dimL):
-                    if b.action[i][j][k]:
-                        action[(i, off + j, off + k)] = b.action[i][j][k]
-        for i in range(b.dimL):
-            for j in range(na):
-                for k in range(na):
-                    if b.anchor[i][j][k]:
-                        anchor[(off + i, j, k)] = b.anchor[i][j][k]
-    psi = _block_diag([b.psi for b in blocks])
-    declared = _stack_declared(blocks, offs, nl)
+    l_offs, nl = _offsets(b.dimL for b in blocks)
+    bracket, action, anchor = _bracket_side(blocks, l_offs, [0] * len(blocks), nl, first.dimA)
     return HLRAlgebra(
         dimL=nl,
-        dimA=na,
-        bracket=_tensor(nl, nl, nl, bracket),
+        dimA=first.dimA,
+        bracket=bracket,
         mul=first.mul,
-        action=_tensor(na, nl, nl, action),
-        anchor=_tensor(nl, na, na, anchor),
-        psi=psi,
+        action=action,
+        anchor=anchor,
+        psi=_block_diag([b.psi for b in blocks]),
         phi=first.phi,
         L_labels=_suffixed([b.L_labels for b in blocks]),
         A_labels=first.A_labels,
         regular=all(b.regular for b in blocks),
         unital=first.unital,
-        declared_H=declared,
+        declared_H=_stack_declared(blocks, l_offs, nl),
     )
 
 
@@ -394,53 +380,26 @@ def product_sum(blocks):
         raise ValueError("need at least one block")
     if len(blocks) == 1:
         return blocks[0]
-    l_offs, a_offs = [], []
-    nl = na = 0
-    for b in blocks:
-        l_offs.append(nl)
-        a_offs.append(na)
-        nl += b.dimL
-        na += b.dimA
-    bracket = {}
+    l_offs, nl = _offsets(b.dimL for b in blocks)
+    a_offs, na = _offsets(b.dimA for b in blocks)
+    bracket, action, anchor = _bracket_side(blocks, l_offs, a_offs, nl, na)
     mul = {}
-    action = {}
-    anchor = {}
-    for b, lo, ao in zip(blocks, l_offs, a_offs):
-        for i in range(b.dimL):
-            for j in range(b.dimL):
-                for k in range(b.dimL):
-                    if b.bracket[i][j][k]:
-                        bracket[(lo + i, lo + j, lo + k)] = b.bracket[i][j][k]
-        for i in range(b.dimA):
-            for j in range(b.dimA):
-                for k in range(b.dimA):
-                    if b.mul[i][j][k]:
-                        mul[(ao + i, ao + j, ao + k)] = b.mul[i][j][k]
-        for i in range(b.dimA):
-            for j in range(b.dimL):
-                for k in range(b.dimL):
-                    if b.action[i][j][k]:
-                        action[(ao + i, lo + j, lo + k)] = b.action[i][j][k]
-        for i in range(b.dimL):
-            for j in range(b.dimA):
-                for k in range(b.dimA):
-                    if b.anchor[i][j][k]:
-                        anchor[(lo + i, ao + j, ao + k)] = b.anchor[i][j][k]
-    declared = _stack_declared(blocks, l_offs, nl)
+    for b, ao in zip(blocks, a_offs):
+        _embed(mul, b.mul, (ao, ao, ao))
     return HLRAlgebra(
         dimL=nl,
         dimA=na,
-        bracket=_tensor(nl, nl, nl, bracket),
+        bracket=bracket,
         mul=_tensor(na, na, na, mul),
-        action=_tensor(na, nl, nl, action),
-        anchor=_tensor(nl, na, na, anchor),
+        action=action,
+        anchor=anchor,
         psi=_block_diag([b.psi for b in blocks]),
         phi=_block_diag([b.phi for b in blocks]),
         L_labels=_suffixed([b.L_labels for b in blocks]),
         A_labels=_suffixed([b.A_labels for b in blocks]),
         regular=all(b.regular for b in blocks),
         unital=all(b.unital for b in blocks),
-        declared_H=declared,
+        declared_H=_stack_declared(blocks, l_offs, nl),
     )
 
 

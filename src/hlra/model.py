@@ -14,6 +14,8 @@ of basis vectors.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from itertools import product
 
 from .linalg import (
     ONE,
@@ -154,11 +156,6 @@ class HLRAlgebra:
         cols = [self.bracket_vec(basis_vector(self.dimL, j), h) for j in range(self.dimL)]
         return mat_from_columns(cols, nrows=self.dimL)
 
-    def act_matrix(self, a):
-        """Matrix of x -> a . x."""
-        cols = [self.act_vec(a, basis_vector(self.dimL, j)) for j in range(self.dimL)]
-        return mat_from_columns(cols, nrows=self.dimL)
-
     def anchor_matrix(self, x):
         """Matrix of a -> rho(x)(a)."""
         cols = [self.anchor_vec(x, basis_vector(self.dimA, j)) for j in range(self.dimA)]
@@ -183,17 +180,19 @@ class HLRAlgebra:
         vecs = [self.anchor_vec(x, a) for x in sl.basis for a in sa.basis]
         return Subspace(self.dimA, vecs)
 
+    # built once per algebra; cached_property keeps them out of __eq__ and hash
+    @cached_property
     def full_L(self):
         return Subspace.full(self.dimL)
 
+    @cached_property
     def full_A(self):
         return Subspace.full(self.dimA)
 
-    def label_L(self, i):
-        return self.L_labels[i]
-
-    def label_A(self, i):
-        return self.A_labels[i]
+    @cached_property
+    def psi_inv(self):
+        """Inverse of psi, or None when psi is singular."""
+        return mat_inverse(self.psi)
 
 
 def _bilinear(tensor, u, v, out_dim):
@@ -242,12 +241,60 @@ class ValidationReport:
         return None
 
 
-def _first_violation(pairs):
-    """pairs yields (label, lhs, rhs); returns a detail string or None."""
-    for label, lhs, rhs in pairs:
-        if lhs != rhs:
-            return f"at {label}: lhs={format_vector(lhs)} rhs={format_vector(rhs)}"
+def _identities(h):
+    """The defining identities of h as (key, argument kinds, lhs, rhs) rows,
+    in report order.  Each kind is "L" or "A"; lhs and rhs take one basis
+    vector per kind."""
+    br, mul, act, anc = h.bracket_vec, h.mul_vec, h.act_vec, h.anchor_vec
+    psi, phi = h.psi_vec, h.phi_vec
+    return (
+        # over all ordered pairs: the first violating one in index order has
+        # i < j, so the detail is the same as over i < j alone
+        ("A.commutative", "AA", lambda a, b: mul(a, b), lambda a, b: mul(b, a)),
+        ("A.associative", "AAA", lambda a, b, c: mul(mul(a, b), c), lambda a, b, c: mul(a, mul(b, c))),
+        ("A.phi_endomorphism", "AA", lambda a, b: phi(mul(a, b)), lambda a, b: mul(phi(a), phi(b))),
+        (
+            "L.hom_leibniz", "LLL", lambda x, y, z: br(psi(x), br(y, z)),
+            lambda x, y, z: vec_add(br(br(x, y), psi(z)), br(psi(y), br(x, z))),
+        ),
+        ("L.psi_multiplicative", "LL", lambda x, y: psi(br(x, y)), lambda x, y: br(psi(x), psi(y))),
+        ("module.associative", "AAL", lambda a, b, x: act(mul(a, b), x), lambda a, b, x: act(a, act(b, x))),
+        ("compat.psi_action", "AL", lambda a, x: psi(act(a, x)), lambda a, x: act(phi(a), psi(x))),
+        (
+            "anchor.derivation", "LAA", lambda x, a, b: anc(x, mul(a, b)),
+            lambda x, a, b: vec_add(mul(phi(a), anc(x, b)), mul(phi(b), anc(x, a))),
+        ),
+        ("anchor.action_compat", "ALA", lambda a, x, b: anc(act(a, x), b), lambda a, x, b: mul(phi(a), anc(x, b))),
+        (
+            "compat.leibniz_action", "LAL", lambda x, a, y: br(x, act(a, y)),
+            lambda x, a, y: vec_add(act(phi(a), br(x, y)), act(anc(x, a), psi(y))),
+        ),
+        ("rep.psi_phi", "LA", lambda x, a: anc(psi(x), phi(a)), lambda x, a: phi(anc(x, a))),
+        (
+            "rep.bracket", "LLA", lambda x, y, a: anc(br(x, y), phi(a)),
+            lambda x, y, a: vec_sub(anc(psi(x), anc(y, a)), anc(psi(y), anc(x, a))),
+        ),
+    )
+
+
+def _first_violation(kinds, labels, basis, lhs, rhs):
+    """Scan the basis tuples of the given kinds in index order; the first
+    where lhs and rhs differ as a detail string, or None if none does."""
+    for args in product(*(tuple(zip(labels[k], basis[k])) for k in kinds)):
+        vecs = [v for _, v in args]
+        left, right = lhs(*vecs), rhs(*vecs)
+        if left != right:
+            names = [name for name, _ in args]
+            at = f"({','.join(names)}{',' if len(names) == 1 else ''})"
+            return f"at {at}: lhs={format_vector(left)} rhs={format_vector(right)}"
     return None
+
+
+def _violations(h, rows):
+    """(key, first violation or None) for each identity row, on the basis of h."""
+    labels = {"L": h.L_labels, "A": h.A_labels}
+    basis = {"L": identity_matrix(h.dimL), "A": identity_matrix(h.dimA)}
+    return [(key, _first_violation(kinds, labels, basis, lhs, rhs)) for key, kinds, lhs, rhs in rows]
 
 
 def validate_hlr(h, strictness=RELAXED):
@@ -258,194 +305,22 @@ def validate_hlr(h, strictness=RELAXED):
     """
     if strictness not in (STRICT, RELAXED):
         raise InputError(f"unknown strictness {strictness!r}")
-    nl, na = h.dimL, h.dimA
-    eL = [basis_vector(nl, i) for i in range(nl)]
-    eA = [basis_vector(na, i) for i in range(na)]
-    la, ll = h.label_A, h.label_L
+    nl = h.dimL
     checks = []
-
-    def run(key, pairs):
-        bad = _first_violation(pairs)
+    for key, bad in _violations(h, _identities(h)):
         if bad is None:
             checks.append(CheckResult(key, "pass"))
         else:
-            status = "fail"
-            if key in RELAXABLE_CHECKS and strictness == RELAXED:
-                status = "warn"
-            checks.append(CheckResult(key, status, bad))
+            relaxed = key in RELAXABLE_CHECKS and strictness == RELAXED
+            checks.append(CheckResult(key, "warn" if relaxed else "fail", bad))
 
-    run(
-        "A.commutative",
-        (
-            (f"({la(i)},{la(j)})", h.mul_vec(eA[i], eA[j]), h.mul_vec(eA[j], eA[i]))
-            for i in range(na)
-            for j in range(i + 1, na)
-        ),
-    )
-    run(
-        "A.associative",
-        (
-            (
-                f"({la(i)},{la(j)},{la(k)})",
-                h.mul_vec(h.mul_vec(eA[i], eA[j]), eA[k]),
-                h.mul_vec(eA[i], h.mul_vec(eA[j], eA[k])),
-            )
-            for i in range(na)
-            for j in range(na)
-            for k in range(na)
-        ),
-    )
-    run(
-        "A.phi_endomorphism",
-        (
-            (
-                f"({la(i)},{la(j)})",
-                h.phi_vec(h.mul_vec(eA[i], eA[j])),
-                h.mul_vec(h.phi_vec(eA[i]), h.phi_vec(eA[j])),
-            )
-            for i in range(na)
-            for j in range(na)
-        ),
-    )
-    run(
-        "L.hom_leibniz",
-        (
-            (
-                f"({ll(i)},{ll(j)},{ll(k)})",
-                h.bracket_vec(h.psi_vec(eL[i]), h.bracket_vec(eL[j], eL[k])),
-                vec_add(
-                    h.bracket_vec(h.bracket_vec(eL[i], eL[j]), h.psi_vec(eL[k])),
-                    h.bracket_vec(h.psi_vec(eL[j]), h.bracket_vec(eL[i], eL[k])),
-                ),
-            )
-            for i in range(nl)
-            for j in range(nl)
-            for k in range(nl)
-        ),
-    )
-    run(
-        "L.psi_multiplicative",
-        (
-            (
-                f"({ll(i)},{ll(j)})",
-                h.psi_vec(h.bracket_vec(eL[i], eL[j])),
-                h.bracket_vec(h.psi_vec(eL[i]), h.psi_vec(eL[j])),
-            )
-            for i in range(nl)
-            for j in range(nl)
-        ),
-    )
-    run(
-        "module.associative",
-        (
-            (
-                f"({la(i)},{la(j)},{ll(k)})",
-                h.act_vec(h.mul_vec(eA[i], eA[j]), eL[k]),
-                h.act_vec(eA[i], h.act_vec(eA[j], eL[k])),
-            )
-            for i in range(na)
-            for j in range(na)
-            for k in range(nl)
-        ),
-    )
-    run(
-        "compat.psi_action",
-        (
-            (
-                f"({la(i)},{ll(j)})",
-                h.psi_vec(h.act_vec(eA[i], eL[j])),
-                h.act_vec(h.phi_vec(eA[i]), h.psi_vec(eL[j])),
-            )
-            for i in range(na)
-            for j in range(nl)
-        ),
-    )
-    run(
-        "anchor.derivation",
-        (
-            (
-                f"({ll(i)},{la(j)},{la(k)})",
-                h.anchor_vec(eL[i], h.mul_vec(eA[j], eA[k])),
-                vec_add(
-                    h.mul_vec(h.phi_vec(eA[j]), h.anchor_vec(eL[i], eA[k])),
-                    h.mul_vec(h.phi_vec(eA[k]), h.anchor_vec(eL[i], eA[j])),
-                ),
-            )
-            for i in range(nl)
-            for j in range(na)
-            for k in range(na)
-        ),
-    )
-    run(
-        "anchor.action_compat",
-        (
-            (
-                f"({la(i)},{ll(j)},{la(k)})",
-                h.anchor_vec(h.act_vec(eA[i], eL[j]), eA[k]),
-                h.mul_vec(h.phi_vec(eA[i]), h.anchor_vec(eL[j], eA[k])),
-            )
-            for i in range(na)
-            for j in range(nl)
-            for k in range(na)
-        ),
-    )
-    run(
-        "compat.leibniz_action",
-        (
-            (
-                f"({ll(i)},{la(j)},{ll(k)})",
-                h.bracket_vec(eL[i], h.act_vec(eA[j], eL[k])),
-                vec_add(
-                    h.act_vec(h.phi_vec(eA[j]), h.bracket_vec(eL[i], eL[k])),
-                    h.act_vec(h.anchor_vec(eL[i], eA[j]), h.psi_vec(eL[k])),
-                ),
-            )
-            for i in range(nl)
-            for j in range(na)
-            for k in range(nl)
-        ),
-    )
-    run(
-        "rep.psi_phi",
-        (
-            (
-                f"({ll(i)},{la(j)})",
-                h.anchor_vec(h.psi_vec(eL[i]), h.phi_vec(eA[j])),
-                h.phi_vec(h.anchor_vec(eL[i], eA[j])),
-            )
-            for i in range(nl)
-            for j in range(na)
-        ),
-    )
-    run(
-        "rep.bracket",
-        (
-            (
-                f"({ll(i)},{ll(j)},{la(k)})",
-                h.anchor_vec(h.bracket_vec(eL[i], eL[j]), h.phi_vec(eA[k])),
-                vec_sub(
-                    h.anchor_vec(h.psi_vec(eL[i]), h.anchor_vec(eL[j], eA[k])),
-                    h.anchor_vec(h.psi_vec(eL[j]), h.anchor_vec(eL[i], eA[k])),
-                ),
-            )
-            for i in range(nl)
-            for j in range(nl)
-            for k in range(na)
-        ),
-    )
-
-    if h.regular:
-        psi_ok = mat_inverse(h.psi) is not None
-        phi_ok = mat_inverse(h.phi) is not None
-        checks.append(
-            CheckResult("regular.psi", "pass" if psi_ok else "fail", "" if psi_ok else "psi is singular")
-        )
-        checks.append(
-            CheckResult("regular.phi", "pass" if phi_ok else "fail", "" if phi_ok else "phi is singular")
-        )
-    else:
-        checks.append(CheckResult("regular.psi", "info", "not flagged regular"))
-        checks.append(CheckResult("regular.phi", "info", "not flagged regular"))
+    for name, m in (("psi", h.psi), ("phi", h.phi)):
+        if not h.regular:
+            checks.append(CheckResult(f"regular.{name}", "info", "not flagged regular"))
+        elif mat_inverse(m) is None:
+            checks.append(CheckResult(f"regular.{name}", "fail", f"{name} is singular"))
+        else:
+            checks.append(CheckResult(f"regular.{name}", "pass"))
 
     if h.unital:
         unit = find_unit(h)
@@ -453,7 +328,7 @@ def validate_hlr(h, strictness=RELAXED):
             checks.append(CheckResult("A.unital", "fail", "flagged unital but no unit solves e*a=a"))
         else:
             checks.append(CheckResult("A.unital", "pass", f"unit {format_vector(unit)}"))
-            identically = all(h.act_vec(unit, x) == x for x in eL)
+            identically = all(h.act_vec(unit, x) == x for x in identity_matrix(nl))
             checks.append(
                 CheckResult(
                     "module.unit_action",
@@ -491,80 +366,23 @@ def find_unit(h):
 # -- morphisms and twisting --------------------------------------------------
 
 
-MORPHISM_KEYS = (
-    "morphism.g_hom",
-    "morphism.1",
-    "morphism.2",
-    "morphism.3",
-    "morphism.4",
-    "morphism.5",
-)
-
-
 def check_morphism(g, f, src, dst):
     """Check the five defining conditions of a morphism pair plus g being
     an algebra map.  g: A_src -> A_dst, f: L_src -> L_dst, as matrices.
 
     Returns a list of CheckResult in fixed order.
     """
-    g = _freeze_rect(g, dst.dimA, src.dimA, "g")
-    f = _freeze_rect(f, dst.dimL, src.dimL, "f")
-    eLs = [basis_vector(src.dimL, i) for i in range(src.dimL)]
-    eAs = [basis_vector(src.dimA, i) for i in range(src.dimA)]
-    la, ll = src.label_A, src.label_L
-    out = []
-
-    def run(key, pairs):
-        bad = _first_violation(pairs)
-        out.append(CheckResult(key, "pass" if bad is None else "fail", bad or ""))
-
-    run(
-        "morphism.g_hom",
-        (
-            (f"({la(i)},{la(j)})", mat_vec(g, src.mul_vec(eAs[i], eAs[j])), dst.mul_vec(mat_vec(g, eAs[i]), mat_vec(g, eAs[j])))
-            for i in range(src.dimA)
-            for j in range(src.dimA)
-        ),
+    g = partial(mat_vec, _freeze_rect(g, dst.dimA, src.dimA, "g"))
+    f = partial(mat_vec, _freeze_rect(f, dst.dimL, src.dimL, "f"))
+    rows = (
+        ("morphism.g_hom", "AA", lambda a, b: g(src.mul_vec(a, b)), lambda a, b: dst.mul_vec(g(a), g(b))),
+        ("morphism.1", "AL", lambda a, x: f(src.act_vec(a, x)), lambda a, x: dst.act_vec(g(a), f(x))),
+        ("morphism.2", "LL", lambda x, y: f(src.bracket_vec(x, y)), lambda x, y: dst.bracket_vec(f(x), f(y))),
+        ("morphism.3", "L", lambda x: f(src.psi_vec(x)), lambda x: dst.psi_vec(f(x))),
+        ("morphism.4", "A", lambda a: g(src.phi_vec(a)), lambda a: dst.phi_vec(g(a))),
+        ("morphism.5", "LA", lambda x, a: g(src.anchor_vec(x, a)), lambda x, a: dst.anchor_vec(f(x), g(a))),
     )
-    run(
-        "morphism.1",
-        (
-            (f"({la(i)},{ll(j)})", mat_vec(f, src.act_vec(eAs[i], eLs[j])), dst.act_vec(mat_vec(g, eAs[i]), mat_vec(f, eLs[j])))
-            for i in range(src.dimA)
-            for j in range(src.dimL)
-        ),
-    )
-    run(
-        "morphism.2",
-        (
-            (f"({ll(i)},{ll(j)})", mat_vec(f, src.bracket_vec(eLs[i], eLs[j])), dst.bracket_vec(mat_vec(f, eLs[i]), mat_vec(f, eLs[j])))
-            for i in range(src.dimL)
-            for j in range(src.dimL)
-        ),
-    )
-    run(
-        "morphism.3",
-        (
-            (f"({ll(i)},)", mat_vec(f, src.psi_vec(eLs[i])), dst.psi_vec(mat_vec(f, eLs[i])))
-            for i in range(src.dimL)
-        ),
-    )
-    run(
-        "morphism.4",
-        (
-            (f"({la(i)},)", mat_vec(g, src.phi_vec(eAs[i])), dst.phi_vec(mat_vec(g, eAs[i])))
-            for i in range(src.dimA)
-        ),
-    )
-    run(
-        "morphism.5",
-        (
-            (f"({ll(i)},{la(j)})", mat_vec(g, src.anchor_vec(eLs[i], eAs[j])), dst.anchor_vec(mat_vec(f, eLs[i]), mat_vec(g, eAs[j])))
-            for i in range(src.dimL)
-            for j in range(src.dimA)
-        ),
-    )
-    return out
+    return [CheckResult(key, "fail" if bad else "pass", bad or "") for key, bad in _violations(src, rows)]
 
 
 def _freeze_rect(m, nrows, ncols, name):
@@ -729,6 +547,30 @@ def fiber_product(h1, h2):
 IDEAL_RULES = ("bracket_left", "bracket_right", "action", "anchor", "psi", "psi_inv")
 
 
+def ideal_rules(h):
+    """(name, images) for each name in IDEAL_RULES.  images(s) lists the
+    image of s under each linear map of the rule, always in the same order:
+    [s, x], [x, s], a . s, rho(s)(a) . x over basis vectors x of L and a of
+    A, then psi(s) and, when psi is invertible, its inverse image."""
+    eL = identity_matrix(h.dimL)
+    eA = identity_matrix(h.dimA)
+    psi_inv = h.psi_inv
+    images = {
+        "bracket_left": lambda s: [h.bracket_vec(s, x) for x in eL],
+        "bracket_right": lambda s: [h.bracket_vec(x, s) for x in eL],
+        "action": lambda s: [h.act_vec(a, s) for a in eA],
+        "anchor": lambda s: [h.act_vec(h.anchor_vec(s, a), x) for a in eA for x in eL],
+        "psi": lambda s: [h.psi_vec(s)],
+        "psi_inv": lambda s: [] if psi_inv is None else [mat_vec(psi_inv, s)],
+    }
+    return [(name, images[name]) for name in IDEAL_RULES]
+
+
+def absorbs(sub, images):
+    """True when every image of every basis vector of sub lies in sub."""
+    return all(sub.contains(v) for s in sub.basis for v in images(s))
+
+
 @dataclass(frozen=True)
 class IdealClosure:
     space: Subspace
@@ -736,63 +578,31 @@ class IdealClosure:
 
 
 def ideal_closure(h, seed):
-    """Smallest subspace containing seed that is closed under all ideal rules.
-
-    Rules: brackets with L on either side, the A-action, pushing anchors of
-    members through the action, and both twist directions.
-    """
+    """Smallest subspace containing seed that is closed under all ideal
+    rules, grown one rule at a time."""
     n = h.dimL
-    psi_inv = mat_inverse(h.psi)
     current = seed if isinstance(seed, Subspace) else Subspace(n, seed)
     fired = []
-    full_l = [basis_vector(n, i) for i in range(n)]
-    full_a = [basis_vector(h.dimA, i) for i in range(h.dimA)]
+    rules = ideal_rules(h)
     while True:
         added = False
-        for rule in IDEAL_RULES:
-            new_vecs = []
-            for s in current.basis:
-                if rule == "bracket_left":
-                    new_vecs.extend(h.bracket_vec(s, x) for x in full_l)
-                elif rule == "bracket_right":
-                    new_vecs.extend(h.bracket_vec(x, s) for x in full_l)
-                elif rule == "action":
-                    new_vecs.extend(h.act_vec(a, s) for a in full_a)
-                elif rule == "anchor":
-                    for a in full_a:
-                        scal = h.anchor_vec(s, a)
-                        if not is_zero_vector(scal):
-                            new_vecs.extend(h.act_vec(scal, x) for x in full_l)
-                elif rule == "psi":
-                    new_vecs.append(h.psi_vec(s))
-                elif rule == "psi_inv" and psi_inv is not None:
-                    new_vecs.append(mat_vec(psi_inv, s))
-            grown = current.add(Subspace(n, new_vecs))
+        for name, images in rules:
+            grown = current.add(Subspace(n, [v for s in current.basis for v in images(s)]))
             if grown.dim > current.dim:
                 current = grown
                 added = True
-                if rule not in fired:
-                    fired.append(rule)
+                if name not in fired:
+                    fired.append(name)
         if not added:
             return IdealClosure(space=current, fired=tuple(fired))
 
 
 def is_ideal(h, sub):
-    """Exact Def-style ideal test; returns (ok, failed_rule_names)."""
-    failed = []
-    full_l = h.full_L()
-    full_a = h.full_A()
-    if not sub.contains_space(h.bracket_space(sub, full_l)):
-        failed.append("bracket_left")
-    if not sub.contains_space(h.bracket_space(full_l, sub)):
-        failed.append("bracket_right")
-    if not sub.contains_space(h.act_space(full_a, sub)):
-        failed.append("action")
-    anchored = h.anchor_space(sub, full_a)
-    if not sub.contains_space(h.act_space(anchored, full_l)):
-        failed.append("anchor")
-    if not sub.contains_space(sub.image(h.psi)):
-        failed.append("psi")
+    """Exact Def-style ideal test; returns (ok, failed_rule_names).
+
+    psi_inv is not checked: in finite dimension psi(I) inside I with psi
+    invertible gives psi(I) = I, so the inverse image stays in I too."""
+    failed = [name for name, images in ideal_rules(h) if name != "psi_inv" and not absorbs(sub, images)]
     return (not failed, failed)
 
 
@@ -824,7 +634,7 @@ def compute_J(h):
             )
     closure = ideal_closure(h, Subspace(n, gens))
     jspace = closure.space
-    full = h.full_L()
+    full = h.full_L
     jl = h.bracket_space(jspace, full)
     lj = h.bracket_space(full, jspace)
     witness = ""
@@ -867,7 +677,7 @@ def annihilator(h, space):
 
 def annihilator_Z(h):
     """Z(L): vectors bracketing to zero on both sides with zero anchor."""
-    return annihilator(h, h.full_L())
+    return annihilator(h, h.full_L)
 
 
 def center_ZA(h):

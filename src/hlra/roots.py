@@ -70,6 +70,13 @@ class RootDecomposition:
             return self.H
         return self.root_spaces.get(tuple(f), Subspace.zero(self.H.ambient))
 
+    def is_graded(self, space):
+        """True when space is the sum of its intersections with the zero
+        space and the root spaces (their sum is direct, so counting
+        dimensions decides it)."""
+        parts = [self.zero_space] + [self.root_spaces[g] for g in self.gamma]
+        return sum(space.intersect(p).dim for p in parts) == space.dim
+
 
 @dataclass(eq=False)
 class WeightDecomposition:
@@ -129,7 +136,7 @@ def root_decomposition(h, H=None):
         raise InputError("subalgebra rows have the wrong length")
     if not h.bracket_space(H, H).is_zero:
         raise CartanError("not_abelian", "the chosen subalgebra is not abelian")
-    psi_inv = mat_inverse(h.psi)
+    psi_inv = h.psi_inv
     if psi_inv is None:
         raise CartanError("psi_singular", "the twist on L is singular; no regular decomposition")
     psi_h = _restriction_matrix(h.psi, H)
@@ -283,7 +290,7 @@ def verify_lemma_closures(h, rd, wd):
         )
     )
 
-    psi_inv = mat_inverse(h.psi)
+    psi_inv = h.psi_inv
     bad = ""
     for g in rd.gamma:
         fwd = rd.root_spaces[g].image(h.psi)

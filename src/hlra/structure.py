@@ -47,7 +47,7 @@ class Analysis:
 
     @cached_property
     def js(self):
-        return j_split(self.h, self.rd, self.jrep)
+        return j_split(self.rd, self.jrep)
 
     @cached_property
     def root_part(self):
@@ -114,7 +114,7 @@ class JSplit:
     notes: tuple
 
 
-def j_split(h, rd, jrep):
+def j_split(rd, jrep):
     """Classify each root by whether its space sits inside J."""
     gj = []
     gnj = []
@@ -129,8 +129,7 @@ def j_split(h, rd, jrep):
             if inter != rd.space(g):
                 clean = False
                 notes.append(f"J meets the root space of {format_root(g)} partially (dim {inter.dim})")
-    parts = span(h.dimL, [jrep.J.intersect(rd.H)] + [jrep.J.intersect(rd.space(g)) for g in rd.gamma])
-    graded = parts == jrep.J
+    graded = rd.is_graded(jrep.J)
     if not graded:
         notes.append("J does not decompose into its H and root parts")
     return JSplit(
@@ -210,16 +209,16 @@ def tightness_check(a):
     h, rd, wd, js = a.h, a.rd, a.wd, a.js
     zl = a.Z_Lie
     za = center_ZA(h)
-    aa = h.mul_space(h.full_A(), h.full_A())
-    al = h.act_space(h.full_A(), h.full_L())
+    aa = h.mul_space(h.full_A, h.full_A)
+    al = h.act_space(h.full_A, h.full_L)
     # opposite products and anchor images restricted to the not-J roots
     hs = root_inner_sum(h, rd, wd, js.gamma_notJ)
     a0s = weight_inner_sum(h, rd, wd, wd.lam, set(js.gamma_notJ))
     clauses = (
         ("tight.1", zl.is_zero, f"Lie annihilator dim {zl.dim}"),
         ("tight.2", za.is_zero, f"scalar annihilator dim {za.dim}"),
-        ("tight.3", aa == h.full_A(), f"span of products dim {aa.dim} of {h.dimA}"),
-        ("tight.4", al == h.full_L(), f"span of actions dim {al.dim} of {h.dimL}"),
+        ("tight.3", aa == h.full_A, f"span of products dim {aa.dim} of {h.dimA}"),
+        ("tight.4", al == h.full_L, f"span of actions dim {al.dim} of {h.dimL}"),
         ("tight.5", hs == rd.H, f"generated part of H has dim {hs.dim} of {rd.H.dim}"),
         ("tight.6", a0s == wd.A0, f"generated part of the zero weight space has dim {a0s.dim} of {wd.A0.dim}"),
     )
@@ -280,8 +279,7 @@ def verify_lemma_5_1(a):
     rd, enum = a.rd, a.enum
     bad = None
     for ideal in enum.ideals:
-        parts = span(ideal.ambient, [ideal.intersect(rd.H)] + [ideal.intersect(rd.space(g)) for g in rd.gamma])
-        if parts != ideal:
+        if not rd.is_graded(ideal):
             bad = f"an ideal of dim {ideal.dim} does not split into H and root parts"
             break
     scope = "" if enum.complete else " (bounded search)"
@@ -335,7 +333,7 @@ def verify_prop_5_5(a):
         if hj.contains_space(ideal):
             continue
         escaping += 1
-        if ideal != a.h.full_L():
+        if ideal != a.h.full_L:
             bad = f"an ideal of dim {ideal.dim} escapes H+J without filling L"
             break
     scope = "" if enum.complete else " (bounded search)"
@@ -499,7 +497,7 @@ def verify_cor_5_13(a, assume_hypotheses=False):
     problems = []
 
     total_l, overlap = sum_and_overlap(h.dimL, [ci.space for ci in l_ideals])
-    if total_l != h.full_L():
+    if total_l != h.full_L:
         problems.append(f"components span dim {total_l.dim} of {h.dimL}")
     if overlap is not None:
         problems.append("component sum is not direct")
@@ -507,7 +505,7 @@ def verify_cor_5_13(a, assume_hypotheses=False):
         problems.append("distinct components bracket nontrivially")
 
     total_a = span(h.dimA, [ci.space for ci in a_ideals])
-    if total_a != h.full_A():
+    if total_a != h.full_A:
         problems.append(f"scalar components span dim {total_a.dim} of {h.dimA}")
     if first_nonzero_pair(a_ideals, h.mul_space, ordered=False):
         problems.append("distinct scalar components multiply nontrivially")
@@ -521,7 +519,7 @@ def verify_cor_5_13(a, assume_hypotheses=False):
             # no unique scalar partner; judge simplicity over all of A,
             # which always restricts because the component is an ideal
             paired = -1
-            scalar_space = h.full_A()
+            scalar_space = h.full_A
         else:
             paired = hits[0]
             scalar_space = a_ideals[paired].space

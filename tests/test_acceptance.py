@@ -373,7 +373,7 @@ def test_criterion_7_structure_theorems(capsys, decomps):
         if claim.status != "PASS" or run.branch != branch:
             problems.append(f"{branch} branch failed")
     h2, rd2, wd2 = decomps["fix_s2"]
-    js2 = j_split(h2, rd2, compute_J(h2))
+    js2 = j_split(rd2, compute_J(h2))
     seed2 = Subspace(
         10, ((0, 0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1, 0))
     )

@@ -45,3 +45,27 @@ def test_each_builder_runs_at_most_once(monkeypatch, capsys, data_dir, command, 
     cli.main([command, str(data_dir / f"{name}.json")])
     capsys.readouterr()
     assert all(n <= 1 for n in counts.values()), counts
+
+
+def record_full_spaces(monkeypatch):
+    """(name, algebra) for each build of an algebra's whole L or whole A."""
+    built = []
+    for name in ("full_L", "full_A"):
+        prop = vars(model.HLRAlgebra)[name]
+
+        def counted(h, _orig=prop.func, _name=name):
+            built.append((_name, h))
+            return _orig(h)
+
+        monkeypatch.setattr(prop, "func", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", ("decompose", "analyze"))
+@pytest.mark.parametrize("name", ("fix_s2", "fix_e", "fix_zero"))
+def test_whole_spaces_are_built_once_per_algebra(monkeypatch, capsys, data_dir, command, name):
+    built = record_full_spaces(monkeypatch)
+    cli.main([command, str(data_dir / f"{name}.json")])
+    capsys.readouterr()
+    keys = [(n, id(h)) for n, h in built]
+    assert built and len(keys) == len(set(keys)), keys

@@ -110,7 +110,7 @@ def test_walker_matches_brute_force_on_small_fixtures(bundled):
 def test_restricted_walker_matches_restricted_brute_force(bundled):
     h = bundled["fix_s"]
     rd, wd = decomp(h)
-    js = j_split(h, rd, compute_J(h))
+    js = j_split(rd, compute_J(h))
     restrict = js.gamma_notJ
     assert sorted(restrict) == [(F(-1),), (F(1),)]
     max_len = signed_vocab_size(rd, wd) + 2

@@ -17,8 +17,8 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import is_ideal, twist_by_endomorphism
-from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
+from hlra.model import ideal_rules, is_ideal, twist_by_endomorphism
+from hlra.roots import CartanError, RootDecomposition, root_decomposition, verify_lemma_closures, weight_decomposition
 from hlra.structure import Analysis
 
 from conftest import SPLIT_NAMES
@@ -229,7 +229,7 @@ def test_fallback_when_a_closure_is_not_graded(bundled, monkeypatch):
         calls.append(space)
         return False
 
-    monkeypatch.setattr(decomposition, "_is_graded", not_graded)
+    monkeypatch.setattr(RootDecomposition, "is_graded", not_graded)
     assert enumerate_ideals(h, rd) == expected
     assert calls
 
@@ -238,17 +238,25 @@ def test_gradedness_predicate(bundled):
     h = bundled["fix_s"]
     rd = root_decomposition(h)
     g, d = rd.gamma[:2]
-    assert decomposition._is_graded(rd, rd.space(g))
-    assert decomposition._is_graded(rd, rd.space(g).add(rd.H))
+    assert rd.is_graded(rd.space(g))
+    assert rd.is_graded(rd.space(g).add(rd.H))
     mixed = vec_add(rd.space(g).basis[0], rd.space(d).basis[0])
-    assert not decomposition._is_graded(rd, Subspace(h.dimL, [mixed]))
+    assert not rd.is_graded(Subspace(h.dimL, [mixed]))
+
+
+def _rule_matrices(h):
+    """Each ideal rule map as an n x n matrix: its columns are the images
+    of the basis vectors of L."""
+    n = h.dimL
+    per_basis = [[v for _, images in ideal_rules(h) for v in images(basis_vector(n, j))] for j in range(n)]
+    return [mat_from_columns(cols, nrows=n) for cols in zip(*per_basis)]
 
 
 def _window_by_residual_matrices(h, rd, f_space):
     """The H-part window computed on n x n matrices: W shrinks to the
     vectors whose images under every rule map, reduced along W + F, vanish."""
     n = h.dimL
-    maps = decomposition._rule_maps(h)
+    maps = _rule_matrices(h)
     w = rd.H
     while True:
         target = w.add(f_space)
@@ -264,7 +272,7 @@ def test_window_matches_residual_matrices(bundled):
         h = bundled[name]
         rd = root_decomposition(h)
         gamma = rd.gamma
-        images = [[mat_vec(m, b) for b in rd.H.basis] for m in decomposition._rule_maps(h)]
+        images = [[mat_vec(m, b) for b in rd.H.basis] for m in _rule_matrices(h)]
         for mask in range(2 ** len(gamma)):
             members = [g for i, g in enumerate(gamma) if mask >> i & 1]
             f_space = Subspace(h.dimL, [b for g in members for b in rd.space(g).basis])

@@ -128,6 +128,21 @@ def test_twist_rejects_a_non_endomorphism(capsys, data_dir):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "psi, phi, message",
+    (
+        ("[[1,0],[0,1]]", "[[1,0]]", "error: --phi: expected a 1x1 matrix"),
+        ("[[1,0]]", "[[1]]", "error: --psi: expected a 2x2 matrix"),
+        ("[[1,0],[0]]", "[[1]]", "error: --psi: expected a 2x2 matrix"),
+    ),
+)
+def test_twist_shape_errors_name_the_flag(capsys, data_dir, psi, phi, message):
+    code, out, err = run(capsys, "twist", path(data_dir, "fix_b"), "--psi", psi, "--phi", phi)
+    assert code == 2
+    assert err.strip() == message
+    assert out == ""
+
+
 # -- decompose / analyze ----------------------------------------------------
 
 

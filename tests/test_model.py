@@ -237,6 +237,52 @@ def test_ideal_closure_is_a_closure_operator(data):
     assert ok, failed_rules
 
 
+def is_ideal_by_subspace_products(h, sub):
+    """The ideal test on spans of products of whole subspaces: the oracle
+    for the rule-image test in `is_ideal`."""
+    failed = []
+    full_l, full_a = Subspace.full(h.dimL), Subspace.full(h.dimA)
+    if not sub.contains_space(h.bracket_space(sub, full_l)):
+        failed.append("bracket_left")
+    if not sub.contains_space(h.bracket_space(full_l, sub)):
+        failed.append("bracket_right")
+    if not sub.contains_space(h.act_space(full_a, sub)):
+        failed.append("action")
+    if not sub.contains_space(h.act_space(h.anchor_space(sub, full_a), full_l)):
+        failed.append("anchor")
+    if not sub.contains_space(sub.image(h.psi)):
+        failed.append("psi")
+    return (not failed, failed)
+
+
+def random_algebra(seed, twisted):
+    h, g, f = fixtures.random_instance(seed)
+    return twist_by_endomorphism(h, g, f) if twisted else h
+
+
+ALGEBRAS = st.one_of(
+    st.sampled_from(sorted(fixtures.BUNDLED)).map(lambda name: fixtures.BUNDLED[name]()),
+    st.builds(random_algebra, st.integers(0, 10**6), st.booleans()),
+)
+
+
+def sparse_subspaces_of(h):
+    vec = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=h.dimL, max_size=h.dimL)
+    return st.lists(vec, min_size=1, max_size=2).map(lambda rows: Subspace(h.dimL, rows))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_is_ideal_matches_subspace_products(data):
+    h = data.draw(ALGEBRAS)
+    seed = data.draw(sparse_subspaces_of(h))
+    # sparse spans break some rules, closures break none, and a closure
+    # plus a sparse vector lands in between
+    closed = ideal_closure(h, seed).space
+    sub = data.draw(st.sampled_from((seed, closed, closed.add(data.draw(sparse_subspaces_of(h))))))
+    assert is_ideal(h, sub) == is_ideal_by_subspace_products(h, sub)
+
+
 def test_is_ideal_names_failing_rules(bundled):
     b = bundled["fix_b"]
     ok, failed = is_ideal(b, Subspace(2, ((1, 0),)))

@@ -43,7 +43,7 @@ def setup(bundled, name):
     h = bundled[name]
     rd = root_decomposition(h)
     wd = weight_decomposition(h, rd)
-    js = j_split(h, rd, compute_J(h))
+    js = j_split(rd, compute_J(h))
     return h, rd, wd, js
 
 
