@@ -7,6 +7,7 @@ timing is printed to stderr only.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -27,7 +28,14 @@ from .model import (
     twist_by_endomorphism,
     validate_hlr,
 )
-from .roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
+from .roots import (
+    CartanError,
+    format_class,
+    format_root,
+    root_decomposition,
+    verify_lemma_closures,
+    weight_decomposition,
+)
 from .scalars import parse_scalar
 from .structure import Analysis, run_structure
 
@@ -125,10 +133,10 @@ def _open_split(args):
         ("root", rd.gamma, rd.space, rd.zero_space),
         ("weight", wd.lam, wd.space, wd.A0),
     ):
-        doc[f"{name}s"] = [{name: reporting.functional(f), "dim": space(f).dim} for f in items]
+        doc[f"{name}s"] = [{name: format_root(f), "dim": space(f).dim} for f in items]
         lines.append(
             f"{name}s ({len(items)}): "
-            + ("; ".join(f"{reporting.functional(f)} dim {space(f).dim}" for f in items) or "none")
+            + ("; ".join(f"{format_root(f)} dim {space(f).dim}" for f in items) or "none")
         )
         lines.append(f"zero {name} space: dim {zero.dim}")
     doc["split"] = rd.split and wd.split
@@ -190,14 +198,14 @@ def cmd_decompose(args):
     dec = run_decomposition(a, verify_lemma_closures(h, rd, a.wd))
     if not rd.gamma and dec.U == rd.H and rd.H.dim == h.dimL:
         lines.append("no roots; L = U = H")
-    doc["root_classes"] = [[reporting.functional(f) for f in c] for c in a.root_part.classes]
-    doc["weight_classes"] = [[reporting.functional(f) for f in c] for c in a.weight_part.classes]
+    doc["root_classes"] = [[format_root(f) for f in c] for c in a.root_part.classes]
+    doc["weight_classes"] = [[format_root(f) for f in c] for c in a.weight_part.classes]
     for side, ideals in (("root", dec.root_ideals), ("weight", dec.weight_ideals)):
         doc[f"{side}_class_ideals"] = []
         for ideal in ideals:
-            lines.append(f"{side} class {reporting.class_text(ideal.cls)} ideal: dim {ideal.space.dim}")
+            lines.append(f"{side} class {format_class(ideal.cls)} ideal: dim {ideal.space.dim}")
             doc[f"{side}_class_ideals"].append(
-                {"class": [reporting.functional(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
+                {"class": [format_root(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
             )
     lines.append(f"bracket-side complement U: {reporting.space_text(dec.U)}")
     lines.append(f"scalar-side complement V: {reporting.space_text(dec.V)}")
@@ -229,16 +237,16 @@ def cmd_analyze(args):
     lines.append(f"ideal J: {reporting.space_text(js.J)}")
     lines.append(
         "root classes inside J: "
-        + (", ".join(reporting.functional(f) for f in js.gamma_J) or "none")
+        + (", ".join(format_root(f) for f in js.gamma_J) or "none")
     )
     lines.append(
         "root classes outside J: "
-        + (", ".join(reporting.functional(f) for f in js.gamma_notJ) or "none")
+        + (", ".join(format_root(f) for f in js.gamma_notJ) or "none")
     )
     lines.append(f"j-split clean: {'yes' if js.clean else 'no'}; graded: {'yes' if js.graded else 'no'}")
     doc["J"] = reporting.space_json(js.J)
-    doc["gamma_J"] = [reporting.functional(f) for f in js.gamma_J]
-    doc["gamma_notJ"] = [reporting.functional(f) for f in js.gamma_notJ]
+    doc["gamma_J"] = [format_root(f) for f in js.gamma_J]
+    doc["gamma_notJ"] = [format_root(f) for f in js.gamma_notJ]
     doc["j_split"] = {"clean": js.clean, "graded": js.graded, "notes": list(js.notes)}
 
     def flags(t):
@@ -256,17 +264,8 @@ def cmd_analyze(args):
         + "; symmetric non-J roots: "
         + ("yes" if prof.symmetric_gamma_notJ else "no")
     )
-    doc["profile"] = {
-        "maximal_length": prof.maximal_length,
-        "root_multiplicative": list(prof.root_multiplicative),
-        "tight": list(prof.tight),
-        "Z_Lie": reporting.space_json(prof.Z_Lie),
-        "symmetric_Lambda": prof.symmetric_Lambda,
-        "symmetric_gamma_J": prof.symmetric_gamma_J,
-        "symmetric_gamma_notJ": prof.symmetric_gamma_notJ,
-        "notJ_all_connected": prof.notJ_all_connected,
-        "weights_all_connected": prof.weights_all_connected,
-    }
+    doc["profile"] = {f.name: getattr(prof, f.name) for f in dataclasses.fields(prof)}
+    doc["profile"]["Z_Lie"] = reporting.space_json(prof.Z_Lie)
 
     doc["thm512_runs"] = []
     for run in st.thm512_runs:
@@ -280,12 +279,12 @@ def cmd_analyze(args):
     doc["components"] = []
     for comp in st.cor513.components:
         lines.append(
-            f"component {reporting.class_text(comp.cls)}: dim {comp.dim}, "
+            f"component {format_class(comp.cls)}: dim {comp.dim}, "
             f"verdict {comp.simple_verdict}, paired weight class {comp.paired}"
         )
         doc["components"].append(
             {
-                "class": [reporting.functional(f) for f in comp.cls],
+                "class": [format_root(f) for f in comp.cls],
                 "dim": comp.dim,
                 "verdict": comp.simple_verdict,
                 "paired": comp.paired,
@@ -294,7 +293,7 @@ def cmd_analyze(args):
     doc["weight_component_dims"] = list(st.cor513.weight_dims)
     doc["pairing"] = [
         {
-            "root_class": [reporting.functional(f) for f in r.root_class],
+            "root_class": [format_root(f) for f in r.root_class],
             "zero_classes": r.zero_classes,
             "nonzero_classes": r.nonzero_classes,
         }

@@ -32,53 +32,23 @@ ENUMERATION_CAP = 512
 
 
 @dataclass(frozen=True)
-class RootClassIdeal:
+class ClassIdeal:
     cls: tuple
-    zero_part: Subspace
-    graded_part: Subspace
     space: Subspace
-    zero_part_in_H: bool
-    direct: bool
 
 
 def build_root_ideal(h, rd, wd, cls):
     """Ideal attached to one root class: opposite products inside H plus
     the root spaces of the class."""
-    zero_part = root_inner_sum(h, rd, wd, cls)
-    graded = span(h.dimL, [rd.space(xi) for xi in cls])
-    return RootClassIdeal(
-        cls=tuple(cls),
-        zero_part=zero_part,
-        graded_part=graded,
-        space=zero_part.add(graded),
-        zero_part_in_H=rd.H.contains_space(zero_part),
-        direct=zero_part.intersect(graded).is_zero,
-    )
-
-
-@dataclass(frozen=True)
-class WeightClassIdeal:
-    cls: tuple
-    zero_part: Subspace
-    graded_part: Subspace
-    space: Subspace
-    zero_part_in_A0: bool
-    direct: bool
+    inner = root_inner_sum(h, rd, wd, cls)
+    return ClassIdeal(tuple(cls), span(h.dimL, [inner] + [rd.space(xi) for xi in cls]))
 
 
 def build_weight_ideal(h, rd, wd, cls):
     """Ideal of A attached to one weight class: anchor images and opposite
     products inside the zero weight space, plus the weight spaces."""
-    zero_part = weight_inner_sum(h, rd, wd, cls, rd.root_spaces)
-    graded = span(h.dimA, [wd.space(beta) for beta in cls])
-    return WeightClassIdeal(
-        cls=tuple(cls),
-        zero_part=zero_part,
-        graded_part=graded,
-        space=zero_part.add(graded),
-        zero_part_in_A0=wd.A0.contains_space(zero_part),
-        direct=zero_part.intersect(graded).is_zero,
-    )
+    inner = weight_inner_sum(h, rd, wd, cls, rd.root_spaces)
+    return ClassIdeal(tuple(cls), span(h.dimA, [inner] + [wd.space(beta) for beta in cls]))
 
 
 def root_inner_sum(h, rd, wd, roots):
@@ -125,10 +95,51 @@ def first_nonzero_pair(ideals, product, ordered):
     return None
 
 
+def refusal(claim_id, missing):
+    """REFUSED naming every unmet hypothesis in missing."""
+    return ClaimResult(claim_id, REFUSED, "hypotheses not met: " + "; ".join(missing))
+
+
+def _cross_pairs(claim_id, ideals, product, ordered, verb):
+    """Distinct class ideals have a zero product (ordered pairs, or pairs
+    with i < j unless ordered)."""
+    pair = first_nonzero_pair(ideals, product, ordered)
+    if pair:
+        classes = f"classes {format_class(pair[0].cls)} and {format_class(pair[1].cls)}"
+        return ClaimResult(claim_id, FAIL, f"{classes} {verb} nontrivially")
+    n = len(ideals)
+    pairs = f"{n * (n - 1)} ordered" if ordered else f"{n * (n - 1) // 2} cross"
+    return ClaimResult(claim_id, PASS, f"{pairs} pairs zero")
+
+
+def _complement_sum(claim_id, inner, zero, whole, ideals, escapes, noun):
+    """whole equals a complement of inner inside the zero space plus the
+    sum of the class ideals.  Returns (claim, the complement or None)."""
+    if not zero.contains_space(inner):
+        return ClaimResult(claim_id, FAIL, escapes), None
+    comp = complement(inner, zero)
+    total = span(whole.ambient, [comp] + [ci.space for ci in ideals])
+    detail = f"complement dim {comp.dim}, {len(ideals)} {noun}, sum dim {total.dim} of {whole.dim}"
+    return ClaimResult(claim_id, PASS if total == whole else FAIL, detail), comp
+
+
+def _direct_sum(claim_id, missing, whole, ideals, noun, name):
+    """Unless a hypothesis is missing, whole is the direct sum of the class
+    ideals; name is how the details call whole."""
+    if missing:
+        return refusal(claim_id, missing)
+    total, overlap = sum_and_overlap(whole.ambient, [ci.space for ci in ideals])
+    if total != whole:
+        return ClaimResult(claim_id, FAIL, f"the {noun} do not sum to {name}")
+    if overlap is not None:
+        return ClaimResult(claim_id, FAIL, f"class {format_class(ideals[overlap].cls)} meets the sum of the others")
+    return ClaimResult(claim_id, PASS, f"direct sum of {len(ideals)} {noun}")
+
+
 def verify_prop_3_3(a):
     h, ideals = a.h, a.root_ideals
     rules = dict(ideal_rules(h))
-    claims = [
+    return [
         _every_ideal(
             "prop3.3.1", ideals, lambda s: s.contains_space(h.bracket_space(s, s)),
             "bracket escapes the ideal of class {}", f"{len(ideals)} class ideals",
@@ -145,14 +156,8 @@ def verify_prop_3_3(a):
             "prop3.3.4", ideals, lambda s: absorbs(s, rules["anchor"]),
             "anchor push-through escapes the ideal of class {}", "anchor push-through absorbed",
         ),
+        _cross_pairs("prop3.3.5", ideals, h.bracket_space, True, "bracket"),
     ]
-    pair = first_nonzero_pair(ideals, h.bracket_space, ordered=True)
-    if pair:
-        detail = f"classes {format_class(pair[0].cls)} and {format_class(pair[1].cls)} bracket nontrivially"
-    else:
-        detail = f"{len(ideals) * (len(ideals) - 1)} ordered pairs zero"
-    claims.append(ClaimResult("prop3.3.5", FAIL if pair else PASS, detail))
-    return claims
 
 
 def verify_thm_3_5_1(a):
@@ -165,57 +170,30 @@ def verify_thm_3_5_1(a):
 
 def verify_thm_3_6(a):
     """L equals a complement inside H plus the sum of the class ideals."""
-    h, rd, ideals = a.h, a.rd, a.root_ideals
-    if not rd.H.contains_space(a.root_inner):
-        return (
-            ClaimResult("thm3.6", FAIL, "the opposite-product sum escapes H; broken closure"),
-            None,
-        )
-    u = complement(a.root_inner, rd.H)
-    total = span(h.dimL, [u] + [ci.space for ci in ideals])
-    ok = total == h.full_L
-    return (
-        ClaimResult(
-            "thm3.6",
-            PASS if ok else FAIL,
-            f"complement dim {u.dim}, {len(ideals)} class ideals, sum dim {total.dim} of {h.dimL}",
-        ),
-        u,
+    return _complement_sum(
+        "thm3.6", a.root_inner, a.rd.H, a.h.full_L, a.root_ideals,
+        "the opposite-product sum escapes H; broken closure", "class ideals",
     )
 
 
 def verify_cor_3_8(a):
-    h, ideals = a.h, a.root_ideals
     missing = []
     if not a.Z.is_zero:
         missing.append(f"the annihilator is nonzero (dim {a.Z.dim})")
     if a.root_inner != a.rd.H:
         missing.append("H is not generated by the opposite products")
-    if missing:
-        return ClaimResult("cor3.8", REFUSED, "hypotheses not met: " + "; ".join(missing))
-    total, overlap = sum_and_overlap(h.dimL, [ci.space for ci in ideals])
-    if total != h.full_L:
-        return ClaimResult("cor3.8", FAIL, "the class ideals do not sum to L")
-    if overlap is not None:
-        return ClaimResult("cor3.8", FAIL, f"class {format_class(ideals[overlap].cls)} meets the sum of the others")
-    return ClaimResult("cor3.8", PASS, f"direct sum of {len(ideals)} class ideals")
+    return _direct_sum("cor3.8", missing, a.h.full_L, a.root_ideals, "class ideals", "L")
 
 
 def verify_prop_4_3(a):
     h, wideals = a.h, a.weight_ideals
-    claims = [
+    return [
         _every_ideal(
             "prop4.3.1", wideals, lambda s: s.contains_space(h.mul_space(s, s)),
             "products escape the weight ideal of class {}", f"{len(wideals)} weight ideals",
-        )
+        ),
+        _cross_pairs("prop4.3.2", wideals, h.mul_space, False, "multiply"),
     ]
-    pair = first_nonzero_pair(wideals, h.mul_space, ordered=False)
-    if pair:
-        detail = f"classes {format_class(pair[0].cls)} and {format_class(pair[1].cls)} multiply nontrivially"
-    else:
-        detail = f"{len(wideals) * (len(wideals) - 1) // 2} cross pairs zero"
-    claims.append(ClaimResult("prop4.3.2", FAIL if pair else PASS, detail))
-    return claims
 
 
 def verify_thm_4_4(a):
@@ -253,41 +231,22 @@ def verify_thm_4_4(a):
 
 
 def verify_thm_4_5(a):
-    h, wd, wideals = a.h, a.wd, a.weight_ideals
-    if not wd.A0.contains_space(a.weight_inner):
-        return (
-            ClaimResult("thm4.5", FAIL, "the generator sum escapes the zero weight space; broken closure"),
-            None,
-        )
-    v = complement(a.weight_inner, wd.A0)
-    total = span(h.dimA, [v] + [ci.space for ci in wideals])
-    ok = total == h.full_A
-    return (
-        ClaimResult(
-            "thm4.5",
-            PASS if ok else FAIL,
-            f"complement dim {v.dim}, {len(wideals)} weight ideals, sum dim {total.dim} of {h.dimA}",
-        ),
-        v,
+    """A equals a complement inside the zero weight space plus the sum of
+    the weight ideals."""
+    return _complement_sum(
+        "thm4.5", a.weight_inner, a.wd.A0, a.h.full_A, a.weight_ideals,
+        "the generator sum escapes the zero weight space; broken closure", "weight ideals",
     )
 
 
 def verify_cor_4_6(a):
-    h, wideals = a.h, a.weight_ideals
-    za = center_ZA(h)
+    za = center_ZA(a.h)
     missing = []
     if not za.is_zero:
         missing.append(f"the scalar annihilator is nonzero (dim {za.dim})")
     if a.weight_inner != a.wd.A0:
         missing.append("the zero weight space is not generated by anchor images and opposite products")
-    if missing:
-        return ClaimResult("cor4.6", REFUSED, "hypotheses not met: " + "; ".join(missing))
-    total, overlap = sum_and_overlap(h.dimA, [ci.space for ci in wideals])
-    if total != h.full_A:
-        return ClaimResult("cor4.6", FAIL, "the weight ideals do not sum to A")
-    if overlap is not None:
-        return ClaimResult("cor4.6", FAIL, f"class {format_class(wideals[overlap].cls)} meets the sum of the others")
-    return ClaimResult("cor4.6", PASS, f"direct sum of {len(wideals)} weight ideals")
+    return _direct_sum("cor4.6", missing, a.h.full_A, a.weight_ideals, "weight ideals", "A")
 
 
 # -- ideal enumeration and simplicity ---------------------------------------
@@ -328,7 +287,8 @@ class EnumeratedIdeals:
 
 
 def enumerate_ideals(h, rd):
-    """All ideals assembled from root subsets and compatible H-parts.
+    """All ideals assembled from root subsets and compatible H-parts of a
+    split root decomposition rd; a non-split one raises ValueError.
 
     A candidate is F_S + W for a root subset S, with F_S the sum of the root
     spaces in S and W a subspace of H.  S is feasible when the ideal
@@ -336,15 +296,15 @@ def enumerate_ideals(h, rd):
 
     The rules that close an ideal are linear maps, so the ideal generated by
     F_S is the sum of the single-root closures C_g = closure(L_g), g in S.
-    When every C_g is graded (the sum of its pieces in the zero space and
-    the root spaces, checked here; it always holds on split inputs, since
-    closures are invariant under the twisted adjoint action of H), so is
-    each such sum, and it meets L_d exactly when some C_g with g in S does.
-    The feasible subsets are then the down-closed ones: supp(C_g) lies in S
-    for every g in S, where supp(C_g) is the set of roots d with C_g meeting
-    L_d.  Only the |Gamma| single-root closures are computed; infeasible
-    subsets are never closed.  If some C_g is not graded, every subset is
-    closed instead (`_enumerate_by_subsets`).
+    Each C_g is graded (the sum of its pieces in H and the root spaces): it
+    is closed under [x, .] for x in H and under psi, which is invertible, so
+    it splits along the joint eigenspaces E_d of ad H that fill L, and
+    psi(C_g) = C_g with L_d = psi^-1(E_d) carries that split over to the
+    root spaces.  So each sum of them is graded too, and meets L_d exactly
+    when some C_g with g in S does.  The feasible subsets are therefore the
+    down-closed ones: supp(C_g) lies in S for every g in S, where supp(C_g)
+    is the set of roots d with C_g meeting L_d.  Only the |Gamma|
+    single-root closures are computed; infeasible subsets are never closed.
 
     For a feasible S the H-part ranges from (sum of C_g) meet H up to the
     greatest W in H whose rule images stay in W + F_S; both ends are
@@ -356,6 +316,8 @@ def enumerate_ideals(h, rd):
     argument additionally rests on gradedness of ideals, which the caller
     re-verifies on everything found here.
     """
+    if not rd.split:
+        raise ValueError("root decomposition is not split; ideals are not enumerated")
     n = h.dimL
     gamma = rd.gamma
     closures = [ideal_closure(h, rd.space(g)).space for g in gamma]
@@ -366,8 +328,6 @@ def enumerate_ideals(h, rd):
             complete=False,
             note=f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only",
         )
-    if not all(rd.is_graded(c) for c in closures):
-        return _enumerate_by_subsets(h, rd)
     support = [
         sum(1 << j for j, d in enumerate(gamma) if not c.intersect(rd.space(d)).is_zero) for c in closures
     ]
@@ -376,21 +336,6 @@ def enumerate_ideals(h, rd):
         members = [i for i in range(len(gamma)) if mask >> i & 1]
         if all(support[i] & ~mask == 0 for i in members):
             closed.append((members, Subspace(n, [b for i in members for b in closures[i].basis])))
-    return _ideals_from_closed_sets(h, rd, closed)
-
-
-def _enumerate_by_subsets(h, rd):
-    """`enumerate_ideals` by closing every one of the 2^|Gamma| root
-    subsets; the fallback when a single-root closure is not graded."""
-    n = h.dimL
-    gamma = rd.gamma
-    closed = []
-    for mask in range(2 ** len(gamma)):
-        members = [i for i in range(len(gamma)) if mask >> i & 1]
-        f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
-        closure = ideal_closure(h, f_space).space
-        if all(i in members or closure.intersect(rd.space(g)).is_zero for i, g in enumerate(gamma)):
-            closed.append((members, closure))
     return _ideals_from_closed_sets(h, rd, closed)
 
 
@@ -436,10 +381,6 @@ class SimplicityReport:
     reason: str
     enumerated: EnumeratedIdeals
     violating: object  # Subspace or None
-    allowed: tuple  # descriptions of the allowed ideals present
-    coincidences: tuple
-    one_class: bool
-    h_generated: bool
 
     def claim(self):
         detail = f"{self.verdict}: {self.reason}"
@@ -462,18 +403,7 @@ def simplicity_check(a):
         basics.append("the scalar product is identically zero")
     if h.act_space(h.full_A, full).is_zero:
         basics.append("the scalar action is identically zero")
-    j = a.jrep.J
-    ker_rho = annihilator(h, Subspace.zero(n))
-    allowed = {Subspace.zero(n): "0", j: "J", full: "L", ker_rho: "ker_rho"}
-    coincidences = []
-    if j.is_zero:
-        coincidences.append("J=0")
-    if j == full:
-        coincidences.append("J=L")
-    if ker_rho == full:
-        coincidences.append("ker_rho=L")
-    if ker_rho.is_zero:
-        coincidences.append("ker_rho=0")
+    allowed = {Subspace.zero(n), a.jrep.J, full, annihilator(h, Subspace.zero(n))}
     enum = a.enum
     violating = next((cand for cand in enum.ideals if cand not in allowed), None)
     if basics:
@@ -484,16 +414,7 @@ def simplicity_check(a):
         verdict, reason = "simple", f"complete enumeration found {len(enum.ideals)} ideals, all allowed"
     else:
         verdict, reason = "inconclusive", f"incomplete search ({enum.note}); no violating ideal found"
-    return SimplicityReport(
-        verdict=verdict,
-        reason=reason,
-        enumerated=enum,
-        violating=violating,
-        allowed=tuple(sorted(set(allowed.values()))),
-        coincidences=tuple(coincidences),
-        one_class=len(a.root_part.classes) <= 1,
-        h_generated=a.root_inner == a.rd.H,
-    )
+    return SimplicityReport(verdict=verdict, reason=reason, enumerated=enum, violating=violating)
 
 
 def a_simplicity_probe(h, wd):

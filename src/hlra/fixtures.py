@@ -37,12 +37,26 @@ def _identity(n):
     return _diag(*([1] * n))
 
 
-# one-dimensional unital scalar algebra acting as the identity
-_UNIT_MUL = _tensor(1, 1, 1, {(0, 0, 0): 1})
-
-
-def _identity_action(dim_l):
-    return _tensor(1, dim_l, dim_l, {(0, j, j): 1 for j in range(dim_l)})
+def _over_line(labels, bracket, declared_H):
+    """An algebra on the named basis of L with the given bracket entries
+    over the rational line: its unit acts as the identity, the anchor is
+    zero and both twists are identities."""
+    n = len(labels)
+    return HLRAlgebra(
+        dimL=n,
+        dimA=1,
+        bracket=_tensor(n, n, n, bracket),
+        mul=_tensor(1, 1, 1, {(0, 0, 0): 1}),
+        action=_tensor(1, n, n, {(0, j, j): 1 for j in range(n)}),
+        anchor=_tensor(n, 1, 1),
+        psi=_identity(n),
+        phi=_identity(1),
+        L_labels=labels,
+        A_labels=("one",),
+        regular=True,
+        unital=True,
+        declared_H=declared_H,
+    )
 
 
 # -- bundled instances -------------------------------------------------------
@@ -51,40 +65,12 @@ def _identity_action(dim_l):
 def fix_a():
     """Two-dimensional abelian bracket over the rational line; everything
     that can be trivial is trivial."""
-    return HLRAlgebra(
-        dimL=2,
-        dimA=1,
-        bracket=_tensor(2, 2, 2),
-        mul=_UNIT_MUL,
-        action=_identity_action(2),
-        anchor=_tensor(2, 1, 1),
-        psi=_identity(2),
-        phi=_identity(1),
-        L_labels=("x0", "x1"),
-        A_labels=("one",),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0), (0, 1)),
-    )
+    return _over_line(("x0", "x1"), {}, ((1, 0), (0, 1)))
 
 
 def _b_like(lam):
     lam = Fraction(lam)
-    return HLRAlgebra(
-        dimL=2,
-        dimA=1,
-        bracket=_tensor(2, 2, 2, {(0, 1, 1): lam, (1, 0, 1): -lam}),
-        mul=_UNIT_MUL,
-        action=_identity_action(2),
-        anchor=_tensor(2, 1, 1),
-        psi=_identity(2),
-        phi=_identity(1),
-        L_labels=("h", "e"),
-        A_labels=("one",),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0),),
-    )
+    return _over_line(("h", "e"), {(0, 1, 1): lam, (1, 0, 1): -lam}, ((1, 0),))
 
 
 def fix_b():
@@ -94,20 +80,7 @@ def fix_b():
 
 def fix_c():
     """Square-to-center example [x,x] = y; non-skew, no chosen subalgebra."""
-    return HLRAlgebra(
-        dimL=2,
-        dimA=1,
-        bracket=_tensor(2, 2, 2, {(0, 0, 1): 1}),
-        mul=_UNIT_MUL,
-        action=_identity_action(2),
-        anchor=_tensor(2, 1, 1),
-        psi=_identity(2),
-        phi=_identity(1),
-        L_labels=("x", "y"),
-        A_labels=("one",),
-        regular=True,
-        unital=True,
-    )
+    return _over_line(("x", "y"), {(0, 0, 1): 1}, None)
 
 
 def fix_d():
@@ -155,61 +128,23 @@ def fix_e():
 def fix_c_split():
     """fix_c with a grading element adjoined: [h,x] = x, [x,x] = y,
     [h,y] = 2y.  Splits, and separates the two annihilation directions."""
-    bracket = _tensor(
-        3,
-        3,
-        3,
-        {(0, 1, 1): 1, (1, 0, 1): -1, (1, 1, 2): 1, (0, 2, 2): 2},
-    )
-    return HLRAlgebra(
-        dimL=3,
-        dimA=1,
-        bracket=bracket,
-        mul=_UNIT_MUL,
-        action=_identity_action(3),
-        anchor=_tensor(3, 1, 1),
-        psi=_identity(3),
-        phi=_identity(1),
-        L_labels=("h", "x", "y"),
-        A_labels=("one",),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0, 0),),
-    )
+    bracket = {(0, 1, 1): 1, (1, 0, 1): -1, (1, 1, 2): 1, (0, 2, 2): 2}
+    return _over_line(("h", "x", "y"), bracket, ((1, 0, 0),))
 
 
 def _s_like(lam):
     lam = Fraction(lam)
-    bracket = _tensor(
-        5,
-        5,
-        5,
-        {
-            (0, 1, 1): lam,
-            (1, 0, 1): -lam,
-            (0, 2, 2): -lam,
-            (2, 0, 2): lam,
-            (0, 3, 3): 2 * lam,
-            (0, 4, 4): -2 * lam,
-            (1, 1, 3): 1,
-            (2, 2, 4): 1,
-        },
-    )
-    return HLRAlgebra(
-        dimL=5,
-        dimA=1,
-        bracket=bracket,
-        mul=_UNIT_MUL,
-        action=_identity_action(5),
-        anchor=_tensor(5, 1, 1),
-        psi=_identity(5),
-        phi=_identity(1),
-        L_labels=("h", "e", "f", "u", "v"),
-        A_labels=("one",),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0, 0, 0, 0),),
-    )
+    bracket = {
+        (0, 1, 1): lam,
+        (1, 0, 1): -lam,
+        (0, 2, 2): -lam,
+        (2, 0, 2): lam,
+        (0, 3, 3): 2 * lam,
+        (0, 4, 4): -2 * lam,
+        (1, 1, 3): 1,
+        (2, 2, 4): 1,
+    }
+    return _over_line(("h", "e", "f", "u", "v"), bracket, ((1, 0, 0, 0, 0),))
 
 
 def fix_s():

@@ -14,7 +14,7 @@ of basis vectors.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import product
 
 from .linalg import (
@@ -246,7 +246,9 @@ def _identities(h):
     in report order.  Each kind is "L" or "A"; lhs and rhs take one basis
     vector per kind."""
     br, mul, act, anc = h.bracket_vec, h.mul_vec, h.act_vec, h.anchor_vec
-    psi, phi = h.psi_vec, h.phi_vec
+    # the rows twist the same few vectors again and again; remember them
+    # for the rows of this one table
+    psi, phi = cache(h.psi_vec), cache(h.phi_vec)
     return (
         # over all ordered pairs: the first violating one in index order has
         # i < j, so the detail is the same as over i < j alone

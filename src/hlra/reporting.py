@@ -75,13 +75,6 @@ def space_text(s):
     return f"dim {s.dim}, basis " + ", ".join(format_vector(row) for row in s.basis)
 
 
-def functional(f):
-    return format_root(f)
-
-
-class_text = format_class
-
-
 def partition_json(part):
     return {
         "items": [format_root(f) for f in part.items],
@@ -100,7 +93,7 @@ def partition_lines(name, part, out):
     if not part.classes:
         out.append(f"{name} classes: none")
     for cls in part.classes:
-        out.append(f"{name} class {class_text(cls)}")
+        out.append(f"{name} class {format_class(cls)}")
     for (a, b), w in sorted(part.witnesses.items()):
         out.append(f"  {format_root(a)} ~ {format_root(b)}: {w.describe()}")
     out.append(f"{name} raw relation symmetric: {_yn(part.raw_symmetric)}")

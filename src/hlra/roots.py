@@ -84,7 +84,6 @@ class WeightDecomposition:
     weights: dict  # nonzero functional tuple -> Subspace
     remainder: Subspace
     split: bool
-    phi_stable: bool
     diagnosis: str = ""
 
     @property
@@ -203,16 +202,15 @@ def weight_decomposition(h, rd):
             a0 = sub
         else:
             weights[tup] = sub
-    phi_stable = True
-    diagnosis = ""
-    for tup in sorted(weights):
-        img = weights[tup].image(h.phi)
-        if not weights[tup].contains_space(img):
-            phi_stable = False
-            diagnosis = f"phi does not preserve the weight space at {format_root(tup)}"
-            break
-    if phi_stable and not a0.contains_space(a0.image(h.phi)):
-        phi_stable = False
+    diagnosis = next(
+        (
+            f"phi does not preserve the weight space at {format_root(tup)}"
+            for tup in sorted(weights)
+            if not weights[tup].contains_space(weights[tup].image(h.phi))
+        ),
+        "",
+    )
+    if not diagnosis and not a0.contains_space(a0.image(h.phi)):
         diagnosis = "phi does not preserve the zero weight space"
     split = remainder.is_zero
     if not split and not diagnosis:
@@ -225,7 +223,6 @@ def weight_decomposition(h, rd):
         weights=weights,
         remainder=remainder,
         split=split,
-        phi_stable=phi_stable,
         diagnosis=diagnosis,
     )
 

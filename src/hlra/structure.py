@@ -22,6 +22,7 @@ from .decomposition import (
     build_weight_ideal,
     enumerate_ideals,
     first_nonzero_pair,
+    refusal,
     root_inner_sum,
     simplicity_check,
     weight_inner_sum,
@@ -275,43 +276,38 @@ def _hypothesis_gaps(profile, need_weights_connected=False):
     return missing
 
 
+def _over_enumerated(a, claim_id, within, holds, bad, ok):
+    """Every enumerated ideal that lies within the tested range satisfies
+    holds.  FAIL formats bad with the dimension of the first that does not;
+    PASS formats ok with how many were tested, and says so when the search
+    was bounded."""
+    tested = [ideal for ideal in a.enum.ideals if within(ideal)]
+    for ideal in tested:
+        if not holds(ideal):
+            return ClaimResult(claim_id, FAIL, bad.format(ideal.dim))
+    scope = "" if a.enum.complete else " (bounded search)"
+    return ClaimResult(claim_id, PASS, ok.format(len(tested)) + scope)
+
+
 def verify_lemma_5_1(a):
-    rd, enum = a.rd, a.enum
-    bad = None
-    for ideal in enum.ideals:
-        if not rd.is_graded(ideal):
-            bad = f"an ideal of dim {ideal.dim} does not split into H and root parts"
-            break
-    scope = "" if enum.complete else " (bounded search)"
-    return ClaimResult(
-        "lem5.1",
-        FAIL if bad else PASS,
-        bad or f"{len(enum.ideals)} enumerated ideals split into their H and root parts{scope}",
+    return _over_enumerated(
+        a, "lem5.1", lambda ideal: True, a.rd.is_graded,
+        "an ideal of dim {} does not split into H and root parts",
+        "{} enumerated ideals split into their H and root parts",
     )
 
 
 def verify_lemma_5_2(a):
-    rd, enum = a.rd, a.enum
     if not a.Z.is_zero:
         return ClaimResult("lem5.2", REFUSED, f"hypothesis not met: the annihilator has dim {a.Z.dim}")
-    bad = None
-    inside = 0
-    for ideal in enum.ideals:
-        if rd.H.contains_space(ideal):
-            inside += 1
-            if not ideal.is_zero:
-                bad = f"a nonzero ideal of dim {ideal.dim} sits inside H"
-                break
-    scope = "" if enum.complete else " (bounded search)"
-    return ClaimResult(
-        "lem5.2",
-        FAIL if bad else PASS,
-        bad or f"{inside} enumerated ideals inside H, all zero{scope}",
+    return _over_enumerated(
+        a, "lem5.2", a.rd.H.contains_space, lambda ideal: ideal.is_zero,
+        "a nonzero ideal of dim {} sits inside H", "{} enumerated ideals inside H, all zero",
     )
 
 
 def verify_prop_5_5(a):
-    profile, enum = a.profile, a.enum
+    profile = a.profile
     missing = []
     if not profile.maximal_length:
         missing.append("maximal length fails")
@@ -325,29 +321,17 @@ def verify_prop_5_5(a):
     if not profile.notJ_all_connected:
         missing.append("the not-J roots are not all connected")
     if missing:
-        return ClaimResult("prop5.5", REFUSED, "hypotheses not met: " + "; ".join(missing))
+        return refusal("prop5.5", missing)
     hj = a.rd.H.add(a.js.J)
-    escaping = 0
-    bad = None
-    for ideal in enum.ideals:
-        if hj.contains_space(ideal):
-            continue
-        escaping += 1
-        if ideal != a.h.full_L:
-            bad = f"an ideal of dim {ideal.dim} escapes H+J without filling L"
-            break
-    scope = "" if enum.complete else " (bounded search)"
-    return ClaimResult(
-        "prop5.5",
-        FAIL if bad else PASS,
-        bad or f"{escaping} enumerated ideals escape H+J, each equals L{scope}",
+    return _over_enumerated(
+        a, "prop5.5", lambda ideal: not hj.contains_space(ideal), lambda ideal: ideal == a.h.full_L,
+        "an ideal of dim {} escapes H+J without filling L", "{} enumerated ideals escape H+J, each equals L",
     )
 
 
 @dataclass(frozen=True)
 class Thm512Run:
     seed_dim: int
-    gamma_JI: tuple
     branch: str  # degenerate | equal_J | complement
     ok: bool
     detail: str
@@ -356,41 +340,27 @@ class Thm512Run:
 
 def _thm512_branch(a, seed):
     h, rd, wd, js = a.h, a.rd, a.wd, a.js
-    gamma_ji = tuple(g for g in js.gamma_J if not seed.intersect(rd.space(g)).is_zero)
+
+    def run(branch, ok, detail, iprime=None):
+        return Thm512Run(seed_dim=seed.dim, branch=branch, ok=ok, detail=detail, I_prime=iprime)
+
     if seed.is_zero:
         ok, failed = is_ideal(h, js.J)
-        good = ok and js.J == seed.add(js.J)
-        return Thm512Run(
-            seed_dim=0,
-            gamma_JI=gamma_ji,
-            branch="degenerate",
-            ok=good,
-            detail="zero seed: the whole of J serves as the complement"
-            + ("" if ok else f" but J fails ideal rules: {', '.join(failed)}"),
-            I_prime=js.J,
-        )
+        detail = "zero seed: the whole of J serves as the complement"
+        return run("degenerate", ok, detail + ("" if ok else f" but J fails ideal rules: {', '.join(failed)}"), js.J)
+    gamma_ji = tuple(g for g in js.gamma_J if not seed.intersect(rd.space(g)).is_zero)
     ji_set = set(gamma_ji)
     if any(vec_neg(g) in ji_set for g in gamma_ji):
         good = seed == js.J
-        return Thm512Run(
-            seed_dim=seed.dim,
-            gamma_JI=gamma_ji,
-            branch="equal_J",
-            ok=good,
-            detail="a root and its negative both support the seed; expected I=J"
+        return run(
+            "equal_J",
+            good,
+            "a root and its negative both support the seed; expected I=J"
             + ("" if good else f"; got dim {seed.dim} versus dim {js.J.dim}"),
-            I_prime=None,
         )
     neg_ji = {vec_neg(g) for g in gamma_ji}
     if set(js.gamma_J) != ji_set | neg_ji or ji_set & neg_ji:
-        return Thm512Run(
-            seed_dim=seed.dim,
-            gamma_JI=gamma_ji,
-            branch="complement",
-            ok=False,
-            detail="the J-roots do not split disjointly into seed roots and their negatives",
-            I_prime=None,
-        )
+        return run("complement", False, "the J-roots do not split disjointly into seed roots and their negatives")
     n = h.dimL
     lam_set = set(wd.lam)
     iprime = Subspace.zero(n)
@@ -402,7 +372,6 @@ def _thm512_branch(a, seed):
     ok_ideal, failed = is_ideal(h, iprime)
     direct = seed.intersect(iprime).is_zero
     spans = seed.add(iprime) == js.J
-    good = ok_ideal and direct and spans
     bits = []
     if not ok_ideal:
         bits.append(f"complement fails ideal rules: {', '.join(failed)}")
@@ -410,13 +379,11 @@ def _thm512_branch(a, seed):
         bits.append("seed and complement overlap")
     if not spans:
         bits.append(f"seed and complement span dim {seed.add(iprime).dim} of {js.J.dim}")
-    return Thm512Run(
-        seed_dim=seed.dim,
-        gamma_JI=gamma_ji,
-        branch="complement",
-        ok=good,
-        detail="; ".join(bits) if bits else f"J = I + I' with dims {seed.dim}+{iprime.dim}={js.J.dim}",
-        I_prime=iprime,
+    return run(
+        "complement",
+        ok_ideal and direct and spans,
+        "; ".join(bits) if bits else f"J = I + I' with dims {seed.dim}+{iprime.dim}={js.J.dim}",
+        iprime,
     )
 
 
@@ -427,10 +394,7 @@ def verify_theorem_5_12(a, seed, assume_hypotheses=False):
         raise ValueError("the seed ideal is not contained in J")
     missing = _hypothesis_gaps(a.profile)
     if missing and not assume_hypotheses:
-        return (
-            ClaimResult("thm5.12", REFUSED, "hypotheses not met: " + "; ".join(missing)),
-            None,
-        )
+        return refusal("thm5.12", missing), None
     run = _thm512_branch(a, seed)
     prefix = "hypotheses assumed by caller: " if (missing and assume_hypotheses) else ""
     return (
@@ -487,7 +451,7 @@ def verify_cor_5_13(a, assume_hypotheses=False):
     missing = _hypothesis_gaps(a.profile, need_weights_connected=True)
     if missing and not assume_hypotheses:
         return Cor513Report(
-            claim=ClaimResult("cor5.13", REFUSED, "hypotheses not met: " + "; ".join(missing)),
+            claim=refusal("cor5.13", missing),
             components=(),
             weight_dims=(),
             assumed=False,
@@ -565,7 +529,6 @@ class PairingRow:
 class PairingReport:
     claim: ClaimResult
     rows: tuple
-    tight: bool
 
 
 def verify_pairing_5_9(a, criterion=None):
@@ -577,8 +540,7 @@ def verify_pairing_5_9(a, criterion=None):
     for ci in a.root_ideals:
         zero = sum(1 for cj in a.weight_ideals if a.h.act_space(cj.space, ci.space).is_zero)
         rows.append(PairingRow(root_class=ci.cls, zero_classes=zero, nonzero_classes=len(a.weight_ideals) - zero))
-    tight_ok = all(a.profile.tight)
-    tight_note = "tight" if tight_ok else "not tight"
+    tight_note = "tight" if all(a.profile.tight) else "not tight"
     if not rows:
         body = "vacuous: no root classes"
     elif not a.weight_ideals:
@@ -591,14 +553,12 @@ def verify_pairing_5_9(a, criterion=None):
         return PairingReport(
             claim=ClaimResult("prop5.9", INFO, f"({tight_note}) {body}"),
             rows=tuple(rows),
-            tight=tight_ok,
         )
     want_zero = criterion == "zero_unique"
     ok = all((r.zero_classes == 1 if want_zero else r.nonzero_classes == 1) for r in rows)
     return PairingReport(
         claim=ClaimResult("prop5.9", PASS if ok else FAIL, f"({tight_note}; {criterion}) {body}"),
         rows=tuple(rows),
-        tight=tight_ok,
     )
 
 
@@ -640,7 +600,7 @@ def run_structure(a):
     missing = _hypothesis_gaps(profile)
     runs = []
     if missing:
-        claims.append(ClaimResult("thm5.12", REFUSED, "hypotheses not met: " + "; ".join(missing)))
+        claims.append(refusal("thm5.12", missing))
     else:
         seeds = [ideal for ideal in a.enum.ideals if js.J.contains_space(ideal)]
         bad = None

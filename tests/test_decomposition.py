@@ -17,8 +17,8 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import ideal_rules, is_ideal, twist_by_endomorphism
-from hlra.roots import CartanError, RootDecomposition, root_decomposition, verify_lemma_closures, weight_decomposition
+from hlra.model import ideal_closure, ideal_rules, is_ideal, twist_by_endomorphism
+from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
 from hlra.structure import Analysis
 
 from conftest import SPLIT_NAMES
@@ -184,25 +184,45 @@ def test_violating_ideal_is_reported(reports):
 # -- fast enumeration against the subset-closing oracle ---------------------
 
 
-def assert_matches_oracle(h):
-    rd = root_decomposition(h)
-    assert enumerate_ideals(h, rd) == decomposition._enumerate_by_subsets(h, rd)
+def enumerate_by_subsets(h, rd):
+    """`enumerate_ideals` by closing every one of the 2^|Gamma| root
+    subsets, keeping those whose closure meets no root space outside."""
+    n = h.dimL
+    gamma = rd.gamma
+    closed = []
+    for mask in range(2 ** len(gamma)):
+        members = [i for i in range(len(gamma)) if mask >> i & 1]
+        f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
+        closure = ideal_closure(h, f_space).space
+        if all(i in members or closure.intersect(rd.space(g)).is_zero for i, g in enumerate(gamma)):
+            closed.append((members, closure))
+    return decomposition._ideals_from_closed_sets(h, rd, closed)
+
+
+def assert_matches_oracle(h, rd):
+    """The fast enumeration equals the oracle, and every single-root
+    closure is graded, which the fast path relies on."""
+    for g in rd.gamma:
+        assert rd.is_graded(ideal_closure(h, rd.space(g)).space), g
+    assert enumerate_ideals(h, rd) == enumerate_by_subsets(h, rd)
 
 
 def test_enumeration_matches_oracle_on_bundled(bundled):
     for name in SPLIT_NAMES:
-        assert_matches_oracle(bundled[name])
+        assert_matches_oracle(bundled[name], root_decomposition(bundled[name]))
 
 
 @pytest.mark.parametrize("a", (1, 2, 3))
 @pytest.mark.parametrize("b", (1, 2, 3))
 def test_enumeration_matches_oracle_on_s_products(a, b):
-    assert_matches_oracle(fixtures.product_sum([fixtures._s_like(a), fixtures._s_like(b)]))
+    h = fixtures.product_sum([fixtures._s_like(a), fixtures._s_like(b)])
+    assert_matches_oracle(h, root_decomposition(h))
 
 
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_enumeration_matches_oracle_on_shared_scalar_sums(k):
-    assert_matches_oracle(fixtures.shared_scalar_sum([fixtures.fix_b()] * k))
+    h = fixtures.shared_scalar_sum([fixtures.fix_b()] * k)
+    assert_matches_oracle(h, root_decomposition(h))
 
 
 @settings(deadline=None, max_examples=10)
@@ -216,22 +236,13 @@ def test_enumeration_matches_oracle_on_random_instances(seed, twisted):
     except CartanError:
         assume(False)
     assume(rd.split and len(rd.gamma) <= 8)
-    assert enumerate_ideals(h, rd) == decomposition._enumerate_by_subsets(h, rd)
+    assert_matches_oracle(h, rd)
 
 
-def test_fallback_when_a_closure_is_not_graded(bundled, monkeypatch):
-    h = bundled["fix_s"]
-    rd = root_decomposition(h)
-    expected = decomposition._enumerate_by_subsets(h, rd)
-    calls = []
-
-    def not_graded(rd, space):
-        calls.append(space)
-        return False
-
-    monkeypatch.setattr(RootDecomposition, "is_graded", not_graded)
-    assert enumerate_ideals(h, rd) == expected
-    assert calls
+def test_enumeration_rejects_a_non_split_decomposition(bundled):
+    h = bundled["fix_b"]
+    with pytest.raises(ValueError):
+        enumerate_ideals(h, root_decomposition(h, H=((0, 1),)))
 
 
 def test_gradedness_predicate(bundled):
