@@ -11,7 +11,7 @@ legitimate input.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -355,18 +355,6 @@ def charpoly(m):
     return tuple(coeffs)
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
-
-
 def _poly_eval(coeffs, x):
     acc = ZERO
     for c in reversed(coeffs):
@@ -374,8 +362,69 @@ def _poly_eval(coeffs, x):
     return acc
 
 
+def _eval_mod(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b over Q, coefficients low degree
+    first; the remainder has no trailing zeros."""
+    a = list(a)
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] -= c * bi
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _square_free_part(f):
+    """f divided by gcd(f, f'), made primitive in Z[x]."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    g = _poly_divmod(f, a)[0]
+    den = lcm(*(c.denominator for c in g))
+    ints = [c.numerator * (den // c.denominator) for c in g]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def rational_roots(coeffs):
-    """All rational roots of a nonzero polynomial, sorted ascending."""
+    """All rational roots of a nonzero polynomial, sorted ascending.
+
+    Method (Loos 1983, rational zeros by p-adic expansion):
+    1. strip the factor x^k and take the square-free part g of the rest, a
+       primitive polynomial in Z[x] (exact Euclid over Q on f and f');
+    2. take the smallest odd prime p not dividing lc(g) at which every root
+       of g mod p is simple, and find those roots by search over 0..p-1;
+    3. Hensel-lift each root r quadratically until the modulus M exceeds
+       2 |lc(g)| B, where B = 1 + max |g_i| bounds every complex root;
+    4. a root u/v in lowest terms has v | lc(g), so y = lc(g) u/v is an
+       integer with |y| <= |lc(g)| B and y = lc(g) r mod M.  Read in the
+       symmetric range, lc(g) r mod M gives the only candidate, and each
+       candidate is checked exactly: no root is missed, none is invented.
+
+    Cost, for degree d and coefficients of b bits: a prime fails step 2
+    only if it divides lc(g) disc(g), a nonzero integer of O(d (d + b))
+    bits, so at most that many primes fail and p = O~(d (d + b)); the
+    search takes O(p d) operations on numbers below p, and each lift
+    O(log(d + b)) evaluations on integers of O(d + b) bits.  The total is
+    polynomial in the bit size of the input; the divisor search it
+    replaces was exponential in it.
+    """
     coeffs = [frac(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -387,20 +436,26 @@ def rational_roots(coeffs):
         coeffs.pop(0)
     if len(coeffs) <= 1:
         return sorted(roots)
-    denx = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (denx // c.denominator) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    a0, an = ints[0], ints[-1]
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            cand = Fraction(p, q)
-            for val in (cand, -cand):
-                if _poly_eval(coeffs, val) == 0:
-                    roots.add(val)
+    g = _square_free_part(coeffs)
+    dg = [i * c for i, c in enumerate(g)][1:]
+    lc = g[-1]
+    p = 3
+    while True:
+        if lc % p and _is_prime(p):
+            residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]
+            if all(_eval_mod(dg, r, p) for r in residues):
+                break
+        p += 2
+    limit = 2 * abs(lc) * (1 + max(abs(c) for c in g))
+    for r in residues:
+        m = p
+        while m <= limit:
+            m *= m
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+        y = lc * r % m
+        cand = Fraction(y - m if 2 * y > m else y, lc)
+        if _poly_eval(coeffs, cand) == 0:
+            roots.add(cand)
     return sorted(roots)
 
 
@@ -423,14 +478,16 @@ def joint_eigenspaces(ops, space):
     n = space.ambient
     classes = [((), space)]
     for op in ops:
-        cands = eigenvalues(op)
+        eigenspaces = [
+            (lam, kernel(mat_sub(op, mat_scale(lam, identity_matrix(n))), ncols=n))
+            for lam in eigenvalues(op)
+        ]
         refined = []
         for tup, sub in classes:
             if sub.is_zero:
                 continue
-            for lam in cands:
-                shifted = mat_sub(op, mat_scale(lam, identity_matrix(n)))
-                k = sub.intersect(kernel(shifted, ncols=n))
+            for lam, eigenspace in eigenspaces:
+                k = sub.intersect(eigenspace)
                 if not k.is_zero:
                     refined.append((tup + (lam,), k))
         classes = refined

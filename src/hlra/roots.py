@@ -7,7 +7,8 @@ with the twist acts on those coordinate tuples through the transpose of
 the restricted twist matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .claims import FAIL, PASS, ClaimResult
 from .linalg import (
@@ -55,6 +56,16 @@ class RootDecomposition:
     remainder: Subspace
     split: bool
     diagnosis: str = ""
+    # (functional, z) -> the functional composed with psi^z; filled by
+    # compose_psi_power, which the connection walkers call many times on
+    # the same few functionals
+    psi_images: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def psi_columns(self):
+        """Columns of the twist on H and of its inverse, keyed by the sign
+        of the power: composing a functional with them is one mat_vec."""
+        return {1: mat_columns(self.psi_on_H), -1: mat_columns(self.psi_on_H_inv)}
 
     @property
     def gamma(self):
@@ -228,14 +239,23 @@ def weight_decomposition(h, rd):
 
 
 def compose_psi_power(f, z, rd):
-    """The functional f composed with the z-th power of the twist on H."""
+    """The functional f composed with the z-th power of the twist on H.
+
+    Each image is computed once per decomposition and kept in
+    rd.psi_images.
+    """
     f = tuple(f)
     if z == 0:
         return f
-    m = mat_columns(rd.psi_on_H) if z > 0 else mat_columns(rd.psi_on_H_inv)
-    for _ in range(abs(z)):
-        f = mat_vec(m, f)
-    return f
+    key = (f, z)
+    image = rd.psi_images.get(key)
+    if image is None:
+        m = rd.psi_columns[1 if z > 0 else -1]
+        image = f
+        for _ in range(abs(z)):
+            image = mat_vec(m, image)
+        rd.psi_images[key] = image
+    return image
 
 
 def psi_orbit(f, rd):

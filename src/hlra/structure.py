@@ -29,7 +29,7 @@ from .decomposition import (
 )
 from .linalg import Subspace, span, sum_and_overlap, vec_add, vec_neg
 from .model import ClosureError, annihilator, annihilator_Z, center_ZA, compute_J, is_ideal, sub_algebra
-from .roots import CartanError, compose_psi_power, format_class, format_root, root_decomposition, weight_decomposition
+from .roots import CartanError, compose_psi_power, format_class, format_root, root_decomposition
 
 
 class Analysis:
@@ -442,7 +442,9 @@ def _component_simplicity(h, rd, l_space, a_space):
         return f"decomposition failed ({exc.reason})"
     if not sub_rd.split:
         return "component not split"
-    return simplicity_check(Analysis(sub, sub_rd, weight_decomposition(sub, sub_rd))).verdict
+    # simplicity_check reads only jrep and enum, neither of which needs a
+    # weight decomposition
+    return simplicity_check(Analysis(sub, sub_rd, None)).verdict
 
 
 def verify_cor_5_13(a, assume_hypotheses=False):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hlra import cli, connections, decomposition, model
+from hlra import cli, connections, decomposition, model, roots, structure
 
 # (module, name) of each counted builder; root_partition counts only the
 # unrestricted partition, since the profile also takes the not-J one
@@ -69,3 +69,19 @@ def test_whole_spaces_are_built_once_per_algebra(monkeypatch, capsys, data_dir, 
     capsys.readouterr()
     keys = [(n, id(h)) for n, h in built]
     assert built and len(keys) == len(set(keys)), keys
+
+
+def test_cor_5_13_builds_no_weight_decomposition(monkeypatch, bundled):
+    # a component's simplicity verdict reads only J and the enumeration
+    h = bundled["fix_e2"]
+    rd = roots.root_decomposition(h)
+    a = structure.Analysis(h, rd, roots.weight_decomposition(h, rd))
+    calls = []
+    orig = roots.weight_decomposition
+    for mod in [m for n, m in sys.modules.items() if n == "hlra" or n.startswith("hlra.")]:
+        for attr, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, attr, lambda *args: calls.append(args) or orig(*args))
+    report = structure.verify_cor_5_13(a, assume_hypotheses=True)
+    assert [c.simple_verdict for c in report.components] == ["simple", "simple"]
+    assert calls == []

@@ -1,14 +1,18 @@
 """File round-trips, parse diagnostics, and the command-line surface."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlra import cli, fixtures
-from hlra.fileio import ParseError, dumps_algebra, loads_algebra
+from hlra.fileio import ParseError, dumps_algebra, loads_algebra, to_document
 
 
 def run(capsys, *argv):
@@ -249,6 +253,96 @@ def test_zero_algebra_passes_every_report_command(capsys, data_dir):
     for cmd in ("validate", "decompose", "analyze", "connect", "j"):
         code, _, _ = run(capsys, cmd, path(data_dir, "fix_zero"))
         assert code == 0, cmd
+
+
+def test_connect_finds_a_40_digit_root_quickly(tmp_path):
+    lam = 10**40 + 1
+    p = tmp_path / "b_big.json"
+    p.write_text(dumps_algebra(fixtures._b_like(lam)))
+    r = subprocess.run(
+        [sys.executable, "-m", "hlra", "connect", str(p)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert r.returncode == 0, r.stderr
+    assert f"roots (1): ({lam}) dim 1" in r.stdout
+
+
+# -- exit-code contract under fuzzed files ----------------------------------
+
+FUZZ_SOURCES = sorted(name for name, make in fixtures.BUNDLED.items() if make().dimL <= 8)
+WRONG_TYPES = (None, True, "x", 2.5, -1, [], {}, [[]], [["1"]], {"1": 1})
+BAD_SCALARS = ("", "abc", "1.5", "1e3", " 1", "1/0", "0x10", "--1", "1/2/3", None, 1.5, [], {})
+
+
+def _scalar_slots(doc):
+    """(container, index) of every scalar in the tensors, twists and H rows."""
+    slots = []
+    for key in ("bracket", "mul", "action", "anchor"):
+        if isinstance(doc.get(key), list):
+            slots += [(e, 3) for e in doc[key] if isinstance(e, list) and len(e) == 4]
+    for key in ("psi", "phi", "declared_H"):
+        if isinstance(doc.get(key), list):
+            slots += [(row, j) for row in doc[key] if isinstance(row, list) for j in range(len(row))]
+    return slots
+
+
+def _rows(doc):
+    rows = []
+    for key in ("psi", "phi", "declared_H", "bracket", "mul", "action", "anchor"):
+        if isinstance(doc.get(key), list):
+            rows += [row for row in doc[key] if isinstance(row, list)]
+    return rows
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(to_document(fixtures.BUNDLED[draw(st.sampled_from(FUZZ_SOURCES))]()))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "type", "scalar", "ragged", "huge")))
+        slots = _scalar_slots(doc)
+        rows = _rows(doc)
+        if kind == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif kind == "type" and doc:
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(WRONG_TYPES))
+        elif kind == "scalar" and slots:
+            row, j = draw(st.sampled_from(slots))
+            row[j] = draw(st.sampled_from(BAD_SCALARS) | st.text(max_size=4))
+        elif kind == "ragged" and rows:
+            row = draw(st.sampled_from(rows))
+            if row and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("1")
+        elif kind == "huge" and isinstance(doc.get("bracket"), list):
+            # a 40-digit bracket constant, with its mirror entry negated so a
+            # skew bracket stays skew: a 40-digit eigenvalue of ad h
+            entries = [e for e in doc["bracket"] if isinstance(e, list) and len(e) == 4]
+            if entries:
+                i, j, k, _ = draw(st.sampled_from(entries))
+                big = draw(st.integers(10**39, 10**40 - 1)) * draw(st.sampled_from((1, -1)))
+                for e in entries:
+                    if e[:3] == [i, j, k]:
+                        e[3] = str(big)
+                    elif e[:3] == [j, i, k]:
+                        e[3] = str(-big)
+    return doc
+
+
+@settings(deadline=None, max_examples=150)
+@given(mutated_documents(), st.sampled_from(("validate", "decompose", "analyze", "connect", "j")))
+def test_fuzzed_files_keep_the_exit_code_contract(tmp_path_factory, doc, command):
+    p = tmp_path_factory.mktemp("fuzz") / "case.json"
+    p.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(p)])
+    assert code in (0, 1, 2), code
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")
 
 
 # -- determinism ------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Exact linear algebra: canonical bases, kernels, eigen-splitting."""
 
+import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hlra import fixtures, linalg
 from hlra.linalg import (
     Subspace,
+    basis_vector,
     charpoly,
     complement,
     eigenvalues,
@@ -23,6 +27,7 @@ from hlra.linalg import (
     rref,
     stack_rows,
 )
+from hlra.model import twist_by_endomorphism
 
 F = Fraction
 
@@ -201,3 +206,175 @@ def test_subspace_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Subspace(2, ((1, 1),))
+
+
+def test_joint_eigenspaces_takes_each_eigenspace_once(monkeypatch):
+    # one kernel of op - lam I per (op, lam), shared by every class; each
+    # such kernel is the only mat_sub joint_eigenspaces makes
+    shifts = []
+    orig = linalg.mat_sub
+    monkeypatch.setattr(linalg, "mat_sub", lambda a, b: shifts.append(1) or orig(a, b))
+    d1 = tuple(tuple(F(c) if i == j else F(0) for j in range(4)) for i, c in enumerate((1, 1, 2, 2)))
+    d2 = tuple(tuple(F(c) if i == j else F(0) for j in range(4)) for i, c in enumerate((1, 2, 1, 2)))
+    classes, rem = joint_eigenspaces([d1, d2], Subspace.full(4))
+    assert [tup for tup, _ in classes] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert rem.is_zero
+    assert len(shifts) == 4
+
+
+# -- rational roots against the divisor method ---------------------------------
+
+
+def _divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return out
+
+
+def divisor_rational_roots(coeffs):
+    """Oracle: try every p/q with p | a0 and q | a_n on the primitive integer
+    polynomial.  Exponential in the bit size of the coefficients, so only
+    for small ones."""
+    coeffs = [F(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    roots = set()
+    while coeffs and coeffs[0] == 0:
+        roots.add(F(0))
+        coeffs.pop(0)
+    if len(coeffs) <= 1:
+        return sorted(roots)
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for cand in (F(p, q), F(-p, q)):
+                if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_from_factors(factors, scale=1):
+    """scale times the product of the factors, coefficients low degree first."""
+    out = [F(scale)]
+    for fac in factors:
+        out = poly_mul(out, [F(c) for c in fac])
+    return tuple(out)
+
+
+def _no_rational_root(abc):
+    a, b, c = abc
+    disc = b * b - 4 * a * c
+    return disc < 0 or round(disc**0.5) ** 2 != disc
+
+
+# a x^2 + b x + c with no rational root, as (c, b, a)
+irreducible_quadratics = (
+    st.tuples(st.integers(1, 3), st.integers(-5, 5), st.integers(-9, 9))
+    .filter(_no_rational_root)
+    .map(lambda abc: (abc[2], abc[1], abc[0]))
+)
+
+
+@st.composite
+def split_polynomials(draw):
+    """(coefficients, rational roots): linear factors q x - p with small p
+    and q, some repeated, times irreducible quadratics and a power of x,
+    scaled by a fraction."""
+    roots = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=4))
+    factors = []
+    for p, q in roots:
+        factors += [(-p, q)] * draw(st.integers(1, 2))
+    if roots and draw(st.booleans()):
+        p, q = roots[0]
+        factors += [(-p, q)] * 2  # multiplicity up to 4
+    factors += draw(st.lists(irreducible_quadratics, max_size=2))
+    zeros = draw(st.integers(0, 2))
+    factors += [(0, 1)] * zeros
+    scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    expected = {F(p, q) for p, q in roots} | ({F(0)} if zeros else set())
+    return poly_from_factors(factors, scale), sorted(expected)
+
+
+@settings(deadline=None, max_examples=150)
+@given(split_polynomials())
+def test_rational_roots_match_the_divisor_method(case):
+    coeffs, expected = case
+    assert rational_roots(coeffs) == divisor_rational_roots(coeffs) == expected
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10**6), st.booleans())
+def test_eigenvalues_match_the_divisor_method_on_random_instances(seed, twisted):
+    h, g, f = fixtures.random_instance(seed)
+    if twisted:
+        h = twist_by_endomorphism(h, g, f)
+    ops = [h.psi, h.phi]
+    ops += [h.ad_left(basis_vector(h.dimL, i)) for i in range(h.dimL)]
+    ops += [h.anchor_matrix(basis_vector(h.dimL, i)) for i in range(h.dimL)]
+    for op in ops:
+        if op:
+            assert eigenvalues(op) == divisor_rational_roots(charpoly(op))
+
+
+# -- rational roots on inputs the divisor method cannot finish -----------------
+
+P30 = 10**30 + 57  # prime
+P12 = 10**12 + 39  # prime
+
+
+def triangular(diag):
+    """Upper triangular matrix with the given diagonal and ones above it."""
+    n = len(diag)
+    return tuple(
+        tuple(F(diag[i]) if i == j else F(1 if j > i else 0) for j in range(n)) for i in range(n)
+    )
+
+
+def within_a_second(fn, arg):
+    start = time.perf_counter()
+    out = fn(arg)
+    assert time.perf_counter() - start < 1.0
+    return out
+
+
+def test_prime_eigenvalue_near_1e30():
+    assert within_a_second(eigenvalues, triangular((P30, -P30, 1))) == [-P30, 1, P30]
+
+
+def test_twelve_distinct_large_eigenvalues():
+    diag = [(-1) ** k * k * P12 for k in range(1, 13)]
+    assert within_a_second(eigenvalues, triangular(diag)) == sorted(diag)
+
+
+def test_denominators_near_1e12():
+    coeffs = poly_from_factors([(-1, P12), (7, P12 - 40), (-(10**9 + 7), P12 + 2)], F(3, 5))
+    assert within_a_second(rational_roots, coeffs) == sorted(
+        [F(1, P12), F(-7, P12 - 40), F(10**9 + 7, P12 + 2)]
+    )
+
+
+def test_root_of_multiplicity_four():
+    coeffs = poly_from_factors([(-5, 3)] * 4 + [(P30, 1), (0, 1)])
+    assert within_a_second(rational_roots, coeffs) == [-P30, F(0), F(5, 3)]
+
+
+def test_sqrt_two_times_a_linear_factor():
+    coeffs = poly_from_factors([(-2, 0, 1), (-(10**20), 7)])
+    assert within_a_second(rational_roots, coeffs) == [F(10**20, 7)]

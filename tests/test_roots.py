@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hlra import fixtures
-from hlra.linalg import Subspace
+from hlra.linalg import Subspace, mat_columns, mat_vec
 from hlra.model import InputError, twist_by_endomorphism
 from hlra.roots import (
     CartanError,
@@ -176,6 +176,34 @@ def test_psi_orbit_identity_twist(bundled):
     assert compose_psi_power(one(2), -3, rd) == one(2)
     with pytest.raises(OrbitError):
         psi_orbit(one(7), rd)
+
+
+def uncached_psi_power(f, z, rd):
+    """Oracle: z-fold mat_vec with freshly built columns of the twist."""
+    m = mat_columns(rd.psi_on_H) if z > 0 else mat_columns(rd.psi_on_H_inv)
+    f = tuple(f)
+    for _ in range(abs(z)):
+        f = mat_vec(m, f)
+    return f
+
+
+def test_cached_psi_powers_match_the_mat_vec_loop(bundled):
+    cases = [(name, bundled[name]) for name in TABLE]
+    for seed in range(12):
+        h, g, f = fixtures.random_instance(seed)
+        cases += [(seed, h), (seed, twist_by_endomorphism(h, g, f))]
+    for name, h in cases:
+        rd = root_decomposition(h)
+        dim = rd.H.dim
+        sums = [tuple(a + b for a, b in zip(x, y)) for x in rd.gamma for y in rd.gamma]
+        extra = [tuple(F(k + 1, j + 2) for j in range(dim)) for k in range(2)]
+        for fun in rd.gamma + sums + extra:
+            for z in range(-4, 5):
+                want = uncached_psi_power(fun, z, rd)
+                # the second call reads the memo
+                assert compose_psi_power(fun, z, rd) == want, (name, fun, z)
+                assert compose_psi_power(list(fun), z, rd) == want, (name, fun, z)
+        assert len(rd.psi_images) <= 8 * len(rd.gamma + sums + extra)
 
 
 # -- closure lemmas ---------------------------------------------------------
