@@ -124,7 +124,7 @@ def _open_split(args):
             lines.append(reporting.check_line(c))
         doc["validation_failures"] = [reporting.check_json(c) for c in rep.failures()]
         return _finish(args, doc, lines, failed=True)
-    H = _matrix_arg(args.cartan, "--cartan") if args.cartan else None
+    H = _matrix_arg(args.cartan, "--cartan") if args.cartan is not None else None
     rd = root_decomposition(h, H)
     wd = weight_decomposition(h, rd)
     doc["cartan"] = reporting.space_json(rd.H)
@@ -223,7 +223,7 @@ def cmd_decompose(args):
         "note": sim.enumerated.note,
     }
     _append_claims(dec.claims, doc, lines)
-    return _finish(args, doc, lines, failed=reporting.any_claim_failed(dec.claims))
+    return _finish(args, doc, lines, failed=any(c.failed for c in dec.claims))
 
 
 def cmd_analyze(args):

@@ -7,10 +7,8 @@ reach a signed twist power of the target.  Weight connectivity is the same
 idea with plain sums and no twist adjustment.
 
 The public functions compute witnesses with a breadth-first walk over the
-signed root set.  brute_force_* re-derive connectivity by enumerating
-families and recomputing every displayed partial sum from its exponent
-pattern, with no shared recurrence; they exist so the walker can be checked
-against an independent reading of the definition.
+signed root set.  validate_*_chain replay a printed chain witness clause by
+clause, recomputing every displayed partial sum from its exponent pattern.
 """
 
 from dataclasses import dataclass
@@ -211,81 +209,6 @@ def validate_weight_chain(alpha, beta, elements, rd, wd):
     return True, ""
 
 
-# -- independent brute-force oracles ----------------------------------------
-
-
-def brute_force_root_connected(gamma, xi, rd, wd, max_len, restrict=None):
-    """Depth-first enumeration of families straight off the definition."""
-    gamma, xi = tuple(gamma), tuple(xi)
-    bound = len(rd.gamma) + 2
-    span = []
-    for k in range(-bound, bound + 1):
-        span.append(tuple(compose_psi_power(gamma, k, rd)))
-    neg_xi = vec_neg(xi)
-    for cand in span:
-        if cand == xi or cand == neg_xi:
-            return True
-
-    allowed_roots = set(map(tuple, restrict)) if restrict is not None else set(rd.gamma)
-    family = sorted(_pm(wd.lam) | _pm(allowed_roots))
-    family_set = set(family)
-    sigma_allowed = _pm(allowed_roots)
-    targets = set()
-    for k in range(-bound, bound + 1):
-        t = tuple(compose_psi_power(xi, k, rd))
-        targets.add(t)
-        targets.add(vec_neg(t))
-    starts = []
-    for cand in span:
-        if cand in family_set and cand not in starts:
-            starts.append(cand)
-
-    def extend(seq):
-        p = len(seq)
-        if p >= 2:
-            s = _displayed_root_sum(seq, p, rd)
-            if s in targets:
-                return True
-            if s not in sigma_allowed:
-                return False
-        if p >= max_len:
-            return False
-        for zeta in family:
-            if extend(seq + [zeta]):
-                return True
-        return False
-
-    return any(extend([s0]) for s0 in starts)
-
-
-def brute_force_weight_connected(alpha, beta, rd, wd, max_len):
-    alpha, beta = tuple(alpha), tuple(beta)
-    if beta in (alpha, vec_neg(alpha)):
-        return True
-    vocab = sorted(_pm(wd.lam) | _pm(rd.gamma))
-    vocab_set = set(vocab)
-    targets = {beta, vec_neg(beta)}
-
-    def extend(seq):
-        p = len(seq)
-        if p >= 2:
-            total = seq[0]
-            for i in range(1, p):
-                total = vec_add(total, seq[i])
-            if total in targets:
-                return True
-            if total not in vocab_set:
-                return False
-        if p >= max_len:
-            return False
-        for zeta in vocab:
-            if extend(seq + [zeta]):
-                return True
-        return False
-
-    return extend([alpha])
-
-
 # -- partitions --------------------------------------------------------------
 
 
@@ -296,17 +219,6 @@ class ConnectionPartition:
     witnesses: dict  # ordered pair -> ConnectionWitness, direct checks only
     raw_symmetric: bool
     reflexive_ok: bool
-
-    def class_of(self, f):
-        f = tuple(f)
-        for c in self.classes:
-            if f in c:
-                return c
-        return None
-
-    def same_class(self, f, g):
-        c = self.class_of(f)
-        return c is not None and tuple(g) in c
 
 
 def _partition(items, connected):

@@ -147,14 +147,17 @@ def from_document(doc, text=None):
         "action": (na, nl, nl),
         "anchor": (nl, na, na),
     }
+    # the twists are dense, so checking them first costs no more than the
+    # file's own size and rejects a huge declared dimension before the sparse
+    # tensors are expanded into dense grids of that size
+    psi = _matrix(doc, "psi", nl, text)
+    phi = _matrix(doc, "phi", na, text)
     tensors = {}
     for name in _TENSOR_FIELDS:
         if name not in doc:
             raise ParseError(f"missing field {name}")
         d0, d1, d2 = dims[name]
         tensors[name] = _tensor_from_sparse(doc[name], d0, d1, d2, name, text)
-    psi = _matrix(doc, "psi", nl, text)
-    phi = _matrix(doc, "phi", na, text)
     flags = doc.get("flags", {})
     if not isinstance(flags, dict) or set(flags) - {"regular", "unital"}:
         raise ParseError('flags must be an object with keys "regular" and "unital"')

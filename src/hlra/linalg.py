@@ -197,14 +197,7 @@ class Subspace:
         Each basis row is 1 at its own pivot and 0 at the other pivots, so
         the coordinates are just the pivot entries of v.
         """
-        c = tuple(v[p] for p in self.pivots)
-        residual = v
-        for coef, row in zip(c, self.basis):
-            if coef:
-                residual = vec_sub(residual, vec_scale(coef, row))
-        if not is_zero_vector(residual):
-            return None
-        return c
+        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
     def add(self, other):
         if self.ambient != other.ambient:
@@ -270,10 +263,6 @@ def kernel(m, ncols=None):
             v[p] = -red[i][f]
         basis.append(tuple(v))
     return Subspace(n, basis)
-
-
-def rank(m):
-    return len(rref(m)[0])
 
 
 def solve(m, rhs):

@@ -16,6 +16,7 @@ of basis vectors.
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from itertools import product
+from types import SimpleNamespace
 
 from .linalg import (
     ONE,
@@ -49,31 +50,17 @@ class InputError(ValueError):
     """Malformed input data: wrong shapes, bad indices, bad flags."""
 
 
+def _freeze_rect(m, nrows, ncols, name):
+    m = tuple(tuple(frac(x) for x in r) for r in m)
+    if len(m) != nrows or any(len(r) != ncols for r in m):
+        raise InputError(f"{name}: expected a {nrows}x{ncols} matrix")
+    return m
+
+
 def _freeze_tensor(t, d0, d1, d2, name):
     if len(t) != d0:
         raise InputError(f"{name}: expected {d0} slices, got {len(t)}")
-    out = []
-    for i, plane in enumerate(t):
-        if len(plane) != d1:
-            raise InputError(f"{name}[{i}]: expected {d1} rows, got {len(plane)}")
-        rows = []
-        for j, row in enumerate(plane):
-            if len(row) != d2:
-                raise InputError(f"{name}[{i}][{j}]: expected {d2} entries, got {len(row)}")
-            rows.append(tuple(frac(x) for x in row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def _freeze_matrix(m, n, name):
-    if len(m) != n:
-        raise InputError(f"{name}: expected {n} rows, got {len(m)}")
-    out = []
-    for i, row in enumerate(m):
-        if len(row) != n:
-            raise InputError(f"{name}[{i}]: expected {n} entries, got {len(row)}")
-        out.append(tuple(frac(x) for x in row))
-    return tuple(out)
+    return tuple(_freeze_rect(plane, d1, d2, f"{name}[{i}]") for i, plane in enumerate(t))
 
 
 @dataclass(frozen=True)
@@ -107,8 +94,8 @@ class HLRAlgebra:
         object.__setattr__(
             self, "anchor", _freeze_tensor(self.anchor, self.dimL, self.dimA, self.dimA, "anchor")
         )
-        object.__setattr__(self, "psi", _freeze_matrix(self.psi, self.dimL, "psi"))
-        object.__setattr__(self, "phi", _freeze_matrix(self.phi, self.dimA, "phi"))
+        object.__setattr__(self, "psi", _freeze_rect(self.psi, self.dimL, self.dimL, "psi"))
+        object.__setattr__(self, "phi", _freeze_rect(self.phi, self.dimA, self.dimA, "phi"))
         labels_l = tuple(self.L_labels) or tuple(f"x{i}" for i in range(self.dimL))
         labels_a = tuple(self.A_labels) or tuple(f"a{i}" for i in range(self.dimA))
         if len(labels_l) != self.dimL:
@@ -387,13 +374,6 @@ def check_morphism(g, f, src, dst):
     return [CheckResult(key, "fail" if bad else "pass", bad or "") for key, bad in _violations(src, rows)]
 
 
-def _freeze_rect(m, nrows, ncols, name):
-    m = tuple(tuple(frac(x) for x in r) for r in m)
-    if len(m) != nrows or any(len(r) != ncols for r in m):
-        raise InputError(f"{name}: expected a {nrows}x{ncols} matrix")
-    return m
-
-
 class TwistError(ValueError):
     """The requested twist is not by an endomorphism pair."""
 
@@ -433,114 +413,6 @@ def twist_by_endomorphism(h, g, f):
         phi=g,
         regular=regular,
     )
-
-
-# -- fiber product -----------------------------------------------------------
-
-
-class FiberClosureError(ValueError):
-    """The anchor-equalizer subspace is not closed under the structure maps."""
-
-    def __init__(self, kind, witness, space, message):
-        super().__init__(message)
-        self.kind = kind
-        self.witness = witness
-        self.space = space
-
-
-@dataclass(frozen=True)
-class FiberResult:
-    algebra: HLRAlgebra
-    space: Subspace  # the equalizer inside L1 x L2
-
-
-def fiber_product(h1, h2):
-    """Pair the two bracket algebras over their shared scalar algebra.
-
-    The carrier is the subspace of pairs with equal anchor images.  Raises
-    InputError when the scalar data differ, FiberClosureError when the
-    bracket, action or twist fails to land back in the carrier.
-    """
-    if (h1.dimA, h1.mul, h1.phi) != (h2.dimA, h2.mul, h2.phi):
-        raise InputError("fiber product needs an identical scalar algebra on both sides")
-    n1, n2, na = h1.dimL, h2.dimL, h1.dimA
-    n = n1 + n2
-    rows = []
-    for j in range(na):
-        for k in range(na):
-            rows.append(
-                tuple(h1.anchor[i][j][k] for i in range(n1))
-                + tuple(-h2.anchor[i][j][k] for i in range(n2))
-            )
-    w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
-
-    def split(v):
-        return v[:n1], v[n1:]
-
-    def joint_bracket(u, v):
-        ua, ub = split(u)
-        va, vb = split(v)
-        return h1.bracket_vec(ua, va) + h2.bracket_vec(ub, vb)
-
-    def joint_act(a, v):
-        va, vb = split(v)
-        return h1.act_vec(a, va) + h2.act_vec(a, vb)
-
-    def joint_psi(v):
-        va, vb = split(v)
-        return h1.psi_vec(va) + h2.psi_vec(vb)
-
-    basis = w.basis
-    d = len(basis)
-
-    def coords_or_raise(kind, witness, vec):
-        c = w.coords(vec)
-        if c is None:
-            raise FiberClosureError(
-                kind,
-                witness,
-                w,
-                f"fiber carrier not closed under {kind} at {witness}: image {format_vector(vec)}",
-            )
-        return c
-
-    new_bracket = tuple(
-        tuple(coords_or_raise("bracket", (p, q), joint_bracket(basis[p], basis[q])) for q in range(d))
-        for p in range(d)
-    )
-    eA = [basis_vector(na, i) for i in range(na)]
-    new_action = tuple(
-        tuple(coords_or_raise("action", (i, q), joint_act(eA[i], basis[q])) for q in range(d))
-        for i in range(na)
-    )
-    new_psi_cols = [coords_or_raise("psi", (q,), joint_psi(basis[q])) for q in range(d)]
-    new_anchor = tuple(
-        tuple(h1.anchor_vec(split(basis[p])[0], eA[j]) for j in range(na)) for p in range(d)
-    )
-    # internal consistency: both legs agree on the carrier by construction
-    for p in range(d):
-        for j in range(na):
-            left = h1.anchor_vec(split(basis[p])[0], eA[j])
-            right = h2.anchor_vec(split(basis[p])[1], eA[j])
-            if left != right:
-                raise AssertionError("equalizer violated its defining property")
-    algebra = HLRAlgebra(
-        dimL=d,
-        dimA=na,
-        bracket=new_bracket,
-        mul=h1.mul,
-        action=new_action,
-        anchor=new_anchor,
-        psi=mat_from_columns(new_psi_cols, nrows=d),
-        phi=h1.phi,
-        L_labels=tuple(f"w{p}" for p in range(d)),
-        A_labels=h1.A_labels,
-        regular=False,
-        unital=h1.unital,
-    )
-    if mat_inverse(algebra.psi) is not None and mat_inverse(algebra.phi) is not None:
-        algebra = replace(algebra, regular=True)
-    return FiberResult(algebra=algebra, space=w)
 
 
 # -- ideals and annihilators -------------------------------------------------
@@ -698,45 +570,50 @@ def center_ZA(h):
 
 
 class ClosureError(ValueError):
-    """A restriction to chosen subspaces does not close structurally."""
+    """A restriction to chosen subspaces does not close structurally.  kind
+    names the map, witness the indices of the basis vectors it was applied
+    to, and image is the value that left the chosen subspaces."""
+
+    def __init__(self, message, kind, witness, image):
+        super().__init__(message)
+        self.kind = kind
+        self.witness = witness
+        self.image = image
 
 
 def sub_algebra(h, l_sub, a_sub, l_labels=None, a_labels=None):
     """Restrict the structure to chosen L and A subspaces.
 
-    Every structure map must land back inside the chosen spaces; otherwise a
-    ClosureError names the offending map.
+    Reads only the six maps bracket_vec, mul_vec, act_vec, anchor_vec,
+    psi_vec and phi_vec of h.  Every structure map must land back inside the
+    chosen spaces; otherwise a ClosureError names the offending map.
     """
     lb = l_sub.basis
     ab = a_sub.basis
     dl, da = len(lb), len(ab)
 
-    def lcoords(v, what):
-        c = l_sub.coords(v)
+    def coords(space, side, kind, witness, v):
+        c = space.coords(v)
         if c is None:
-            raise ClosureError(f"{what} leaves the chosen L subspace: {format_vector(v)}")
+            raise ClosureError(f"{kind} leaves the chosen {side} subspace: {format_vector(v)}", kind, witness, v)
         return c
 
-    def acoords(v, what):
-        c = a_sub.coords(v)
-        if c is None:
-            raise ClosureError(f"{what} leaves the chosen A subspace: {format_vector(v)}")
-        return c
-
+    lcoords = partial(coords, l_sub, "L")
+    acoords = partial(coords, a_sub, "A")
     bracket = tuple(
-        tuple(lcoords(h.bracket_vec(lb[i], lb[j]), "bracket") for j in range(dl)) for i in range(dl)
+        tuple(lcoords("bracket", (i, j), h.bracket_vec(lb[i], lb[j])) for j in range(dl)) for i in range(dl)
     )
     mul = tuple(
-        tuple(acoords(h.mul_vec(ab[i], ab[j]), "mul") for j in range(da)) for i in range(da)
+        tuple(acoords("mul", (i, j), h.mul_vec(ab[i], ab[j])) for j in range(da)) for i in range(da)
     )
     action = tuple(
-        tuple(lcoords(h.act_vec(ab[i], lb[j]), "action") for j in range(dl)) for i in range(da)
+        tuple(lcoords("action", (i, j), h.act_vec(ab[i], lb[j])) for j in range(dl)) for i in range(da)
     )
     anchor = tuple(
-        tuple(acoords(h.anchor_vec(lb[i], ab[j]), "anchor") for j in range(da)) for i in range(dl)
+        tuple(acoords("anchor", (i, j), h.anchor_vec(lb[i], ab[j])) for j in range(da)) for i in range(dl)
     )
-    psi = mat_from_columns([lcoords(h.psi_vec(b), "psi") for b in lb], nrows=dl)
-    phi = mat_from_columns([acoords(h.phi_vec(b), "phi") for b in ab], nrows=da)
+    psi = mat_from_columns([lcoords("psi", (j,), h.psi_vec(b)) for j, b in enumerate(lb)], nrows=dl)
+    phi = mat_from_columns([acoords("phi", (j,), h.phi_vec(b)) for j, b in enumerate(ab)], nrows=da)
     regular = mat_inverse(psi) is not None and mat_inverse(phi) is not None
     return HLRAlgebra(
         dimL=dl,
@@ -752,3 +629,57 @@ def sub_algebra(h, l_sub, a_sub, l_labels=None, a_labels=None):
         regular=regular,
         unital=False,
     )
+
+
+# -- fiber product -----------------------------------------------------------
+
+
+class FiberClosureError(ClosureError):
+    """The anchor-equalizer subspace is not closed under the structure maps."""
+
+
+@dataclass(frozen=True)
+class FiberResult:
+    algebra: HLRAlgebra
+    space: Subspace  # the equalizer inside L1 x L2
+
+
+def fiber_product(h1, h2):
+    """Pair the two bracket algebras over their shared scalar algebra.
+
+    The carrier is the subspace of pairs with equal anchor images.  Raises
+    InputError when the scalar data differ, FiberClosureError when the
+    bracket, action or twist fails to land back in the carrier.
+    """
+    if (h1.dimA, h1.mul, h1.phi) != (h2.dimA, h2.mul, h2.phi):
+        raise InputError("fiber product needs an identical scalar algebra on both sides")
+    n1, n2, na = h1.dimL, h2.dimL, h1.dimA
+    n = n1 + n2
+    rows = []
+    for j in range(na):
+        for k in range(na):
+            rows.append(
+                tuple(h1.anchor[i][j][k] for i in range(n1))
+                + tuple(-h2.anchor[i][j][k] for i in range(n2))
+            )
+    w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
+    # L1 x L2 with the legs split at n1; on the carrier both anchors agree,
+    # so the first leg's serves
+    product_maps = SimpleNamespace(
+        bracket_vec=lambda u, v: h1.bracket_vec(u[:n1], v[:n1]) + h2.bracket_vec(u[n1:], v[n1:]),
+        act_vec=lambda a, v: h1.act_vec(a, v[:n1]) + h2.act_vec(a, v[n1:]),
+        psi_vec=lambda v: h1.psi_vec(v[:n1]) + h2.psi_vec(v[n1:]),
+        anchor_vec=lambda v, a: h1.anchor_vec(v[:n1], a),
+        mul_vec=h1.mul_vec,
+        phi_vec=h1.phi_vec,
+    )
+    try:
+        algebra = sub_algebra(product_maps, w, h1.full_A, tuple(f"w{p}" for p in range(w.dim)), h1.A_labels)
+    except ClosureError as exc:
+        raise FiberClosureError(
+            f"fiber carrier not closed under {exc.kind} at {exc.witness}: image {format_vector(exc.image)}",
+            exc.kind,
+            exc.witness,
+            exc.image,
+        ) from exc
+    return FiberResult(algebra=replace(algebra, unital=h1.unital), space=w)

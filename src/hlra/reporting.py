@@ -58,10 +58,6 @@ def check_json(c):
     return {"key": c.key, "status": c.status, "detail": c.detail}
 
 
-def any_claim_failed(claims):
-    return any(c.failed for c in claims)
-
-
 # -- spaces, functionals, partitions ----------------------------------------
 
 
@@ -96,8 +92,4 @@ def partition_lines(name, part, out):
         out.append(f"{name} class {format_class(cls)}")
     for (a, b), w in sorted(part.witnesses.items()):
         out.append(f"  {format_root(a)} ~ {format_root(b)}: {w.describe()}")
-    out.append(f"{name} raw relation symmetric: {_yn(part.raw_symmetric)}")
-
-
-def _yn(flag):
-    return "yes" if flag else "no"
+    out.append(f"{name} raw relation symmetric: {'yes' if part.raw_symmetric else 'no'}")

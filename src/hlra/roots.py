@@ -71,10 +71,6 @@ class RootDecomposition:
     def gamma(self):
         return sorted(self.root_spaces)
 
-    @property
-    def zero_functional(self):
-        return zero_vector(self.H.dim)
-
     def space(self, f):
         """Root space for a functional; the zero functional names H."""
         if all(c == 0 for c in f):
@@ -292,7 +288,7 @@ def verify_lemma_closures(h, rd, wd):
     statements.  Returns one ClaimResult per item.
     """
     claims = []
-    zero = rd.zero_functional
+    zero = zero_vector(rd.H.dim)
     gamma0 = [zero] + rd.gamma
     lam0 = [zero] + wd.lam
 

@@ -429,13 +429,8 @@ def _component_simplicity(h, rd, l_space, a_space):
         sub = sub_algebra(h, l_space, a_space)
     except ClosureError as exc:
         return f"restriction failed ({exc})"
-    h_rows = []
-    inter = rd.H.intersect(l_space)
-    for row in inter.basis:
-        coords = l_space.coords(list(row))
-        if coords is None:
-            return "restriction failed (H coordinates)"
-        h_rows.append(coords)
+    # H meet l_space lies in l_space, so every row has coordinates
+    h_rows = [l_space.coords(row) for row in rd.H.intersect(l_space).basis]
     try:
         sub_rd = root_decomposition(sub, H=h_rows)
     except CartanError as exc:

@@ -12,8 +12,6 @@ import pytest
 
 from hlra import cli, fixtures
 from hlra.connections import (
-    brute_force_root_connected,
-    brute_force_weight_connected,
     root_partition,
     roots_connected,
     validate_root_chain,
@@ -35,6 +33,7 @@ from hlra.roots import root_decomposition, verify_lemma_closures, weight_decompo
 from hlra.structure import Analysis, j_split, run_structure, verify_cor_5_13, verify_theorem_5_12
 
 from conftest import SPLIT_NAMES
+from oracles import brute_force_root_connected, brute_force_weight_connected, same_class
 
 F = Fraction
 
@@ -253,13 +252,13 @@ def test_criterion_5_equivalence_relations(capsys, decomps):
                 problems.append(f"{where}: classes do not partition the items")
             for a in part.items:
                 for b in part.items:
-                    if part.same_class(a, b) != part.same_class(b, a):
+                    if same_class(part, a, b) != same_class(part, b, a):
                         problems.append(f"{where}: asymmetric at {a},{b}")
                     for c in part.items:
                         if (
-                            part.same_class(a, b)
-                            and part.same_class(b, c)
-                            and not part.same_class(a, c)
+                            same_class(part, a, b)
+                            and same_class(part, b, c)
+                            and not same_class(part, a, c)
                         ):
                             problems.append(f"{where}: not transitive at {a},{b},{c}")
     emit(capsys, 5, "partitions are reflexive, symmetric, transitive", problems)

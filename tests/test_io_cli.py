@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -104,6 +105,30 @@ def test_cli_reports_parse_position(capsys, data_dir, tmp_path):
     )
 
 
+def _limit_address_space():
+    # runs in the child only: 1 GiB is far below a dense grid of the
+    # declared size, so expanding one ends in MemoryError
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("dim_l, dim_a, field", [(3000, 0, "psi"), (0, 3000, "phi")])
+def test_tiny_file_with_a_huge_dimension_is_an_input_error(tmp_path, dim_l, dim_a, field):
+    doc = {"format_version": "1", "dimL": dim_l, "dimA": dim_a, "psi": [], "phi": []}
+    doc.update({name: [] for name in ("bracket", "mul", "action", "anchor")})
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    r = subprocess.run(
+        [sys.executable, "-m", "hlra", "validate", str(p)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"error: {field} must be a dense 3000x3000 matrix" in r.stderr.splitlines()
+
+
 # -- twist ------------------------------------------------------------------
 
 
@@ -175,6 +200,11 @@ def test_malformed_cartan_flag(capsys, data_dir):
             assert out == ""
             assert err.startswith(f"error: subalgebra row {bad_row} has "), (command, rows, err)
             assert "expected 2" in err
+        # an empty value, such as an unset shell variable, is not the default
+        code, out, err = run(capsys, command, path(data_dir, "fix_b"), "--cartan", "")
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: --cartan: not valid JSON"), (command, err)
 
 
 def test_analyze_descriptive_failures_do_not_flip_the_exit_code(capsys, data_dir):

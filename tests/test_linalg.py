@@ -15,6 +15,7 @@ from hlra.linalg import (
     complement,
     eigenvalues,
     identity_matrix,
+    is_zero_vector,
     joint_eigenspaces,
     kernel,
     mat_columns,
@@ -22,10 +23,12 @@ from hlra.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    rank,
     rational_roots,
     rref,
     stack_rows,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 from hlra.model import twist_by_endomorphism
 
@@ -150,7 +153,7 @@ def test_rref_leading_entries(m):
 @settings(deadline=None, max_examples=60)
 @given(matrices(3, 4))
 def test_kernel_rank_duality(m):
-    assert kernel(m, ncols=4).dim + rank(m) == 4
+    assert kernel(m, ncols=4).dim + len(rref(m)[0]) == 4
     for v in kernel(m, ncols=4).basis:
         assert all(x == 0 for x in mat_vec(m, v))
 
@@ -161,6 +164,31 @@ def test_dim_formula(rows_u, rows_v):
     u = Subspace(4, rows_u)
     v = Subspace(4, rows_v)
     assert u.add(v).dim + u.intersect(v).dim == u.dim + v.dim
+
+
+def coords_by_residual(space, v):
+    """Reference coordinates: subtract the pivot entries times the basis
+    rows and require a zero residual."""
+    c = tuple(v[p] for p in space.pivots)
+    residual = v
+    for coef, row in zip(c, space.basis):
+        if coef:
+            residual = vec_sub(residual, vec_scale(coef, row))
+    return c if is_zero_vector(residual) else None
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices(3, 4), matrices(1, 3), matrices(1, 4), st.booleans())
+def test_coords_match_the_residual_reference(rows, weights, offset, inside):
+    space = Subspace(4, rows)
+    v = tuple(sum((w * r[j] for w, r in zip(weights[0], rows)), F(0)) for j in range(4))
+    if not inside:
+        v = vec_add(v, offset[0])
+    assert space.coords(v) == coords_by_residual(space, v)
+    if inside:
+        c = space.coords(v)
+        assert c is not None
+        assert tuple(sum((x * b[j] for x, b in zip(c, space.basis)), F(0)) for j in range(4)) == v
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,14 +1,17 @@
 """Axioms, twisting, morphisms, fiber products, ideals, annihilators."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlra import fixtures
-from hlra.linalg import Subspace, basis_vector, identity_matrix
+from hlra.fileio import dumps_algebra
+from hlra.linalg import Subspace, basis_vector, identity_matrix, kernel, mat_from_columns, mat_inverse
 from hlra.model import (
     FiberClosureError,
+    FiberResult,
     HLRAlgebra,
     InputError,
     RELAXED,
@@ -25,6 +28,7 @@ from hlra.model import (
     twist_by_endomorphism,
     validate_hlr,
 )
+from hlra.scalars import format_vector
 
 F = Fraction
 
@@ -207,6 +211,109 @@ def test_fiber_product_closure_failure_is_detected(bundled):
 def test_fiber_product_needs_shared_scalars(bundled):
     with pytest.raises(InputError):
         fiber_product(bundled["fix_b"], bundled["fix_e"])
+
+
+def fiber_product_by_hand(h1, h2):
+    """Reference fiber product: restricts bracket, action and psi to the
+    anchor equalizer directly, with no use of sub_algebra."""
+    if (h1.dimA, h1.mul, h1.phi) != (h2.dimA, h2.mul, h2.phi):
+        raise InputError("fiber product needs an identical scalar algebra on both sides")
+    n1, n2, na = h1.dimL, h2.dimL, h1.dimA
+    n = n1 + n2
+    rows = []
+    for j in range(na):
+        for k in range(na):
+            rows.append(
+                tuple(h1.anchor[i][j][k] for i in range(n1))
+                + tuple(-h2.anchor[i][j][k] for i in range(n2))
+            )
+    w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
+
+    def split(v):
+        return v[:n1], v[n1:]
+
+    def joint_bracket(u, v):
+        ua, ub = split(u)
+        va, vb = split(v)
+        return h1.bracket_vec(ua, va) + h2.bracket_vec(ub, vb)
+
+    def joint_act(a, v):
+        va, vb = split(v)
+        return h1.act_vec(a, va) + h2.act_vec(a, vb)
+
+    def joint_psi(v):
+        va, vb = split(v)
+        return h1.psi_vec(va) + h2.psi_vec(vb)
+
+    basis = w.basis
+    d = len(basis)
+
+    def coords_or_raise(kind, witness, vec):
+        c = w.coords(vec)
+        if c is None:
+            raise FiberClosureError(
+                f"fiber carrier not closed under {kind} at {witness}: image {format_vector(vec)}",
+                kind,
+                witness,
+                vec,
+            )
+        return c
+
+    new_bracket = tuple(
+        tuple(coords_or_raise("bracket", (p, q), joint_bracket(basis[p], basis[q])) for q in range(d))
+        for p in range(d)
+    )
+    eA = [basis_vector(na, i) for i in range(na)]
+    new_action = tuple(
+        tuple(coords_or_raise("action", (i, q), joint_act(eA[i], basis[q])) for q in range(d))
+        for i in range(na)
+    )
+    new_psi_cols = [coords_or_raise("psi", (q,), joint_psi(basis[q])) for q in range(d)]
+    new_anchor = tuple(
+        tuple(h1.anchor_vec(split(basis[p])[0], eA[j]) for j in range(na)) for p in range(d)
+    )
+    algebra = HLRAlgebra(
+        dimL=d,
+        dimA=na,
+        bracket=new_bracket,
+        mul=h1.mul,
+        action=new_action,
+        anchor=new_anchor,
+        psi=mat_from_columns(new_psi_cols, nrows=d),
+        phi=h1.phi,
+        L_labels=tuple(f"w{p}" for p in range(d)),
+        A_labels=h1.A_labels,
+        regular=False,
+        unital=h1.unital,
+    )
+    if mat_inverse(algebra.psi) is not None and mat_inverse(algebra.phi) is not None:
+        algebra = replace(algebra, regular=True)
+    return FiberResult(algebra=algebra, space=w)
+
+
+def _fiber_outcome(build, h1, h2):
+    try:
+        fr = build(h1, h2)
+    except InputError as exc:
+        return ("input", str(exc))
+    except FiberClosureError as exc:
+        return ("closure", exc.kind, exc.witness, str(exc))
+    return ("ok", dumps_algebra(fr.algebra), fr.space.basis)
+
+
+def test_fiber_product_matches_the_reference_on_every_pair(bundled):
+    algebras = list(bundled.values())
+    for seed in range(10):
+        h, g, f = fixtures.random_instance(seed)
+        algebras += [h, twist_by_endomorphism(h, g, f)]
+    outcomes = {"ok": 0, "closure": 0, "input": 0}
+    for h1 in algebras:
+        for h2 in algebras:
+            fast = _fiber_outcome(fiber_product, h1, h2)
+            assert fast == _fiber_outcome(fiber_product_by_hand, h1, h2)
+            outcomes[fast[0]] += 1
+    # the sweep reaches every branch
+    assert all(outcomes.values()), outcomes
 
 
 # -- ideal closure ----------------------------------------------------------

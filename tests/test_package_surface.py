@@ -1,0 +1,47 @@
+"""The package holds no code that only the tests call.
+
+Every top-level function or class in src/hlra must be used by the package
+itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
+Oracles and helpers that only tests need live under tests/.
+"""
+
+import ast
+from pathlib import Path
+
+import hlra
+
+PACKAGE = Path(hlra.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _referenced(node):
+    """Names read, attributes looked up and names imported under node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_top_level_definition_has_a_package_caller():
+    statements = [(p, stmt) for p in MODULES for stmt in ast.parse(p.read_text()).body]
+    definitions = [(p, stmt) for p, stmt in statements if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    fixtures_public = {d.name for p, d in definitions if p.stem == "fixtures" and not d.name.startswith("_")}
+    uses = [(stmt, _referenced(stmt)) for _, stmt in statements]
+    unused = [
+        f"{p.stem}.{d.name}"
+        for p, d in definitions
+        if d.name not in hlra.__all__
+        and d.name not in fixtures_public
+        and not any(other is not d and d.name in refs for other, refs in uses)
+    ]
+    assert unused == [], f"defined in the package but used only outside it: {unused}"
+
+
+def test_no_brute_force_oracle_in_the_package():
+    holders = [p.name for p in sorted(PACKAGE.glob("*.py")) if "brute_force" in p.read_text()]
+    assert holders == []
