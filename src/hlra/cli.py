@@ -156,6 +156,14 @@ def _append_claims(claims, doc, lines):
         lines.append(reporting.claim_line(c))
 
 
+def _rejected(h, noun):
+    """Print one error line per failed relaxed check of h; True if any."""
+    failures = validate_hlr(h, strictness=RELAXED).failures()
+    for c in failures:
+        print(f"error: {noun} fails validation: {reporting.check_line(c)}", file=sys.stderr)
+    return bool(failures)
+
+
 def _finish(args, doc, lines, failed):
     doc["ok"] = not failed
     lines.append(f"result: {'pass' if not failed else 'fail'}")
@@ -317,6 +325,8 @@ def cmd_twist(args):
     h, _text = _load(args.file)
     f = _matrix_arg(args.psi, "--psi", (h.dimL, h.dimL))
     g = _matrix_arg(args.phi, "--phi", (h.dimA, h.dimA))
+    if _rejected(h, "input"):
+        return EXIT_MATH
     twisted = twist_by_endomorphism(h, g, f)
     sys.stdout.write(dumps_algebra(twisted))
     return EXIT_OK
@@ -326,10 +336,7 @@ def cmd_fiber(args):
     h1, _t1 = _load(args.file1)
     h2, _t2 = _load(args.file2)
     result = fiber_product(h1, h2)
-    rep = validate_hlr(result.algebra, strictness=RELAXED)
-    if not rep.ok:
-        for c in rep.failures():
-            print(f"error: fiber product fails validation: {reporting.check_line(c)}", file=sys.stderr)
+    if _rejected(result.algebra, "fiber product"):
         return EXIT_MATH
     sys.stdout.write(dumps_algebra(result.algebra))
     return EXIT_OK

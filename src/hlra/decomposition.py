@@ -308,7 +308,7 @@ def enumerate_ideals(h, rd):
 
     For a feasible S the H-part ranges from (sum of C_g) meet H up to the
     greatest W in H whose rule images stay in W + F_S; both ends are
-    candidates, and every candidate passes `is_ideal` before it is kept.
+    ideals by construction (see `_ideals_from_closed_sets`).
 
     Complete when every root space is one-dimensional, the subset count
     stays under ENUMERATION_CAP, and for each feasible subset the window of
@@ -340,8 +340,16 @@ def enumerate_ideals(h, rd):
 
 
 def _ideals_from_closed_sets(h, rd, closed):
-    """Ideals from (feasible root subset as indices into gamma, the ideal it
-    generates) pairs: each H-part window's ends that pass `is_ideal`."""
+    """Ideals from (feasible root subset S as indices into gamma, the ideal
+    C_S it generates) pairs: both ends of each H-part window, untested.
+
+    C_S is graded (see `enumerate_ideals`), holds L_d for d in S and meets
+    no other L_d, so C_S = w_min + F_S with w_min = C_S meet H.  The rule
+    images of w_min lie in C_S, so no step of the window, shrinking from H
+    through subspaces that hold w_min, drops w_min: it lies in w_max.
+    top = w_max + F_S holds the rule images of w_max by the window condition
+    and those of F_S inside C_S: an ideal, on root spaces of any dimension.
+    """
     n = h.dimL
     gamma = rd.gamma
     maximal = all(rd.root_spaces[g].dim == 1 for g in gamma)
@@ -354,20 +362,11 @@ def _ideals_from_closed_sets(h, rd, closed):
     images = [imgs for imgs in zip(*per_basis) if any(map(any, imgs))]
     for members, closure in closed:
         f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
-        w_min = closure.intersect(rd.H)
-        w_max = _h_part_window(rd, f_space, images)
-        if not w_max.contains_space(w_min):
-            continue
-        gap = w_max.dim - w_min.dim
-        if gap > 1:
+        top = _h_part_window(rd, f_space, images).add(f_space)
+        if top.dim > closure.dim + 1:
             complete = False
             note = "an H-part window spans more than one free dimension; middle layers not enumerated"
-        candidates = [w_min] if gap == 0 else [w_min, w_max]
-        for w in candidates:
-            cand = w.add(f_space)
-            ok, _failed = is_ideal(h, cand)
-            if ok:
-                found.add(cand)
+        found.update((closure, top))
     return EnumeratedIdeals(
         ideals=tuple(sorted(found, key=lambda s: (s.dim, s.basis))),
         complete=complete,

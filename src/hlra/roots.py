@@ -150,8 +150,6 @@ def root_decomposition(h, H=None):
         raise CartanError("psi_not_stable", "the twist does not preserve the chosen subalgebra")
     # psi restricted to an invariant subspace of an invertible map is invertible
     psi_h_inv = mat_inverse(psi_h)
-    if psi_h_inv is None:
-        raise CartanError("psi_not_stable", "the twist is singular on the chosen subalgebra")
 
     ops = [h.ad_left(b) for b in H.basis]
     classes, w_rem = joint_eigenspaces(ops, Subspace.full(n))

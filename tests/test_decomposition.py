@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hlra import decomposition, fixtures
+from hlra import cli, decomposition, fixtures
 from hlra.decomposition import enumerate_ideals, run_decomposition
+from hlra.fileio import dumps_algebra
 from hlra.linalg import (
     Subspace,
     basis_vector,
@@ -200,11 +201,17 @@ def enumerate_by_subsets(h, rd):
 
 
 def assert_matches_oracle(h, rd):
-    """The fast enumeration equals the oracle, and every single-root
-    closure is graded, which the fast path relies on."""
+    """The fast enumeration equals the oracle, every single-root closure is
+    graded, which the fast path relies on, and every enumerated ideal is a
+    graded ideal, which the construction guarantees without testing."""
     for g in rd.gamma:
         assert rd.is_graded(ideal_closure(h, rd.space(g)).space), g
-    assert enumerate_ideals(h, rd) == enumerate_by_subsets(h, rd)
+    enum = enumerate_ideals(h, rd)
+    assert enum == enumerate_by_subsets(h, rd)
+    for ideal in enum.ideals:
+        ok, failed = is_ideal(h, ideal)
+        assert ok, (ideal.basis, failed)
+        assert rd.is_graded(ideal), ideal.basis
 
 
 def test_enumeration_matches_oracle_on_bundled(bundled):
@@ -239,6 +246,54 @@ def test_enumeration_matches_oracle_on_random_instances(seed, twisted):
     assert_matches_oracle(h, rd)
 
 
+@pytest.mark.parametrize("seed", (8, 30, 60, 92))
+def test_enumeration_matches_oracle_on_two_dimensional_root_spaces(seed):
+    h, g, f = fixtures.random_instance(seed)
+    h = twist_by_endomorphism(h, g, f)
+    rd = root_decomposition(h)
+    assert rd.split
+    assert max(rd.root_spaces[r].dim for r in rd.gamma) == 2
+    assert_matches_oracle(h, rd)
+
+
+def test_enumeration_tests_no_candidate(bundled, monkeypatch):
+    calls = []
+
+    def counting(h, sub):
+        calls.append(sub)
+        return is_ideal(h, sub)
+
+    monkeypatch.setattr(decomposition, "is_ideal", counting)
+    h = bundled["fix_s2"]
+    enum = enumerate_ideals(h, root_decomposition(h))
+    assert enum.ideals
+    assert calls == []
+
+
+def test_enumeration_past_the_cap_keeps_the_closure_seeds(tmp_path, capsys):
+    h = fixtures.product_sum([fixtures._s_like(1)] * 3)
+    rd = root_decomposition(h)
+    assert len(rd.gamma) == 12
+    enum = enumerate_ideals(h, rd)
+    assert len(enum.ideals) == 14
+    assert not enum.complete
+    for ideal in enum.ideals:
+        ok, failed = is_ideal(h, ideal)
+        assert ok, (ideal.basis, failed)
+    path = tmp_path / "s3.json"
+    path.write_text(dumps_algebra(h))
+    cli.main(["decompose", str(path)])
+    out = capsys.readouterr().out
+    assert (
+        "ideal enumeration: 14 found, incomplete "
+        "(root subset count 2^12 exceeds the cap; closure seeds only)\n"
+    ) in out
+    cli.main(["analyze", str(path)])
+    lem51 = [line for line in capsys.readouterr().out.splitlines() if "lem5.1" in line]
+    assert len(lem51) == 1
+    assert lem51[0].endswith("(bounded search)")
+
+
 def test_enumeration_rejects_a_non_split_decomposition(bundled):
     h = bundled["fix_b"]
     with pytest.raises(ValueError):
@@ -253,6 +308,39 @@ def test_gradedness_predicate(bundled):
     assert rd.is_graded(rd.space(g).add(rd.H))
     mixed = vec_add(rd.space(g).basis[0], rd.space(d).basis[0])
     assert not rd.is_graded(Subspace(h.dimL, [mixed]))
+
+
+def _split_draw(source):
+    """(h, rd) for a bundled name or a (random_instance seed, twisted)
+    pair, or None when the instance does not split."""
+    if isinstance(source, str):
+        h = fixtures.BUNDLED[source]()
+    else:
+        h, g, f = fixtures.random_instance(source[0])
+        if source[1]:
+            h = twist_by_endomorphism(h, g, f)
+    try:
+        rd = root_decomposition(h)
+    except CartanError:
+        return None
+    return (h, rd) if rd.split else None
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(st.sampled_from(SPLIT_NAMES), st.tuples(st.integers(0, 10**6), st.booleans())),
+    st.data(),
+)
+def test_ideal_closure_of_any_vectors_is_graded(source, data):
+    """The lemma the enumeration rests on: an ideal of a split instance is
+    the sum of its H part and its root parts, here for closures of
+    arbitrary, mostly non-graded, vectors."""
+    drawn = _split_draw(source)
+    assume(drawn is not None)
+    h, rd = drawn
+    row = st.lists(st.integers(-3, 3), min_size=h.dimL, max_size=h.dimL)
+    vectors = data.draw(st.lists(row, min_size=1, max_size=2))
+    assert rd.is_graded(ideal_closure(h, Subspace(h.dimL, vectors)).space)
 
 
 def _rule_matrices(h):

@@ -157,6 +157,20 @@ def test_twist_rejects_a_non_endomorphism(capsys, data_dir):
     assert out == ""
 
 
+def test_twist_rejects_an_invalid_input(capsys, data_dir, tmp_path):
+    doc = json.loads((data_dir / "fix_b.json").read_text())
+    doc["bracket"].append([1, 1, 0, "1"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "[fail] L.hom_leibniz" in out
+    code, out, err = run(capsys, "twist", str(bad), "--psi", "[[1,0],[0,1]]", "--phi", "[[1]]")
+    assert code == 1
+    assert err.startswith("error: input fails validation: [fail] L.hom_leibniz: ")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "psi, phi, message",
     (

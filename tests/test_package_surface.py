@@ -45,3 +45,9 @@ def test_every_top_level_definition_has_a_package_caller():
 def test_no_brute_force_oracle_in_the_package():
     holders = [p.name for p in sorted(PACKAGE.glob("*.py")) if "brute_force" in p.read_text()]
     assert holders == []
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    """requires-python is >= 3.10, so no module may use newer syntax."""
+    for p in sorted(PACKAGE.glob("*.py")):
+        ast.parse(p.read_text(), filename=str(p), feature_version=(3, 10))
