@@ -87,6 +87,9 @@ def _matrix_arg(text, flag, shape=None):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{flag}: not valid JSON: {exc.msg}")
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep, or an integer literal over Python's digit limit
+        raise InputError(f"{flag}: not valid JSON: {exc}")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{flag}: expected a JSON array of arrays")
     if shape and (len(rows) != shape[0] or any(len(r) != shape[1] for r in rows)):

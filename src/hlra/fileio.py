@@ -10,12 +10,11 @@ token can be located in the source text.
 
 import json
 
-from .model import HLRAlgebra, InputError
+from .model import HLRAlgebra, InputError, tensor_shapes
 from .scalars import format_scalar, parse_scalar
 
 FORMAT_VERSION = "1"
 
-_TENSOR_FIELDS = ("bracket", "mul", "action", "anchor")
 _TOP_KEYS = {
     "format_version",
     "dimL",
@@ -72,25 +71,23 @@ def _scalar(value, where, text):
         raise ParseError(f"{where}: {exc}", line, col) from None
 
 
-def _tensor_from_sparse(entries, d0, d1, d2, name, text):
+def _tensor_from_sparse(entries, dims, name, text):
     if not isinstance(entries, list):
         raise ParseError(f"{name} must be a list of [i, j, k, value] entries")
-    grid = [[[parse_scalar(0)] * d2 for _ in range(d1)] for _ in range(d0)]
-    seen = set()
+    out = {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"{name}[{pos}] must be [i, j, k, value]")
         i, j, k, raw = entry
-        for idx, bound, axis in ((i, d0, "i"), (j, d1, "j"), (k, d2, "k")):
+        for idx, bound, axis in zip((i, j, k), dims, "ijk"):
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < bound:
                 raise ParseError(
                     f"{name}[{pos}]: index {axis}={idx!r} outside 0..{bound - 1}"
                 )
-        if (i, j, k) in seen:
+        if (i, j, k) in out:
             raise ParseError(f"{name}[{pos}]: duplicate entry for ({i}, {j}, {k})")
-        seen.add((i, j, k))
-        grid[i][j][k] = _scalar(raw, f"{name}[{pos}]", text)
-    return tuple(tuple(tuple(row) for row in plane) for plane in grid)
+        out[i, j, k] = _scalar(raw, f"{name}[{pos}]", text)
+    return out
 
 
 def _matrix(doc, key, n, text):
@@ -141,23 +138,14 @@ def from_document(doc, text=None):
     nl = _dim(doc, "dimL", text)
     na = _dim(doc, "dimA", text)
     l_labels, a_labels = _labels(doc, nl, na)
-    dims = {
-        "bracket": (nl, nl, nl),
-        "mul": (na, na, na),
-        "action": (na, nl, nl),
-        "anchor": (nl, na, na),
-    }
-    # the twists are dense, so checking them first costs no more than the
-    # file's own size and rejects a huge declared dimension before the sparse
-    # tensors are expanded into dense grids of that size
+    # a file with both a bad twist and a bad tensor names the twist
     psi = _matrix(doc, "psi", nl, text)
     phi = _matrix(doc, "phi", na, text)
     tensors = {}
-    for name in _TENSOR_FIELDS:
+    for name, dims in tensor_shapes(nl, na).items():
         if name not in doc:
             raise ParseError(f"missing field {name}")
-        d0, d1, d2 = dims[name]
-        tensors[name] = _tensor_from_sparse(doc[name], d0, d1, d2, name, text)
+        tensors[name] = _tensor_from_sparse(doc[name], dims, name, text)
     flags = doc.get("flags", {})
     if not isinstance(flags, dict) or set(flags) - {"regular", "unital"}:
         raise ParseError('flags must be an object with keys "regular" and "unital"')
@@ -179,10 +167,7 @@ def from_document(doc, text=None):
         return HLRAlgebra(
             dimL=nl,
             dimA=na,
-            bracket=tensors["bracket"],
-            mul=tensors["mul"],
-            action=tensors["action"],
-            anchor=tensors["anchor"],
+            **tensors,
             psi=psi,
             phi=phi,
             L_labels=l_labels,
@@ -200,6 +185,9 @@ def loads_algebra(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep, or an integer literal over Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     return from_document(doc, text=text)
 
 
@@ -209,13 +197,7 @@ def load_algebra(path):
 
 
 def _sparse(tensor):
-    out = []
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            for k, value in enumerate(row):
-                if value:
-                    out.append([i, j, k, format_scalar(value)])
-    return out
+    return [[i, j, k, format_scalar(c)] for (i, j, k), c in sorted(tensor.items())]
 
 
 def to_document(h):

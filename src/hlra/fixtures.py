@@ -14,17 +14,6 @@ from fractions import Fraction
 from .model import HLRAlgebra, twist_by_endomorphism
 
 
-def _tensor(d0, d1, d2, entries=None):
-    entries = entries or {}
-    return tuple(
-        tuple(
-            tuple(Fraction(entries.get((i, j, k), 0)) for k in range(d2))
-            for j in range(d1)
-        )
-        for i in range(d0)
-    )
-
-
 def _diag(*values):
     n = len(values)
     return tuple(
@@ -45,10 +34,10 @@ def _over_line(labels, bracket, declared_H):
     return HLRAlgebra(
         dimL=n,
         dimA=1,
-        bracket=_tensor(n, n, n, bracket),
-        mul=_tensor(1, 1, 1, {(0, 0, 0): 1}),
-        action=_tensor(1, n, n, {(0, j, j): 1 for j in range(n)}),
-        anchor=_tensor(n, 1, 1),
+        bracket=bracket,
+        mul={(0, 0, 0): 1},
+        action={(0, j, j): 1 for j in range(n)},
+        anchor={},
         psi=_identity(n),
         phi=_identity(1),
         L_labels=labels,
@@ -92,22 +81,17 @@ def fix_e():
     """Simple three-dimensional bracket over dual numbers with a nonzero
     anchor.  The second representation identity fails, so this one validates
     only in relaxed mode; every other path treats it as the showcase."""
-    bracket = _tensor(
-        3,
-        3,
-        3,
-        {
-            (0, 1, 1): 1,
-            (1, 0, 1): -1,
-            (0, 2, 2): -1,
-            (2, 0, 2): 1,
-            (1, 2, 0): 1,
-            (2, 1, 0): -1,
-        },
-    )
-    mul = _tensor(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    action = _tensor(2, 3, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1})
-    anchor = _tensor(3, 2, 2, {(0, 1, 1): 1})
+    bracket = {
+        (0, 1, 1): 1,
+        (1, 0, 1): -1,
+        (0, 2, 2): -1,
+        (2, 0, 2): 1,
+        (1, 2, 0): 1,
+        (2, 1, 0): -1,
+    }
+    mul = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    action = {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1}
+    anchor = {(0, 1, 1): 1}
     return HLRAlgebra(
         dimL=3,
         dimA=2,
@@ -159,10 +143,10 @@ def _w_like(lam):
     return HLRAlgebra(
         dimL=2,
         dimA=2,
-        bracket=_tensor(2, 2, 2, {(0, 1, 1): lam, (1, 0, 1): -lam}),
-        mul=_tensor(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
-        action=_tensor(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
-        anchor=_tensor(2, 2, 2, {(0, 1, 1): lam}),
+        bracket={(0, 1, 1): lam, (1, 0, 1): -lam},
+        mul={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+        action={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+        anchor={(0, 1, 1): lam},
         psi=_identity(2),
         phi=_identity(2),
         L_labels=("h", "e"),
@@ -181,17 +165,13 @@ def fix_w():
 
 def _p_like(lam):
     lam = Fraction(lam)
-    bracket = _tensor(3, 3, 3, {(0, 1, 1): lam, (0, 2, 2): 2 * lam})
-    action = _tensor(
-        2, 3, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 1, 2): 1}
-    )
     return HLRAlgebra(
         dimL=3,
         dimA=2,
-        bracket=bracket,
-        mul=_tensor(2, 2, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
-        action=action,
-        anchor=_tensor(3, 2, 2, {(0, 1, 1): lam}),
+        bracket={(0, 1, 1): lam, (0, 2, 2): 2 * lam},
+        mul={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+        action={(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 1, 2): 1},
+        anchor={(0, 1, 1): lam},
         psi=_identity(3),
         phi=_identity(2),
         L_labels=("h", "e", "u"),
@@ -215,9 +195,9 @@ def fix_t():
     return replace(
         fix_s(),
         dimA=2,
-        mul=_tensor(2, 2, 2),
-        action=_tensor(2, 5, 5),
-        anchor=_tensor(5, 2, 2, {(0, 1, 1): 1, (2, 1, 0): 1}),
+        mul={},
+        action={},
+        anchor={(0, 1, 1): 1, (2, 1, 0): 1},
         phi=_identity(2),
         A_labels=("s", "t"),
         unital=False,
@@ -229,10 +209,10 @@ def fix_zero():
     return HLRAlgebra(
         dimL=0,
         dimA=0,
-        bracket=(),
-        mul=(),
-        action=(),
-        anchor=(),
+        bracket={},
+        mul={},
+        action={},
+        anchor={},
         psi=(),
         phi=(),
         regular=True,
@@ -255,16 +235,13 @@ def _offsets(dims):
 
 
 def _embed(entries, tensor, offs):
-    """Copy the nonzero entries of one block's tensor into entries, each
-    index shifted by its axis offset."""
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            for k, v in enumerate(row):
-                if v:
-                    entries[(offs[0] + i, offs[1] + j, offs[2] + k)] = v
+    """Copy one block's tensor entries into entries, each index shifted by
+    its axis offset."""
+    for (i, j, k), v in tensor.items():
+        entries[offs[0] + i, offs[1] + j, offs[2] + k] = v
 
 
-def _bracket_side(blocks, l_offs, a_offs, nl, na):
+def _bracket_side(blocks, l_offs, a_offs):
     """Bracket, action and anchor tensors of the blocks placed on the
     diagonal at the given L and A offsets."""
     bracket, action, anchor = {}, {}, {}
@@ -272,7 +249,7 @@ def _bracket_side(blocks, l_offs, a_offs, nl, na):
         _embed(bracket, b.bracket, (lo, lo, lo))
         _embed(action, b.action, (ao, lo, lo))
         _embed(anchor, b.anchor, (lo, ao, ao))
-    return _tensor(nl, nl, nl, bracket), _tensor(na, nl, nl, action), _tensor(nl, na, na, anchor)
+    return bracket, action, anchor
 
 
 def shared_scalar_sum(blocks):
@@ -291,7 +268,7 @@ def shared_scalar_sum(blocks):
     if len(blocks) == 1:
         return first
     l_offs, nl = _offsets(b.dimL for b in blocks)
-    bracket, action, anchor = _bracket_side(blocks, l_offs, [0] * len(blocks), nl, first.dimA)
+    bracket, action, anchor = _bracket_side(blocks, l_offs, [0] * len(blocks))
     return HLRAlgebra(
         dimL=nl,
         dimA=first.dimA,
@@ -317,7 +294,7 @@ def product_sum(blocks):
         return blocks[0]
     l_offs, nl = _offsets(b.dimL for b in blocks)
     a_offs, na = _offsets(b.dimA for b in blocks)
-    bracket, action, anchor = _bracket_side(blocks, l_offs, a_offs, nl, na)
+    bracket, action, anchor = _bracket_side(blocks, l_offs, a_offs)
     mul = {}
     for b, ao in zip(blocks, a_offs):
         _embed(mul, b.mul, (ao, ao, ao))
@@ -325,7 +302,7 @@ def product_sum(blocks):
         dimL=nl,
         dimA=na,
         bracket=bracket,
-        mul=_tensor(na, na, na, mul),
+        mul=mul,
         action=action,
         anchor=anchor,
         psi=_block_diag([b.psi for b in blocks]),

@@ -2,21 +2,23 @@
 
 An instance carries a commutative algebra A of scalars, a bracket algebra L,
 an A-action on L, an anchor map from L into operators on A, and the two
-twist endomorphisms.  Everything is a dense tuple tensor over Fraction:
+twist endomorphisms.  Each structure tensor is a read-only mapping of its
+nonzero Fraction entries, as the file lists them; a missing index is zero:
 
-    bracket[i][j][k]  coefficient of x_k in [x_i, x_j]
-    mul[i][j][k]      coefficient of a_k in a_i * a_j
-    action[i][j][k]   coefficient of x_k in a_i . x_j
-    anchor[i][j][k]   coefficient of a_k in rho(x_i)(a_j)
+    bracket[i, j, k]  coefficient of x_k in [x_i, x_j]
+    mul[i, j, k]      coefficient of a_k in a_i * a_j
+    action[i, j, k]   coefficient of x_k in a_i . x_j
+    anchor[i, j, k]   coefficient of a_k in rho(x_i)(a_j)
 
-psi acts on L, phi acts on A, both as matrices with columns holding images
-of basis vectors.
+psi acts on L, phi acts on A, both as dense matrices with columns holding
+images of basis vectors.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from itertools import product
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from .linalg import (
     ONE,
@@ -57,20 +59,30 @@ def _freeze_rect(m, nrows, ncols, name):
     return m
 
 
-def _freeze_tensor(t, d0, d1, d2, name):
-    if len(t) != d0:
-        raise InputError(f"{name}: expected {d0} slices, got {len(t)}")
-    return tuple(_freeze_rect(plane, d1, d2, f"{name}[{i}]") for i, plane in enumerate(t))
+def tensor_shapes(nl, na):
+    """Index bounds (i, j, k) of each structure tensor, by name."""
+    return {"bracket": (nl, nl, nl), "mul": (na, na, na), "action": (na, nl, nl), "anchor": (nl, na, na)}
+
+
+def _freeze_tensor(t, dims, name):
+    """The nonzero entries of the mapping t, read-only and in key order."""
+    if not isinstance(t, Mapping):
+        raise InputError(f"{name}: expected a mapping of (i, j, k) entries")
+    for key in t:
+        if type(key) is not tuple or len(key) != 3 or not all(type(i) is int and 0 <= i < d for i, d in zip(key, dims)):
+            raise InputError(f"{name}: {key!r} is not an (i, j, k) index below {dims}")
+    entries = ((key, frac(t[key])) for key in sorted(t))
+    return MappingProxyType({key: c for key, c in entries if c})
 
 
 @dataclass(frozen=True)
 class HLRAlgebra:
     dimL: int
     dimA: int
-    bracket: tuple
-    mul: tuple
-    action: tuple
-    anchor: tuple
+    bracket: Mapping
+    mul: Mapping
+    action: Mapping
+    anchor: Mapping
     psi: tuple
     phi: tuple
     L_labels: tuple = ()
@@ -82,18 +94,8 @@ class HLRAlgebra:
     def __post_init__(self):
         if self.dimL < 0 or self.dimA < 0:
             raise InputError("negative dimension")
-        object.__setattr__(
-            self, "bracket", _freeze_tensor(self.bracket, self.dimL, self.dimL, self.dimL, "bracket")
-        )
-        object.__setattr__(
-            self, "mul", _freeze_tensor(self.mul, self.dimA, self.dimA, self.dimA, "mul")
-        )
-        object.__setattr__(
-            self, "action", _freeze_tensor(self.action, self.dimA, self.dimL, self.dimL, "action")
-        )
-        object.__setattr__(
-            self, "anchor", _freeze_tensor(self.anchor, self.dimL, self.dimA, self.dimA, "anchor")
-        )
+        for name, dims in tensor_shapes(self.dimL, self.dimA).items():
+            object.__setattr__(self, name, _freeze_tensor(getattr(self, name), dims, name))
         object.__setattr__(self, "psi", _freeze_rect(self.psi, self.dimL, self.dimL, "psi"))
         object.__setattr__(self, "phi", _freeze_rect(self.phi, self.dimA, self.dimA, "phi"))
         labels_l = tuple(self.L_labels) or tuple(f"x{i}" for i in range(self.dimL))
@@ -114,16 +116,16 @@ class HLRAlgebra:
     # -- evaluation on coordinate vectors ---------------------------------
 
     def bracket_vec(self, u, v):
-        return _bilinear(self.bracket, u, v, self.dimL)
+        return _bilinear(self._rows["bracket"], u, v, self.dimL)
 
     def mul_vec(self, a, b):
-        return _bilinear(self.mul, a, b, self.dimA)
+        return _bilinear(self._rows["mul"], a, b, self.dimA)
 
     def act_vec(self, a, x):
-        return _bilinear(self.action, a, x, self.dimL)
+        return _bilinear(self._rows["action"], a, x, self.dimL)
 
     def anchor_vec(self, x, a):
-        return _bilinear(self.anchor, x, a, self.dimA)
+        return _bilinear(self._rows["anchor"], x, a, self.dimA)
 
     def psi_vec(self, x):
         return mat_vec(self.psi, x)
@@ -167,7 +169,7 @@ class HLRAlgebra:
         vecs = [self.anchor_vec(x, a) for x in sl.basis for a in sa.basis]
         return Subspace(self.dimA, vecs)
 
-    # built once per algebra; cached_property keeps them out of __eq__ and hash
+    # built once per algebra; cached_property keeps them out of __eq__
     @cached_property
     def full_L(self):
         return Subspace.full(self.dimL)
@@ -181,21 +183,28 @@ class HLRAlgebra:
         """Inverse of psi, or None when psi is singular."""
         return mat_inverse(self.psi)
 
+    @cached_property
+    def _rows(self):
+        """Per tensor name, its nonzero (k, c) pairs grouped by (i, j)."""
+        out = {}
+        for name in ("bracket", "mul", "action", "anchor"):
+            rows = out[name] = {}
+            for (i, j, k), c in getattr(self, name).items():
+                rows.setdefault((i, j), []).append((k, c))
+        return out
 
-def _bilinear(tensor, u, v, out_dim):
+
+def _bilinear(rows, u, v, out_dim):
+    """Sum of u_i v_j c e_k over the (k, c) pairs that rows holds at (i, j)."""
     out = [ZERO] * out_dim
+    v_nonzero = [(j, cj) for j, cj in enumerate(v) if cj]
     for i, ci in enumerate(u):
         if not ci:
             continue
-        plane = tensor[i]
-        for j, cj in enumerate(v):
-            if not cj:
-                continue
+        for j, cj in v_nonzero:
             c = ci * cj
-            row = plane[j]
-            for k in range(out_dim):
-                if row[k]:
-                    out[k] += c * row[k]
+            for k, t in rows.get((i, j), ()):
+                out[k] += c * t
     return tuple(out)
 
 
@@ -294,7 +303,6 @@ def validate_hlr(h, strictness=RELAXED):
     """
     if strictness not in (STRICT, RELAXED):
         raise InputError(f"unknown strictness {strictness!r}")
-    nl = h.dimL
     checks = []
     for key, bad in _violations(h, _identities(h)):
         if bad is None:
@@ -317,7 +325,7 @@ def validate_hlr(h, strictness=RELAXED):
             checks.append(CheckResult("A.unital", "fail", "flagged unital but no unit solves e*a=a"))
         else:
             checks.append(CheckResult("A.unital", "pass", f"unit {format_vector(unit)}"))
-            identically = all(h.act_vec(unit, x) == x for x in identity_matrix(nl))
+            identically = all(h.act_vec(unit, x) == x for x in identity_matrix(h.dimL))
             checks.append(
                 CheckResult(
                     "module.unit_action",
@@ -328,12 +336,7 @@ def validate_hlr(h, strictness=RELAXED):
     else:
         checks.append(CheckResult("A.unital", "info", "not flagged unital"))
 
-    skew = all(
-        h.bracket[i][j][k] == -h.bracket[j][i][k]
-        for i in range(nl)
-        for j in range(nl)
-        for k in range(nl)
-    )
+    skew = all(h.bracket.get((j, i, k)) == -c for (i, j, k), c in h.bracket.items())
     checks.append(CheckResult("L.skew_symmetric", "info", "yes" if skew else "no"))
 
     return ValidationReport(strictness=strictness, checks=checks)
@@ -347,7 +350,7 @@ def find_unit(h):
     rhs = []
     for j in range(h.dimA):
         for k in range(h.dimA):
-            rows.append(tuple(h.mul[i][j][k] for i in range(h.dimA)))
+            rows.append(tuple(h.mul.get((i, j, k), ZERO) for i in range(h.dimA)))
             rhs.append(ONE if j == k else ZERO)
     return solve(tuple(rows), tuple(rhs))
 
@@ -374,6 +377,11 @@ def check_morphism(g, f, src, dst):
     return [CheckResult(key, "fail" if bad else "pass", bad or "") for key, bad in _violations(src, rows)]
 
 
+def _entries(pairs):
+    """Tensor entries {(i, j, k): vector[k]} from ((i, j), vector) pairs."""
+    return {(i, j, k): c for (i, j), vec in pairs for k, c in enumerate(vec) if c}
+
+
 class TwistError(ValueError):
     """The requested twist is not by an endomorphism pair."""
 
@@ -398,17 +406,14 @@ def twist_by_endomorphism(h, g, f):
         raise TwistError(failed, f"not an endomorphism pair: {details}")
     g = _freeze_rect(g, h.dimA, h.dimA, "g")
     f = _freeze_rect(f, h.dimL, h.dimL, "f")
-    new_bracket = tuple(
-        tuple(mat_vec(f, h.bracket[i][j]) for j in range(h.dimL)) for i in range(h.dimL)
-    )
-    new_anchor = tuple(
-        tuple(mat_vec(g, h.anchor[i][j]) for j in range(h.dimA)) for i in range(h.dimL)
-    )
+    eL, eA = identity_matrix(h.dimL), identity_matrix(h.dimA)
+    bracket = _entries(((i, j), mat_vec(f, h.bracket_vec(x, y))) for i, x in enumerate(eL) for j, y in enumerate(eL))
+    anchor = _entries(((i, j), mat_vec(g, h.anchor_vec(x, a))) for i, x in enumerate(eL) for j, a in enumerate(eA))
     regular = mat_inverse(f) is not None and mat_inverse(g) is not None
     return replace(
         h,
-        bracket=new_bracket,
-        anchor=new_anchor,
+        bracket=bracket,
+        anchor=anchor,
         psi=f,
         phi=g,
         regular=regular,
@@ -600,18 +605,15 @@ def sub_algebra(h, l_sub, a_sub, l_labels=None, a_labels=None):
 
     lcoords = partial(coords, l_sub, "L")
     acoords = partial(coords, a_sub, "A")
-    bracket = tuple(
-        tuple(lcoords("bracket", (i, j), h.bracket_vec(lb[i], lb[j])) for j in range(dl)) for i in range(dl)
-    )
-    mul = tuple(
-        tuple(acoords("mul", (i, j), h.mul_vec(ab[i], ab[j])) for j in range(da)) for i in range(da)
-    )
-    action = tuple(
-        tuple(lcoords("action", (i, j), h.act_vec(ab[i], lb[j])) for j in range(dl)) for i in range(da)
-    )
-    anchor = tuple(
-        tuple(acoords("anchor", (i, j), h.anchor_vec(lb[i], ab[j])) for j in range(da)) for i in range(dl)
-    )
+
+    def table(kind, place, vec, left, right):
+        pairs = (((i, j), place(kind, (i, j), vec(u, v))) for i, u in enumerate(left) for j, v in enumerate(right))
+        return _entries(pairs)
+
+    bracket = table("bracket", lcoords, h.bracket_vec, lb, lb)
+    mul = table("mul", acoords, h.mul_vec, ab, ab)
+    action = table("action", lcoords, h.act_vec, ab, lb)
+    anchor = table("anchor", acoords, h.anchor_vec, lb, ab)
     psi = mat_from_columns([lcoords("psi", (j,), h.psi_vec(b)) for j, b in enumerate(lb)], nrows=dl)
     phi = mat_from_columns([acoords("phi", (j,), h.phi_vec(b)) for j, b in enumerate(ab)], nrows=da)
     regular = mat_inverse(psi) is not None and mat_inverse(phi) is not None
@@ -659,8 +661,8 @@ def fiber_product(h1, h2):
     for j in range(na):
         for k in range(na):
             rows.append(
-                tuple(h1.anchor[i][j][k] for i in range(n1))
-                + tuple(-h2.anchor[i][j][k] for i in range(n2))
+                tuple(h1.anchor.get((i, j, k), ZERO) for i in range(n1))
+                + tuple(-h2.anchor.get((i, j, k), ZERO) for i in range(n2))
             )
     w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
     # L1 x L2 with the legs split at n1; on the carrier both anchors agree,

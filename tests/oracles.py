@@ -3,7 +3,11 @@
 The brute_force_* functions re-derive connectivity by enumerating families
 and recomputing every displayed partial sum from its exponent pattern, with
 no shared recurrence with the breadth-first walkers they check.
+dense_bilinear evaluates a structure tensor on its full dense grid, the
+slow path that the grouped sparse rows of HLRAlgebra replace.
 """
+
+from fractions import Fraction
 
 from hlra.connections import _displayed_root_sum, _pm
 from hlra.linalg import vec_add, vec_neg
@@ -87,3 +91,15 @@ def same_class(part, f, g):
     f = tuple(f)
     cls = next((c for c in part.classes if f in c), None)
     return cls is not None and tuple(g) in cls
+
+
+def dense_bilinear(tensor, u, v, out_dim):
+    """sum over every cell (i, j, k) of u_i v_j tensor[i, j, k] e_k, on the
+    dense grid built from the tensor's entries, zero cells included."""
+    grid = [[[tensor.get((i, j, k), 0) for k in range(out_dim)] for j in range(len(v))] for i in range(len(u))]
+    out = [Fraction(0)] * out_dim
+    for i, ci in enumerate(u):
+        for j, cj in enumerate(v):
+            for k in range(out_dim):
+                out[k] += ci * cj * grid[i][j][k]
+    return tuple(out)

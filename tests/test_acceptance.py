@@ -63,15 +63,8 @@ def decomps(bundled):
 def tensor_mutations(h):
     for field in ("bracket", "mul", "action", "anchor"):
         t = getattr(h, field)
-        for i, plane in enumerate(t):
-            for j, row in enumerate(plane):
-                for k, v in enumerate(row):
-                    if v == 0:
-                        continue
-                    new = [[list(r) for r in p] for p in t]
-                    new[i][j][k] = v + 1
-                    tup = tuple(tuple(tuple(r) for r in p) for p in new)
-                    yield field, (i, j, k), dataclasses.replace(h, **{field: tup})
+        for idx, v in sorted(t.items()):
+            yield field, idx, dataclasses.replace(h, **{field: {**t, idx: v + 1}})
 
 
 def detected(mut):

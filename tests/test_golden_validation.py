@@ -16,12 +16,14 @@ import hashlib
 import json
 import random
 import sys
+from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from hlra import fixtures
-from hlra.model import RELAXED, STRICT, check_morphism, validate_hlr
+from hlra.model import RELAXED, STRICT, check_morphism, tensor_shapes, validate_hlr
 
 GOLDEN = Path(__file__).with_name("golden_validation.json")
 FIELDS = ("bracket", "mul", "action", "anchor", "psi", "phi")
@@ -29,14 +31,16 @@ MUTATIONS = 8
 SHIFTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
-def _entries(value, prefix=()):
-    """Index tuples of every scalar entry in a nested tuple."""
-    if not isinstance(value, tuple):
-        return [prefix]
-    return [idx for i, sub in enumerate(value) for idx in _entries(sub, prefix + (i,))]
+def _entries(h, field):
+    """Index tuples of every scalar entry of a field, zero ones included,
+    in row-major order."""
+    shapes = {**tensor_shapes(h.dimL, h.dimA), "psi": (h.dimL, h.dimL), "phi": (h.dimA, h.dimA)}
+    return list(product(*map(range, shapes[field])))
 
 
 def _shifted(value, idx, by):
+    if isinstance(value, Mapping):
+        return {**value, idx: value.get(idx, 0) + by}
     if not idx:
         return value + by
     i = idx[0]
@@ -46,11 +50,11 @@ def _shifted(value, idx, by):
 def mutants(name, h):
     """(tag, algebra) for the input and its seeded single-entry mutations."""
     out = [(f"{name}", h)]
-    fields = [f for f in FIELDS if _entries(getattr(h, f))]
+    fields = [f for f in FIELDS if _entries(h, f)]
     rng = random.Random(f"validation {name}")
     for m in range(MUTATIONS if fields else 0):
         field = rng.choice(fields)
-        idx = rng.choice(_entries(getattr(h, field)))
+        idx = rng.choice(_entries(h, field))
         by = rng.choice(SHIFTS)
         out.append((f"{name}#{m} {field}{list(idx)} by {by}", replace(h, **{field: _shifted(getattr(h, field), idx, by)})))
     return out

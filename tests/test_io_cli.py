@@ -8,12 +8,13 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlra import cli, fixtures
-from hlra.fileio import ParseError, dumps_algebra, loads_algebra, to_document
+from hlra.fileio import ParseError, canonical_dumps, dumps_algebra, loads_algebra, to_document
 
 
 def run(capsys, *argv):
@@ -127,6 +128,64 @@ def test_tiny_file_with_a_huge_dimension_is_an_input_error(tmp_path, dim_l, dim_
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert f"error: {field} must be a dense 3000x3000 matrix" in r.stderr.splitlines()
+
+
+DEEP = "[" * 100_000
+LONG_INT = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        ("file", DEEP),
+        ("file", f'{{"format_version": "1", "dimL": {LONG_INT}}}'),
+        ("--cartan", DEEP),
+        ("--cartan", f"[[{LONG_INT}, 0]]"),
+    ],
+    ids=["file-deep", "file-long-int", "cartan-deep", "cartan-long-int"],
+)
+def test_json_past_the_decoder_limits_is_an_input_error(tmp_path, data_dir, where, text):
+    """Nesting deeper than the recursion limit and integer literals longer
+    than Python's digit limit fail inside json.loads, not in its syntax."""
+    if where == "file":
+        p = tmp_path / "past_limits.json"
+        p.write_text(text)
+        argv = ["validate", str(p)]
+    else:
+        argv = ["decompose", path(data_dir, "fix_b"), "--cartan", text]
+    r = subprocess.run([sys.executable, "-m", "hlra", *argv], capture_output=True, text=True, timeout=20)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    prefix = "error: invalid JSON: " if where == "file" else "error: --cartan: not valid JSON: "
+    assert r.stderr.splitlines()[0].startswith(prefix), r.stderr
+
+
+def test_loading_a_wide_file_costs_memory_in_its_entries(tmp_path):
+    """A dimL-200 file with empty tensors loads and dumps back without
+    building any n x n x n grid."""
+    n = 200
+    doc = {
+        "format_version": "1",
+        "dimL": n,
+        "dimA": 1,
+        "labels": {"L": [f"x{i}" for i in range(n)], "A": ["a0"]},
+        "bracket": [],
+        "mul": [],
+        "action": [],
+        "anchor": [],
+        "psi": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        "phi": [["1"]],
+        "flags": {"regular": True, "unital": False},
+    }
+    text = canonical_dumps(doc)
+    tracemalloc.start()
+    try:
+        dumped = dumps_algebra(loads_algebra(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dumped == text
+    assert peak < 16 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 # -- twist ------------------------------------------------------------------

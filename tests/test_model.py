@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +26,13 @@ from hlra.model import (
     find_unit,
     ideal_closure,
     is_ideal,
+    tensor_shapes,
     twist_by_endomorphism,
     validate_hlr,
 )
 from hlra.scalars import format_vector
+
+from oracles import dense_bilinear
 
 F = Fraction
 
@@ -224,8 +228,8 @@ def fiber_product_by_hand(h1, h2):
     for j in range(na):
         for k in range(na):
             rows.append(
-                tuple(h1.anchor[i][j][k] for i in range(n1))
-                + tuple(-h2.anchor[i][j][k] for i in range(n2))
+                tuple(h1.anchor.get((i, j, k), F(0)) for i in range(n1))
+                + tuple(-h2.anchor.get((i, j, k), F(0)) for i in range(n2))
             )
     w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
 
@@ -272,13 +276,17 @@ def fiber_product_by_hand(h1, h2):
     new_anchor = tuple(
         tuple(h1.anchor_vec(split(basis[p])[0], eA[j]) for j in range(na)) for p in range(d)
     )
+
+    def entries(nested):
+        return {(i, j, k): c for i, plane in enumerate(nested) for j, row in enumerate(plane) for k, c in enumerate(row)}
+
     algebra = HLRAlgebra(
         dimL=d,
         dimA=na,
-        bracket=new_bracket,
+        bracket=entries(new_bracket),
         mul=h1.mul,
-        action=new_action,
-        anchor=new_anchor,
+        action=entries(new_action),
+        anchor=entries(new_anchor),
         psi=mat_from_columns(new_psi_cols, nrows=d),
         phi=h1.phi,
         L_labels=tuple(f"w{p}" for p in range(d)),
@@ -428,15 +436,50 @@ def test_find_unit(bundled):
 # -- input checking ---------------------------------------------------------
 
 
+def _line_algebra(bracket):
+    return HLRAlgebra(dimL=2, dimA=1, bracket=bracket, mul={}, action={}, anchor={}, psi=((1, 0), (0, 1)), phi=((1,),))
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [
+        {(0, 2, 1): 1},  # j outside 0..1
+        {(0, -1, 1): 1},
+        {(0, True, 1): 1},
+        {(0, 1.0, 1): 1},
+        {("0", 1, 1): 1},
+        {(0, 1): 1},
+        {(0, 1, 1, 0): 1},
+        {0: 1},
+        (((0, 0), (0, 1)), ((0, 0), (0, 0))),  # the dense nested form
+    ],
+)
+def test_a_tensor_key_must_be_an_in_range_index_triple(bracket):
+    with pytest.raises(InputError):
+        _line_algebra(bracket)
+
+
+def test_tensors_are_read_only_mappings_of_nonzero_entries(bundled):
+    b = bundled["fix_b"]
+    assert b.bracket[0, 1, 1] == 1 and (0, 0, 0) not in b.bracket
+    with pytest.raises(TypeError):
+        b.bracket[0, 0, 0] = F(1)
+    key = (0, 1, 1)
+    without = {k: c for k, c in b.bracket.items() if k != key}
+    assert replace(b, bracket={**b.bracket, key: 0}) == replace(b, bracket=without) != b
+    for name, h in bundled.items():
+        assert replace(h) == h, name
+
+
 def test_algebra_shape_validation():
     with pytest.raises(InputError):
         HLRAlgebra(
             dimL=1,
             dimA=1,
-            bracket=((),),  # wrong inner arity
-            mul=(((F(0),),),),
-            action=(((F(0),),),),
-            anchor=(((F(0),),),),
+            bracket={(0, 1, 0): F(1)},  # j outside 0..0
+            mul={},
+            action={},
+            anchor={},
             psi=((F(1),),),
             phi=((F(1),),),
         )
@@ -444,10 +487,54 @@ def test_algebra_shape_validation():
 
 def test_mutation_breaks_an_axiom(bundled):
     b = bundled["fix_b"]
-    bracket = [[list(cell) for cell in plane] for plane in b.bracket]
-    bracket[0][1][0] = F(1)  # [h,e] picks up an h component
-    from dataclasses import replace
-
-    mutant = replace(b, bracket=tuple(tuple(tuple(c) for c in plane) for plane in bracket))
+    # [h,e] picks up an h component
+    mutant = replace(b, bracket={**b.bracket, (0, 1, 0): F(1)})
     rep = validate_hlr(mutant, strictness=STRICT)
     assert not rep.ok
+
+
+# -- sparse evaluation against the dense grid -------------------------------
+
+
+@cache
+def _oracle_algebra(source):
+    """A bundled fixture by name, or random_instance(seed) plain or twisted."""
+    if isinstance(source, str):
+        return fixtures.BUNDLED[source]()
+    seed, twisted = source
+    h, g, f = fixtures.random_instance(seed)
+    return twist_by_endomorphism(h, g, f) if twisted else h
+
+
+@st.composite
+def _arbitrary_algebras(draw):
+    """Random entries on small dimensions, several per (i, j) row; the
+    identities need not hold, since only the evaluation is compared."""
+    nl, na = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+
+    def tensor(dims):
+        keys = st.tuples(*(st.integers(0, d - 1) for d in dims))
+        return draw(st.dictionaries(keys, st.fractions(-3, 3, max_denominator=4), max_size=12)) if all(dims) else {}
+
+    tensors = {name: tensor(dims) for name, dims in tensor_shapes(nl, na).items()}
+    return HLRAlgebra(dimL=nl, dimA=na, psi=identity_matrix(nl), phi=identity_matrix(na), **tensors)
+
+
+def _vectors(n):
+    scalar = st.just(F(0)) | st.fractions(-3, 3, max_denominator=4)
+    return st.just((F(0),) * n) | st.lists(scalar, min_size=n, max_size=n).map(tuple)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    h=(st.sampled_from(sorted(fixtures.BUNDLED)) | st.tuples(st.integers(0, 39), st.booleans())).map(_oracle_algebra)
+    | _arbitrary_algebras(),
+    data=st.data(),
+)
+def test_structure_maps_match_the_dense_oracle(h, data):
+    x, y = data.draw(_vectors(h.dimL)), data.draw(_vectors(h.dimL))
+    a, b = data.draw(_vectors(h.dimA)), data.draw(_vectors(h.dimA))
+    assert h.bracket_vec(x, y) == dense_bilinear(h.bracket, x, y, h.dimL)
+    assert h.mul_vec(a, b) == dense_bilinear(h.mul, a, b, h.dimA)
+    assert h.act_vec(a, x) == dense_bilinear(h.action, a, x, h.dimL)
+    assert h.anchor_vec(x, a) == dense_bilinear(h.anchor, x, a, h.dimA)

@@ -2,7 +2,8 @@
 
 Every top-level function or class in src/hlra must be used by the package
 itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
-Oracles and helpers that only tests need live under tests/.
+Oracles and helpers that only tests need live under tests/.  Structure
+tensors are read by their (i, j, k) entries, never as dense t[i][j][k].
 """
 
 import ast
@@ -51,3 +52,19 @@ def test_every_module_parses_as_the_oldest_supported_python():
     """requires-python is >= 3.10, so no module may use newer syntax."""
     for p in sorted(PACKAGE.glob("*.py")):
         ast.parse(p.read_text(), filename=str(p), feature_version=(3, 10))
+
+
+def _dense_tensor_reads(tree):
+    """Line of every t[i][j][k] chain on a .bracket, .mul, .action or .anchor."""
+    for node in ast.walk(tree):
+        base, depth = node, 0
+        while isinstance(base, ast.Subscript):
+            base, depth = base.value, depth + 1
+        if depth == 3 and isinstance(base, ast.Attribute) and base.attr in ("bracket", "mul", "action", "anchor"):
+            yield node.lineno
+
+
+def test_no_module_reads_a_structure_tensor_as_a_dense_grid():
+    modules = sorted(PACKAGE.glob("*.py"))
+    reads = [f"{p.name}:{line}" for p in modules for line in _dense_tensor_reads(ast.parse(p.read_text()))]
+    assert reads == []
