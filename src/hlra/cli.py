@@ -117,6 +117,8 @@ def _open_split(args):
     report already says why, has been emitted, and the exit code comes back.
     """
     h, text = _load(args.file)
+    # a malformed flag is bad input even when the file fails validation
+    H = _matrix_arg(args.cartan, "--cartan") if args.cartan is not None else None
     digest, lines = _header(args.file, text)
     doc = {"command": args.command, "input": args.file, "sha256": digest}
     rep = validate_hlr(h, strictness=RELAXED)
@@ -127,7 +129,6 @@ def _open_split(args):
             lines.append(reporting.check_line(c))
         doc["validation_failures"] = [reporting.check_json(c) for c in rep.failures()]
         return _finish(args, doc, lines, failed=True)
-    H = _matrix_arg(args.cartan, "--cartan") if args.cartan is not None else None
     rd = root_decomposition(h, H)
     wd = weight_decomposition(h, rd)
     doc["cartan"] = reporting.space_json(rd.H)

@@ -17,7 +17,6 @@ from .linalg import (
     Subspace,
     basis_vector,
     complement,
-    kernel,
     mat_from_columns,
     mat_vec,
     span,
@@ -263,17 +262,16 @@ def _h_part_window(rd, f_space, images):
     shrunk iteratively from H.
 
     images holds, for each rule map that does not vanish on H, the images
-    of the basis of H.  W is tracked in H-coordinates: each step reduces
-    those images along W + F and keeps the coordinates whose combined
-    residuals vanish.  The greatest such W is unique, so the result does
-    not depend on how it is computed.
+    of the basis of H.  W is tracked in H-coordinates: each step keeps the
+    coordinate vectors of W whose combined images all lie in W + F.  The
+    greatest such W is unique, so the result does not depend on how it is
+    computed.
     """
     d = rd.H.dim
     w = Subspace.full(d)
+    cols = [tuple(x for imgs in images for x in imgs[i]) for i in range(d)]
     while True:
-        target = _from_h_coords(rd, w).add(f_space)
-        cols = [tuple(x for imgs in images for x in target.reduce(imgs[i])) for i in range(d)]
-        shrunk = w.intersect(kernel(mat_from_columns(cols), ncols=d))
+        shrunk = w.intersect(_from_h_coords(rd, w).add(f_space).preimage(cols))
         if shrunk == w:
             return _from_h_coords(rd, w)
         w = shrunk
@@ -335,7 +333,7 @@ def enumerate_ideals(h, rd):
     for mask in range(2 ** len(gamma)):
         members = [i for i in range(len(gamma)) if mask >> i & 1]
         if all(support[i] & ~mask == 0 for i in members):
-            closed.append((members, Subspace(n, [b for i in members for b in closures[i].basis])))
+            closed.append((members, span(n, [closures[i] for i in members])))
     return _ideals_from_closed_sets(h, rd, closed)
 
 
@@ -361,7 +359,7 @@ def _ideals_from_closed_sets(h, rd, closed):
     per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
     images = [imgs for imgs in zip(*per_basis) if any(map(any, imgs))]
     for members, closure in closed:
-        f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
+        f_space = span(n, [rd.space(gamma[i]) for i in members])
         top = _h_part_window(rd, f_space, images).add(f_space)
         if top.dim > closure.dim + 1:
             complete = False

@@ -37,10 +37,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vec_neg(v):
     return tuple(-a for a in v)
 
@@ -105,56 +101,136 @@ def stack_rows(*matrices):
     return tuple(rows)
 
 
+def _primitive(row):
+    """The integer row spanning the same line as a rational row, with its
+    denominators cleared and its content divided out; None for a zero row."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row] if den != 1 else [x.numerator for x in row]
+    g = gcd(*ints)
+    if not g:
+        return None
+    return [x // g for x in ints] if g != 1 else ints
+
+
+def _eliminate(row, prow, c, at=0):
+    """An integer multiple of row minus one of prow that is zero in column
+    at + c, with prow read as placed at column at and padded with zeros.
+    When row itself had to be scaled up, the result is divided by its
+    content; otherwise it grows only by the size of one product, and the
+    costly gcd of long integers is skipped."""
+    g = gcd(prow[c], row[at + c])
+    s, t = prow[c] // g, row[at + c] // g
+    end = at + len(prow)
+    new = [s * x - t * y for x, y in zip(row[at:end] if at else row, prow)]
+    if at or len(row) > end:
+        new = [s * x for x in row[:at]] + new + [s * x for x in row[end:]]
+    if s != 1:
+        g = gcd(*new)
+        if g > 1:
+            new = [x // g for x in new]
+    return new
+
+
+def _echelon(work):
+    """Gauss-Jordan elimination in place on nonzero integer rows, all of one
+    length.  Returns the pivot columns; the first len(pivots) rows of
+    work are then nonzero only at their own pivot among the pivot columns,
+    and the rest are zero.
+
+    Fraction-free: a row is eliminated against a pivot row by
+    cross-multiplication and then divided by its content, so its entries
+    stay integers bounded by the minors of the input (Bareiss 1968) instead
+    of doubling with every step.  Rows are cleared below each pivot first
+    and above it afterwards, bottom up, so clearing above only ever uses
+    rows that are already reduced.
+    """
+    pivots = []
+    n = len(work)
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        for i in range(r + 1, n):
+            if work[i][c]:
+                work[i] = _eliminate(work[i], work[r], c)
+        pivots.append(c)
+        if r + 1 == n:
+            break
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        for i in range(r):
+            if work[i][c]:
+                work[i] = _eliminate(work[i], work[r], c)
+    return pivots
+
+
+def _normal(row, c):
+    """The primitive integer row with a positive entry in column c spanning
+    the line of row."""
+    g = gcd(*row) if row[c] > 0 else -gcd(*row)
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
+
+
+def _fractions(row, c):
+    """The rational row with 1 in column c spanning the line of row."""
+    p = row[c]
+    return tuple(Fraction(x, p) if x else ZERO for x in row)
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
 
     Zero rows are dropped, pivots are 1, pivot columns are cleared above and
     below.  The result depends only on the row span, which is what makes
-    Subspace canonical.
+    Subspace canonical.  Entries may be ints or Fractions; the elimination
+    runs on primitive integer rows and builds the Fraction rows once, at the
+    end.
     """
-    work = [list(r) for r in rows if not is_zero_vector(r)]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    kept = tuple(tuple(row) for row in work[:r] if not is_zero_vector(row))
-    return kept, tuple(pivots[: len(kept)])
+    work = [w for w in map(_primitive, rows) if w is not None]
+    pivots = _echelon(work)
+    return tuple(_fractions(row, c) for row, c in zip(work, pivots)), tuple(pivots)
 
 
 class Subspace:
-    """A subspace of Q^n held through its canonical RREF basis."""
+    """A subspace of Q^n held through its canonical RREF basis.
 
-    __slots__ = ("ambient", "basis", "pivots")
+    rows holds the same basis as primitive integer rows with positive
+    pivots, which are just as canonical; the arithmetic runs on them and
+    basis is built from them once.
+    """
+
+    __slots__ = ("ambient", "basis", "pivots", "rows")
 
     def __init__(self, ambient, vectors=()):
-        vectors = tuple(tuple(frac(x) for x in v) for v in vectors)
+        work = []
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient}")
-        basis, pivots = rref(vectors)
+            w = _primitive(v)
+            if w is not None:
+                work.append(w)
+        self._hold(ambient, work, _echelon(work))
+
+    def _hold(self, ambient, work, pivots):
+        """Hold the reduced integer rows work[:len(pivots)] with these pivots."""
+        rows = tuple(_normal(w, c) for w, c in zip(work, pivots))
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "basis", tuple(_fractions(w, c) for w, c in zip(rows, pivots)))
+
+    @classmethod
+    def _reduced(cls, ambient, work, pivots):
+        self = object.__new__(cls)
+        self._hold(ambient, work, pivots)
+        return self
+
+    @classmethod
+    def _spanned(cls, ambient, work):
+        """The span of integer rows of length ambient (work is consumed)."""
+        return cls._reduced(ambient, work, _echelon(work))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -165,7 +241,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, identity_matrix(ambient))
+        return cls._reduced(ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)], range(ambient))
 
     @property
     def dim(self):
@@ -176,20 +252,34 @@ class Subspace:
         return not self.basis
 
     def reduce(self, v):
-        """Residual of v after eliminating along the basis."""
-        v = list(v)
+        """Residual of v after eliminating along the basis: v minus v[p]
+        times the basis row of pivot p, for every pivot p (each basis row is
+        zero at the other pivots)."""
+        out = [frac(x) for x in v]
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c:
-                for j in range(self.ambient):
-                    v[j] -= c * row[j]
-        return tuple(v)
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] -= c * x
+        return tuple(out)
+
+    def _residual(self, w, blocks=1):
+        """A multiple of the integer row w with each of its first `blocks`
+        blocks of ambient entries reduced along the basis; the entries past
+        them are carried along."""
+        for at in range(0, blocks * self.ambient, self.ambient):
+            for row, c in zip(self.rows, self.pivots):
+                if w[at + c]:
+                    w = _eliminate(w, row, c, at)
+        return w
 
     def contains(self, v):
-        return is_zero_vector(self.reduce(v))
+        w = _primitive(v)
+        return w is None or not any(self._residual(w))
 
     def contains_space(self, other):
-        return all(self.contains(b) for b in other.basis)
+        return all(not any(self._residual(w)) for w in other.rows)
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside.
@@ -197,31 +287,36 @@ class Subspace:
         Each basis row is 1 at its own pivot and 0 at the other pivots, so
         the coordinates are just the pivot entries of v.
         """
-        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
+        return tuple(frac(v[p]) for p in self.pivots) if self.contains(v) else None
 
     def add(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace(self.ambient, self.basis + other.basis)
+        return Subspace._spanned(self.ambient, list(self.rows + other.rows))
 
     def intersect(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        if self.is_zero or other.is_zero:
-            return Subspace.zero(self.ambient)
-        # Solve sum lam_i a_i = sum mu_j b_j; the lambda block of each kernel
-        # vector of [A | -B] (columns) spans the intersection.
-        cols = [tuple(v) for v in self.basis] + [vec_neg(v) for v in other.basis]
-        m = mat_from_columns(cols, nrows=self.ambient)
-        ker = kernel(m, ncols=len(cols))
-        vecs = []
-        for k in ker.basis:
-            v = zero_vector(self.ambient)
-            for i, b in enumerate(self.basis):
-                if k[i]:
-                    v = vec_add(v, vec_scale(k[i], b))
-            vecs.append(v)
-        return Subspace(self.ambient, vecs)
+        if self.dim < other.dim:
+            self, other = other, self
+        # Zassenhaus: reduce each row (b, b) of the smaller space along the
+        # rows (a, 0) of the larger one, then among themselves; the rows
+        # whose left half cancels hold the intersection on their right
+        return _cancelled([self._residual(b + b) for b in other.rows], self.ambient)
+
+    def preimage(self, columns):
+        """The x in Q^len(columns) with sum_i x_i columns[i] in this space, as
+        a Subspace.  A column may stack several vectors of this ambient
+        dimension, and then each of them must lie in this space.
+
+        Each column i becomes the row (column i | e_i), reduced along this
+        space block by block and then among the rows; a row whose left part
+        cancels records such an x on its right.
+        """
+        k = len(columns)
+        blocks = len(columns[0]) // self.ambient if columns and self.ambient else 0
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        return _cancelled([self._residual(_primitive(tuple(col) + e), blocks) for col, e in zip(columns, units)], k)
 
     def image(self, m):
         """Span of m applied to this subspace."""
@@ -232,37 +327,35 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
+def _cancelled(work, ambient):
+    """Reduce integer rows (left | right) whose right parts have length
+    ambient.  The rows whose left part cancels are reduced rows of the span
+    of their right parts, which is returned as a Subspace."""
+    pivots = _echelon(work)
+    k = len(work[0]) - ambient if work else 0
+    return Subspace._reduced(ambient, [w[k:] for w, c in zip(work, pivots) if c >= k], [c - k for c in pivots if c >= k])
+
+
 def kernel(m, ncols=None):
-    """Null space of a matrix as a Subspace of the column space Q^ncols."""
+    """Null space of a matrix as a Subspace of the column space Q^ncols:
+    the combinations of its columns that land in the zero space."""
     if not m:
         if ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return Subspace.full(ncols)
-    n = len(m[0])
-    if ncols is not None and ncols != n:
+    if ncols is not None and ncols != len(m[0]):
         raise ValueError("column count mismatch")
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivset:
-            continue
-        v = [ZERO] * n
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return Subspace(n, basis)
+    return Subspace.zero(len(m)).preimage(list(zip(*m)))
 
 
 def solve(m, rhs):
@@ -314,7 +407,7 @@ def complement(inner, outer):
 
 def span(ambient, spaces):
     """The sum of subspaces of Q^ambient."""
-    return Subspace(ambient, [b for s in spaces for b in s.basis])
+    return Subspace._spanned(ambient, [w for s in spaces for w in s.rows])
 
 
 def sum_and_overlap(ambient, spaces):

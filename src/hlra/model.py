@@ -16,7 +16,7 @@ images of basis vectors.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import product
 from types import MappingProxyType, SimpleNamespace
 
@@ -29,6 +29,7 @@ from .linalg import (
     identity_matrix,
     is_zero_vector,
     kernel,
+    mat_columns,
     mat_from_columns,
     mat_inverse,
     mat_vec,
@@ -242,9 +243,7 @@ def _identities(h):
     in report order.  Each kind is "L" or "A"; lhs and rhs take one basis
     vector per kind."""
     br, mul, act, anc = h.bracket_vec, h.mul_vec, h.act_vec, h.anchor_vec
-    # the rows twist the same few vectors again and again; remember them
-    # for the rows of this one table
-    psi, phi = cache(h.psi_vec), cache(h.phi_vec)
+    psi, phi = _twist(h.psi), _twist(h.phi)
     return (
         # over all ordered pairs: the first violating one in index order has
         # i < j, so the detail is the same as over i < j alone
@@ -288,10 +287,26 @@ def _first_violation(kinds, labels, basis, lhs, rhs):
     return None
 
 
+class _BasisVector(tuple):
+    """Basis vector i of Q^n, carrying its index so that a twist reads its
+    image off a column of the matrix instead of multiplying or hashing."""
+
+    def __new__(cls, n, i):
+        self = super().__new__(cls, basis_vector(n, i))
+        self.index = i
+        return self
+
+
+def _twist(m):
+    """v -> m v, with the image of a basis vector read off its column."""
+    columns = mat_columns(m)
+    return lambda v: columns[v.index] if type(v) is _BasisVector else mat_vec(m, v)
+
+
 def _violations(h, rows):
     """(key, first violation or None) for each identity row, on the basis of h."""
     labels = {"L": h.L_labels, "A": h.A_labels}
-    basis = {"L": identity_matrix(h.dimL), "A": identity_matrix(h.dimA)}
+    basis = {kind: [_BasisVector(n, i) for i in range(n)] for kind, n in (("L", h.dimL), ("A", h.dimA))}
     return [(key, _first_violation(kinds, labels, basis, lhs, rhs)) for key, kinds, lhs, rhs in rows]
 
 

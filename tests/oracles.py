@@ -5,6 +5,11 @@ and recomputing every displayed partial sum from its exponent pattern, with
 no shared recurrence with the breadth-first walkers they check.
 dense_bilinear evaluates a structure tensor on its full dense grid, the
 slow path that the grouped sparse rows of HLRAlgebra replace.
+fraction_rref is Gauss-Jordan elimination over Fractions, the slow path
+that the integer-row elimination of hlra.linalg replaces; the fraction_*
+functions below it rebuild kernels, intersections, preimages, residuals,
+solutions and inverses on top of it, through null spaces and over
+Fractions throughout.
 """
 
 from fractions import Fraction
@@ -103,3 +108,125 @@ def dense_bilinear(tensor, u, v, out_dim):
             for k in range(out_dim):
                 out[k] += ci * cj * grid[i][j][k]
     return tuple(out)
+
+
+# -- exact linear algebra over Fractions --------------------------------------
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def fraction_rref(rows):
+    """(rows, pivots) of the reduced row echelon form, computed over
+    Fractions: each pivot row is scaled by the inverse of its pivot and
+    subtracted from every other row."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = ONE / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def fraction_kernel(m, ncols):
+    """(rows, pivots) of the null space of m: one vector per free column
+    read off the RREF of m, then reduced."""
+    if not m:
+        return fraction_rref([[ONE if i == j else ZERO for j in range(ncols)] for i in range(ncols)])
+    red, pivots = fraction_rref(m)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(v)
+    return fraction_rref(basis)
+
+
+def fraction_intersect(a, b, n):
+    """(rows, pivots) of span(a) & span(b) in Q^n: the lambda part of each
+    null vector of the matrix with columns a_i and -b_j, combined over a."""
+    a, b = fraction_rref(a)[0], fraction_rref(b)[0]
+    if not a or not b:
+        return (), ()
+    cols = list(a) + [tuple(-x for x in v) for v in b]
+    m = tuple(tuple(col[i] for col in cols) for i in range(n))
+    vecs = []
+    for k in fraction_kernel(m, len(cols))[0]:
+        vecs.append([sum((k[i] * row[j] for i, row in enumerate(a)), ZERO) for j in range(n)])
+    return fraction_rref(vecs)
+
+
+def fraction_preimage(rows, columns, n):
+    """(rows, pivots) of the x with sum_i x_i columns[i] in span(rows),
+    block by block of n entries: the x part of the null space of the matrix
+    with columns[i] and, negated, each basis row placed in each block."""
+    if not columns:
+        return (), ()
+    k, width = len(columns), len(columns[0])
+    placed = [
+        tuple(-v[j - at] if at <= j < at + n else ZERO for j in range(width))
+        for at in range(0, width, n)
+        for v in fraction_rref(rows)[0]
+    ]
+    cols = [tuple(c) for c in columns] + placed
+    m = tuple(tuple(col[i] for col in cols) for i in range(width))
+    return fraction_rref([v[:k] for v in fraction_kernel(m, len(cols))[0]])
+
+
+def fraction_reduce(basis, pivots, v):
+    """v after subtracting, row by row, its current pivot entry times the
+    RREF row of that pivot."""
+    v = list(v)
+    for row, p in zip(basis, pivots):
+        c = v[p]
+        if c:
+            v = [x - c * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def fraction_coords(basis, pivots, v):
+    if any(fraction_reduce(basis, pivots, v)):
+        return None
+    return tuple(v[p] for p in pivots)
+
+
+def fraction_solve(m, rhs):
+    if not m:
+        return None
+    n = len(m[0])
+    red, pivots = fraction_rref([tuple(row) + (b,) for row, b in zip(m, rhs)])
+    x = [ZERO] * n
+    for row, p in zip(red, pivots):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return tuple(x)
+
+
+def fraction_inverse(m):
+    n = len(m)
+    if n == 0:
+        return ()
+    aug = [tuple(row) + tuple(ONE if i == j else ZERO for j in range(n)) for i, row in enumerate(m)]
+    red, pivots = fraction_rref(aug)
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in red)

@@ -280,6 +280,22 @@ def test_malformed_cartan_flag(capsys, data_dir):
         assert err.startswith("error: --cartan: not valid JSON"), (command, err)
 
 
+def test_malformed_cartan_flag_on_an_input_that_fails_validation(capsys, data_dir, tmp_path):
+    # [x0, x1] gains an x0 component, which breaks skew-symmetry and so the
+    # Hom-Leibniz identity; the flag is still bad input, exit 2
+    text = (data_dir / "fix_b.json").read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"bracket": [[0, 1, 1, "1"]', '"bracket": [[0, 1, 0, "1"], [0, 1, 1, "1"]', 1))
+    code, out, _ = run(capsys, "decompose", str(bad))
+    assert code == 1
+    assert "validation failed" in out
+    for command in ("decompose", "analyze", "connect"):
+        code, out, err = run(capsys, command, str(bad), "--cartan", "nope")
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: --cartan: not valid JSON"), (command, err)
+
+
 def test_analyze_descriptive_failures_do_not_flip_the_exit_code(capsys, data_dir):
     code, out, _ = run(capsys, "analyze", path(data_dir, "fix_e"))
     assert code == 0

@@ -1,5 +1,7 @@
 """Exact linear algebra: canonical bases, kernels, eigen-splitting."""
 
+import random
+import signal
 import time
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,12 +27,22 @@ from hlra.linalg import (
     mat_vec,
     rational_roots,
     rref,
+    solve,
     stack_rows,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 from hlra.model import twist_by_endomorphism
+from oracles import (
+    fraction_coords,
+    fraction_intersect,
+    fraction_inverse,
+    fraction_kernel,
+    fraction_preimage,
+    fraction_reduce,
+    fraction_rref,
+    fraction_solve,
+)
 
 F = Fraction
 
@@ -173,7 +185,7 @@ def coords_by_residual(space, v):
     residual = v
     for coef, row in zip(c, space.basis):
         if coef:
-            residual = vec_sub(residual, vec_scale(coef, row))
+            residual = vec_sub(residual, tuple(coef * x for x in row))
     return c if is_zero_vector(residual) else None
 
 
@@ -248,6 +260,146 @@ def test_joint_eigenspaces_takes_each_eigenspace_once(monkeypatch):
     assert [tup for tup, _ in classes] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert rem.is_zero
     assert len(shifts) == 4
+
+
+# -- integer-row elimination against the Fraction oracle ----------------------
+
+# zeros, plain ints, small fractions, and fractions with numerators and
+# denominators up to 10**12, mixed within one matrix
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """(matrix, column count): up to 6x6, 0xn and nx0 included, with zero
+    rows and duplicate rows mixed in."""
+    nrows = draw(st.integers(0, 6)) if rows is None else rows
+    ncols = draw(st.integers(0, 6)) if cols is None else cols
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols).map(tuple), min_size=nrows, max_size=nrows))
+    if rows is None:
+        for extra in draw(st.lists(st.sampled_from(["zero", "duplicate"]), max_size=2)):
+            row = (0,) * ncols if extra == "zero" or not m else m[draw(st.integers(0, len(m) - 1))]
+            m.insert(draw(st.integers(0, len(m))), row)
+    return tuple(m), ncols
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rational_matrices())
+def test_rref_matches_the_fraction_oracle(case):
+    m, _ = case
+    got = rref(m)
+    assert got == fraction_rref(m)
+    assert all_fractions(got[0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_matrices())
+def test_subspace_and_kernel_match_the_fraction_oracle(case):
+    m, n = case
+    space = Subspace(n, m)
+    assert (space.basis, space.pivots) == fraction_rref(m)
+    null = kernel(m, ncols=n)
+    assert (null.basis, null.pivots) == fraction_kernel(m, n)
+    assert all_fractions(space.basis) and all_fractions(null.basis)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(rational_matrices(cols=n), rational_matrices(cols=n))))
+def test_intersect_matches_the_fraction_oracle(pair):
+    (a, n), (b, _) = pair
+    inter = Subspace(n, a).intersect(Subspace(n, b))
+    assert (inter.basis, inter.pivots) == fraction_intersect(a, b, n)
+    assert all_fractions(inter.basis)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+        lambda nb: st.tuples(rational_matrices(cols=nb[0]), rational_matrices(cols=nb[0] * nb[1]))
+    )
+)
+def test_preimage_matches_the_fraction_oracle(pair):
+    # columns of one to three blocks, each block to land in the space
+    (m, n), (columns, _) = pair
+    pre = Subspace(n, m).preimage(columns)
+    assert (pre.basis, pre.pivots) == fraction_preimage(m, columns, n)
+    assert all_fractions(pre.basis)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.tuples(rational_matrices(cols=n), rational_matrices(rows=1, cols=n))),
+    st.lists(entries, min_size=6, max_size=6),
+)
+def test_reduce_contains_and_coords_match_the_fraction_oracle(pair, weights):
+    # v is drawn outside the span, or as a combination of its rows
+    (m, n), (outside, _) = pair
+    space = Subspace(n, m)
+    basis, pivots = fraction_rref(m)
+    inside = tuple(sum((w * row[j] for w, row in zip(weights, m)), Fraction(0)) for j in range(n))
+    for v in outside + (inside,):
+        residual = space.reduce(v)
+        assert residual == fraction_reduce(basis, pivots, v)
+        assert space.contains(v) == (not any(residual))
+        assert space.coords(v) == fraction_coords(basis, pivots, v)
+        assert all_fractions([residual, space.coords(v) or ()])
+    assert space.contains(inside)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(rational_matrices(rows=n, cols=n), st.lists(entries, min_size=n, max_size=n))))
+def test_solve_and_inverse_match_the_fraction_oracle(case):
+    (m, _), rhs = case
+    x = solve(m, rhs)
+    assert x == fraction_solve(m, rhs)
+    inv = mat_inverse(m)
+    assert inv == fraction_inverse(m)
+    assert all_fractions([x or ()]) and all_fractions(inv or ())
+
+
+class Timeout(Exception):
+    pass
+
+
+def within(seconds, fn, *args):
+    """fn(*args), raising Timeout once `seconds` of wall time have passed, so
+    a runaway computation fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise Timeout(f"{fn.__name__} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_dense_rational_rref_keeps_its_integers_small():
+    # 24x24, numerators and denominators of 12 digits, four duplicate rows:
+    # rank 20, so the RREF has four dense free columns.  Clearing the row
+    # denominators gives entries of about 290 digits; dividing each row by
+    # its content keeps them near the size of the minors (about 7,000
+    # digits at the end), while plain cross-multiplication doubles them at
+    # every step and never finishes.
+    rng = random.Random(24)
+    rows = [tuple(Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12)) for _ in range(24)) for _ in range(20)]
+    m = rows + [rows[i] for i in (3, 7, 11, 19)]
+    rng.shuffle(m)
+    got = within(5, rref, m)
+    assert len(got[0]) == 20
+    assert got == fraction_rref(m)
 
 
 # -- rational roots against the divisor method ---------------------------------
