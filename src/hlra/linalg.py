@@ -33,10 +33,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_neg(v):
     return tuple(-a for a in v)
 

@@ -16,8 +16,9 @@ images of basis vectors.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
+from math import lcm, prod
 from types import MappingProxyType, SimpleNamespace
 
 from .linalg import (
@@ -29,14 +30,12 @@ from .linalg import (
     identity_matrix,
     is_zero_vector,
     kernel,
-    mat_columns,
     mat_from_columns,
     mat_inverse,
     mat_vec,
     solve,
     stack_rows,
     vec_add,
-    vec_sub,
 )
 from .scalars import format_vector
 
@@ -185,6 +184,11 @@ class HLRAlgebra:
         return mat_inverse(self.psi)
 
     @cached_property
+    def phi_inv(self):
+        """Inverse of phi, or None when phi is singular."""
+        return mat_inverse(self.phi)
+
+    @cached_property
     def _rows(self):
         """Per tensor name, its nonzero (k, c) pairs grouped by (i, j)."""
         out = {}
@@ -238,12 +242,148 @@ class ValidationReport:
         return None
 
 
+class _Term:
+    """fn applied to its operands, times sign.  An operand is a _Term or the
+    position of one of the identity's arguments."""
+
+    __slots__ = ("fn", "operands", "sign")
+
+    def __init__(self, fn, operands, sign=1):
+        self.fn, self.operands, self.sign = fn, operands, sign
+
+    def __neg__(self):
+        return _Term(self.fn, self.operands, -self.sign)
+
+    def __add__(self, other):
+        return (self, other)
+
+    def __sub__(self, other):
+        return (self, -other)
+
+
+class _Map:
+    """A linear or bilinear map with integer entries over one denominator.
+
+    entries maps (input index..., output index) to a rational coefficient;
+    rows groups den times each nonzero one by its first input index, as
+    (other input index..., output index, integer)."""
+
+    def __init__(self, entries, out):
+        self.out = out
+        self.den = lcm(*(c.denominator for c in entries.values()))
+        self.rows = {}
+        for (i, *rest), c in entries.items():
+            self.rows.setdefault(i, []).append((*rest, c.numerator * (self.den // c.denominator)))
+
+    def __call__(self, *operands):
+        return _Term(self, operands)
+
+
+def _matrix_map(m):
+    """The _Map of v -> m v."""
+    return _Map({(j, k): c for k, row in enumerate(m) for j, c in enumerate(row) if c}, len(m))
+
+
+def _structure_maps(h):
+    """bracket, mul, action, anchor, psi and phi of h as _Maps."""
+    maps = {name: _Map(getattr(h, name), dims[2]) for name, dims in tensor_shapes(h.dimL, h.dimA).items()}
+    return SimpleNamespace(**maps, psi=_matrix_map(h.psi), phi=_matrix_map(h.phi))
+
+
+def _nonzero(values):
+    """values without zero coordinates and without vectors left empty."""
+    out = {}
+    for args, vec in values.items():
+        vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            out[args] = vec
+    return out
+
+
+def _contract(term, basis):
+    """(positions, values, den) of term on every tuple of basis vectors.
+
+    values maps the basis indices taken at the argument positions, in that
+    order, to the nonzero coordinates {k: integer} of den times the term.
+    A map is applied by joining its entries with the coordinates of its
+    operands on the shared index, so the cost is the number of nonzero
+    products, not the number of basis tuples."""
+    if type(term) is int:
+        return (term,), basis[term], 1
+    fn, parts = term.fn, [_contract(t, basis) for t in term.operands]
+    den = term.sign * fn.den * prod(d for _, _, d in parts)
+    positions = tuple(p for part, _, _ in parts for p in part)
+    out = {}
+    if len(parts) == 1:
+        for args, vec in parts[0][1].items():
+            image = out[args] = {}
+            for j, a in vec.items():
+                for k, c in fn.rows.get(j, ()):
+                    image[k] = image.get(k, 0) + a * c
+        return positions, _nonzero(out), den
+    (_, left, _), (_, right, _) = parts
+    by_index = {}
+    for args, vec in right.items():
+        for j, b in vec.items():
+            by_index.setdefault(j, []).append((args, b))
+    for args, vec in left.items():
+        for i, a in vec.items():
+            for j, k, c in fn.rows.get(i, ()):
+                ac = a * c
+                for more, b in by_index.get(j, ()):
+                    image = out.setdefault(args + more, {})
+                    image[k] = image.get(k, 0) + ac * b
+    return positions, _nonzero(out), den
+
+
+def _residual(kinds, lhs, rhs, labels, basis):
+    """The first basis tuple, in itertools.product order over kinds, where
+    the sides lhs and rhs differ, as a detail string; None if there is none.
+
+    Each side is brought to one common denominator and its terms summed
+    as integers; the residual lhs - rhs is the set of argument tuples
+    where the two integer maps differ."""
+    positions = range(len(kinds))
+    sides = [side if type(side) is tuple else (side,) for side in (lhs(*positions), rhs(*positions))]
+    basis = [basis[kind] for kind in kinds]
+    contracted = [[_contract(term, basis) for term in side] for side in sides]
+    den = lcm(*(d for side in contracted for _, _, d in side))
+    totals = []
+    for side in contracted:
+        total = {}
+        for order, values, d in side:
+            where, scale = [order.index(p) for p in positions], den // d
+            for args, vec in values.items():
+                acc = total.setdefault(tuple(args[w] for w in where), {})
+                for k, c in vec.items():
+                    acc[k] = acc.get(k, 0) + scale * c
+        totals.append(_nonzero(total))
+    left, right = totals
+    bad = [args for args in left.keys() | right.keys() if left.get(args) != right.get(args)]
+    if not bad:
+        return None
+    args = min(bad)
+    out = sides[0][0].fn.out
+    left, right = (tuple(Fraction(t.get(args, {}).get(k, 0), den) for k in range(out)) for t in totals)
+    names = [labels[kind][i] for kind, i in zip(kinds, args)]
+    at = f"({','.join(names)}{',' if len(names) == 1 else ''})"
+    return f"at {at}: lhs={format_vector(left)} rhs={format_vector(right)}"
+
+
+def _violations(h, rows):
+    """(key, first violation or None) for each (key, kinds, lhs, rhs) row on
+    the basis of h.  lhs and rhs take one argument position per kind, "L"
+    or "A", and return a _Term or a tuple of _Terms to sum."""
+    labels = {"L": h.L_labels, "A": h.A_labels}
+    basis = {kind: {(i,): {i: 1} for i in range(n)} for kind, n in (("L", h.dimL), ("A", h.dimA))}
+    return [(key, _residual(kinds, lhs, rhs, labels, basis)) for key, kinds, lhs, rhs in rows]
+
+
 def _identities(h):
     """The defining identities of h as (key, argument kinds, lhs, rhs) rows,
-    in report order.  Each kind is "L" or "A"; lhs and rhs take one basis
-    vector per kind."""
-    br, mul, act, anc = h.bracket_vec, h.mul_vec, h.act_vec, h.anchor_vec
-    psi, phi = _twist(h.psi), _twist(h.phi)
+    in report order."""
+    m = _structure_maps(h)
+    br, mul, act, anc, psi, phi = m.bracket, m.mul, m.action, m.anchor, m.psi, m.phi
     return (
         # over all ordered pairs: the first violating one in index order has
         # i < j, so the detail is the same as over i < j alone
@@ -252,66 +392,40 @@ def _identities(h):
         ("A.phi_endomorphism", "AA", lambda a, b: phi(mul(a, b)), lambda a, b: mul(phi(a), phi(b))),
         (
             "L.hom_leibniz", "LLL", lambda x, y, z: br(psi(x), br(y, z)),
-            lambda x, y, z: vec_add(br(br(x, y), psi(z)), br(psi(y), br(x, z))),
+            lambda x, y, z: br(br(x, y), psi(z)) + br(psi(y), br(x, z)),
         ),
         ("L.psi_multiplicative", "LL", lambda x, y: psi(br(x, y)), lambda x, y: br(psi(x), psi(y))),
         ("module.associative", "AAL", lambda a, b, x: act(mul(a, b), x), lambda a, b, x: act(a, act(b, x))),
         ("compat.psi_action", "AL", lambda a, x: psi(act(a, x)), lambda a, x: act(phi(a), psi(x))),
         (
             "anchor.derivation", "LAA", lambda x, a, b: anc(x, mul(a, b)),
-            lambda x, a, b: vec_add(mul(phi(a), anc(x, b)), mul(phi(b), anc(x, a))),
+            lambda x, a, b: mul(phi(a), anc(x, b)) + mul(phi(b), anc(x, a)),
         ),
         ("anchor.action_compat", "ALA", lambda a, x, b: anc(act(a, x), b), lambda a, x, b: mul(phi(a), anc(x, b))),
         (
             "compat.leibniz_action", "LAL", lambda x, a, y: br(x, act(a, y)),
-            lambda x, a, y: vec_add(act(phi(a), br(x, y)), act(anc(x, a), psi(y))),
+            lambda x, a, y: act(phi(a), br(x, y)) + act(anc(x, a), psi(y)),
         ),
         ("rep.psi_phi", "LA", lambda x, a: anc(psi(x), phi(a)), lambda x, a: phi(anc(x, a))),
         (
             "rep.bracket", "LLA", lambda x, y, a: anc(br(x, y), phi(a)),
-            lambda x, y, a: vec_sub(anc(psi(x), anc(y, a)), anc(psi(y), anc(x, a))),
+            lambda x, y, a: anc(psi(x), anc(y, a)) - anc(psi(y), anc(x, a)),
         ),
     )
 
 
-def _first_violation(kinds, labels, basis, lhs, rhs):
-    """Scan the basis tuples of the given kinds in index order; the first
-    where lhs and rhs differ as a detail string, or None if none does."""
-    for args in product(*(tuple(zip(labels[k], basis[k])) for k in kinds)):
-        vecs = [v for _, v in args]
-        left, right = lhs(*vecs), rhs(*vecs)
-        if left != right:
-            names = [name for name, _ in args]
-            at = f"({','.join(names)}{',' if len(names) == 1 else ''})"
-            return f"at {at}: lhs={format_vector(left)} rhs={format_vector(right)}"
-    return None
-
-
-class _BasisVector(tuple):
-    """Basis vector i of Q^n, carrying its index so that a twist reads its
-    image off a column of the matrix instead of multiplying or hashing."""
-
-    def __new__(cls, n, i):
-        self = super().__new__(cls, basis_vector(n, i))
-        self.index = i
-        return self
-
-
-def _twist(m):
-    """v -> m v, with the image of a basis vector read off its column."""
-    columns = mat_columns(m)
-    return lambda v: columns[v.index] if type(v) is _BasisVector else mat_vec(m, v)
-
-
-def _violations(h, rows):
-    """(key, first violation or None) for each identity row, on the basis of h."""
-    labels = {"L": h.L_labels, "A": h.A_labels}
-    basis = {kind: [_BasisVector(n, i) for i in range(n)] for kind, n in (("L", h.dimL), ("A", h.dimA))}
-    return [(key, _first_violation(kinds, labels, basis, lhs, rhs)) for key, kinds, lhs, rhs in rows]
-
-
 def validate_hlr(h, strictness=RELAXED):
-    """Check every defining identity on basis tuples, in a fixed order.
+    """Check every defining identity of h, in a fixed order.
+
+    Each identity is multilinear, so it holds when it holds on every tuple
+    of basis vectors.  Instead of scanning those n^k tuples, each side is
+    evaluated on all of them at once as a sparse residual: every term joins
+    the nonzero entries of its structure tensors and twist columns on their
+    shared index, with integer numerators over one common denominator per
+    identity.  The cost is proportional to the number of nonzero products,
+    not to n^k.  An empty residual is a pass; otherwise the detail names
+    the first basis tuple in index order where the sides differ, with both
+    sides' values there.
 
     Mathematical violations are reported, never raised.  The relaxable
     representation identities degrade to warnings unless strict mode is on.
@@ -326,10 +440,10 @@ def validate_hlr(h, strictness=RELAXED):
             relaxed = key in RELAXABLE_CHECKS and strictness == RELAXED
             checks.append(CheckResult(key, "warn" if relaxed else "fail", bad))
 
-    for name, m in (("psi", h.psi), ("phi", h.phi)):
+    for name in ("psi", "phi"):
         if not h.regular:
             checks.append(CheckResult(f"regular.{name}", "info", "not flagged regular"))
-        elif mat_inverse(m) is None:
+        elif getattr(h, f"{name}_inv") is None:
             checks.append(CheckResult(f"regular.{name}", "fail", f"{name} is singular"))
         else:
             checks.append(CheckResult(f"regular.{name}", "pass"))
@@ -379,15 +493,16 @@ def check_morphism(g, f, src, dst):
 
     Returns a list of CheckResult in fixed order.
     """
-    g = partial(mat_vec, _freeze_rect(g, dst.dimA, src.dimA, "g"))
-    f = partial(mat_vec, _freeze_rect(f, dst.dimL, src.dimL, "f"))
+    g = _matrix_map(_freeze_rect(g, dst.dimA, src.dimA, "g"))
+    f = _matrix_map(_freeze_rect(f, dst.dimL, src.dimL, "f"))
+    s, d = _structure_maps(src), _structure_maps(dst)
     rows = (
-        ("morphism.g_hom", "AA", lambda a, b: g(src.mul_vec(a, b)), lambda a, b: dst.mul_vec(g(a), g(b))),
-        ("morphism.1", "AL", lambda a, x: f(src.act_vec(a, x)), lambda a, x: dst.act_vec(g(a), f(x))),
-        ("morphism.2", "LL", lambda x, y: f(src.bracket_vec(x, y)), lambda x, y: dst.bracket_vec(f(x), f(y))),
-        ("morphism.3", "L", lambda x: f(src.psi_vec(x)), lambda x: dst.psi_vec(f(x))),
-        ("morphism.4", "A", lambda a: g(src.phi_vec(a)), lambda a: dst.phi_vec(g(a))),
-        ("morphism.5", "LA", lambda x, a: g(src.anchor_vec(x, a)), lambda x, a: dst.anchor_vec(f(x), g(a))),
+        ("morphism.g_hom", "AA", lambda a, b: g(s.mul(a, b)), lambda a, b: d.mul(g(a), g(b))),
+        ("morphism.1", "AL", lambda a, x: f(s.action(a, x)), lambda a, x: d.action(g(a), f(x))),
+        ("morphism.2", "LL", lambda x, y: f(s.bracket(x, y)), lambda x, y: d.bracket(f(x), f(y))),
+        ("morphism.3", "L", lambda x: f(s.psi(x)), lambda x: d.psi(f(x))),
+        ("morphism.4", "A", lambda a: g(s.phi(a)), lambda a: d.phi(g(a))),
+        ("morphism.5", "LA", lambda x, a: g(s.anchor(x, a)), lambda x, a: d.anchor(f(x), g(a))),
     )
     return [CheckResult(key, "fail" if bad else "pass", bad or "") for key, bad in _violations(src, rows)]
 

@@ -194,7 +194,7 @@ def root_decomposition(h, H=None):
 def weight_decomposition(h, rd):
     """Split A into joint eigenspaces of the inverse-twisted anchors of H."""
     na = h.dimA
-    phi_inv = mat_inverse(h.phi)
+    phi_inv = h.phi_inv
     if phi_inv is None:
         raise CartanError("phi_singular", "the twist on A is singular; no regular decomposition")
     ops = [mat_mul(phi_inv, h.anchor_matrix(b)) for b in rd.H.basis]

@@ -10,13 +10,20 @@ that the integer-row elimination of hlra.linalg replaces; the fraction_*
 functions below it rebuild kernels, intersections, preimages, residuals,
 solutions and inverses on top of it, through null spaces and over
 Fractions throughout.
+scan_identities and scan_morphism check the defining identities of an
+algebra and of a morphism pair by evaluating both sides, as Fraction
+vectors, on every tuple of basis vectors in itertools.product order: the
+basis-tuple scan that the sparse residuals of hlra.model replace.
 """
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from hlra.connections import _displayed_root_sum, _pm
-from hlra.linalg import vec_add, vec_neg
+from hlra.linalg import basis_vector, mat_columns, mat_vec, vec_add, vec_neg
 from hlra.roots import compose_psi_power
+from hlra.scalars import format_vector
 
 
 def brute_force_root_connected(gamma, xi, rd, wd, max_len, restrict=None):
@@ -230,3 +237,92 @@ def fraction_inverse(m):
     if pivots != tuple(range(n)):
         return None
     return tuple(row[n:] for row in red)
+
+
+# -- identity checks by basis-tuple scan ---------------------------------------
+
+
+def first_violation_scan(kinds, labels, basis, lhs, rhs):
+    """Scan the basis tuples of the given kinds in index order; the first
+    where lhs and rhs differ as a detail string, or None if none does."""
+    for args in product(*(tuple(zip(labels[k], basis[k])) for k in kinds)):
+        vecs = [v for _, v in args]
+        left, right = lhs(*vecs), rhs(*vecs)
+        if left != right:
+            names = [name for name, _ in args]
+            at = f"({','.join(names)}{',' if len(names) == 1 else ''})"
+            return f"at {at}: lhs={format_vector(left)} rhs={format_vector(right)}"
+    return None
+
+
+class BasisVector(tuple):
+    """Basis vector i of Q^n, carrying its index so that a twist reads its
+    image off a column of the matrix instead of multiplying."""
+
+    def __new__(cls, n, i):
+        self = super().__new__(cls, basis_vector(n, i))
+        self.index = i
+        return self
+
+
+def twist_columns(m):
+    """v -> m v, with the image of a basis vector read off its column."""
+    columns = mat_columns(m)
+    return lambda v: columns[v.index] if type(v) is BasisVector else mat_vec(m, v)
+
+
+def scan_violations(h, rows):
+    """(key, first violation or None) for each identity row, on the basis of h."""
+    labels = {"L": h.L_labels, "A": h.A_labels}
+    basis = {kind: [BasisVector(n, i) for i in range(n)] for kind, n in (("L", h.dimL), ("A", h.dimA))}
+    return [(key, first_violation_scan(kinds, labels, basis, lhs, rhs)) for key, kinds, lhs, rhs in rows]
+
+
+def scan_identities(h):
+    """(key, first violation or None) for each defining identity of h, in
+    the order of the validation report."""
+    br, mul, act, anc = h.bracket_vec, h.mul_vec, h.act_vec, h.anchor_vec
+    psi, phi = twist_columns(h.psi), twist_columns(h.phi)
+    rows = (
+        ("A.commutative", "AA", lambda a, b: mul(a, b), lambda a, b: mul(b, a)),
+        ("A.associative", "AAA", lambda a, b, c: mul(mul(a, b), c), lambda a, b, c: mul(a, mul(b, c))),
+        ("A.phi_endomorphism", "AA", lambda a, b: phi(mul(a, b)), lambda a, b: mul(phi(a), phi(b))),
+        (
+            "L.hom_leibniz", "LLL", lambda x, y, z: br(psi(x), br(y, z)),
+            lambda x, y, z: vec_add(br(br(x, y), psi(z)), br(psi(y), br(x, z))),
+        ),
+        ("L.psi_multiplicative", "LL", lambda x, y: psi(br(x, y)), lambda x, y: br(psi(x), psi(y))),
+        ("module.associative", "AAL", lambda a, b, x: act(mul(a, b), x), lambda a, b, x: act(a, act(b, x))),
+        ("compat.psi_action", "AL", lambda a, x: psi(act(a, x)), lambda a, x: act(phi(a), psi(x))),
+        (
+            "anchor.derivation", "LAA", lambda x, a, b: anc(x, mul(a, b)),
+            lambda x, a, b: vec_add(mul(phi(a), anc(x, b)), mul(phi(b), anc(x, a))),
+        ),
+        ("anchor.action_compat", "ALA", lambda a, x, b: anc(act(a, x), b), lambda a, x, b: mul(phi(a), anc(x, b))),
+        (
+            "compat.leibniz_action", "LAL", lambda x, a, y: br(x, act(a, y)),
+            lambda x, a, y: vec_add(act(phi(a), br(x, y)), act(anc(x, a), psi(y))),
+        ),
+        ("rep.psi_phi", "LA", lambda x, a: anc(psi(x), phi(a)), lambda x, a: phi(anc(x, a))),
+        (
+            "rep.bracket", "LLA", lambda x, y, a: anc(br(x, y), phi(a)),
+            lambda x, y, a: vec_add(anc(psi(x), anc(y, a)), vec_neg(anc(psi(y), anc(x, a)))),
+        ),
+    )
+    return scan_violations(h, rows)
+
+
+def scan_morphism(g, f, src, dst):
+    """(key, first violation or None) for each condition on the morphism
+    pair g: A_src -> A_dst, f: L_src -> L_dst, given as matrices."""
+    g = partial(mat_vec, tuple(tuple(Fraction(c) for c in row) for row in g))
+    f = partial(mat_vec, tuple(tuple(Fraction(c) for c in row) for row in f))
+    rows = (
+        ("morphism.g_hom", "AA", lambda a, b: g(src.mul_vec(a, b)), lambda a, b: dst.mul_vec(g(a), g(b))),
+        ("morphism.1", "AL", lambda a, x: f(src.act_vec(a, x)), lambda a, x: dst.act_vec(g(a), f(x))),
+        ("morphism.2", "LL", lambda x, y: f(src.bracket_vec(x, y)), lambda x, y: dst.bracket_vec(f(x), f(y))),
+        ("morphism.3", "L", lambda x: f(src.psi_vec(x)), lambda x: dst.psi_vec(f(x))),
+        ("morphism.4", "A", lambda a: g(src.phi_vec(a)), lambda a: dst.phi_vec(g(a))),
+        ("morphism.5", "LA", lambda x, a: g(src.anchor_vec(x, a)), lambda x, a: dst.anchor_vec(f(x), g(a))),
+    )
+    return scan_violations(src, rows)

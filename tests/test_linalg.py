@@ -30,7 +30,6 @@ from hlra.linalg import (
     solve,
     stack_rows,
     vec_add,
-    vec_sub,
 )
 from hlra.model import twist_by_endomorphism
 from oracles import (
@@ -185,7 +184,7 @@ def coords_by_residual(space, v):
     residual = v
     for coef, row in zip(c, space.basis):
         if coef:
-            residual = vec_sub(residual, tuple(coef * x for x in row))
+            residual = tuple(r - coef * x for r, x in zip(residual, row))
     return c if is_zero_vector(residual) else None
 
 

@@ -4,9 +4,14 @@ Every top-level function or class in src/hlra must be used by the package
 itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
 Oracles and helpers that only tests need live under tests/.  Structure
 tensors are read by their (i, j, k) entries, never as dense t[i][j][k].
+Importing the command line loads nothing but the standard library and hlra.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hlra
@@ -68,3 +73,22 @@ def test_no_module_reads_a_structure_tensor_as_a_dense_grid():
     modules = sorted(PACKAGE.glob("*.py"))
     reads = [f"{p.name}:{line}" for p in modules for line in _dense_tensor_reads(ast.parse(p.read_text()))]
     assert reads == []
+
+
+IMPORTED_BY_CLI = """
+import json, sys
+before = set(sys.modules)
+import hlra.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_only_the_standard_library_and_hlra():
+    """Every command pays for what `import hlra.cli` loads, so no test
+    oracle, hypothesis or pytest may be imported at module load."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", IMPORTED_BY_CLI], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout)
+    assert "hlra.cli" in loaded
+    foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "hlra"]
+    assert foreign == []

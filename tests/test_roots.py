@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hlra import fixtures
+from hlra import fixtures, model, roots
 from hlra.linalg import Subspace, mat_columns, mat_vec
-from hlra.model import InputError, twist_by_endomorphism
+from hlra.model import InputError, twist_by_endomorphism, validate_hlr
 from hlra.roots import (
     CartanError,
     OrbitError,
@@ -225,3 +225,17 @@ def test_lemma_closure_details_are_substantive(bundled):
     claims = {c.claim_id: c for c in verify_lemma_closures(h, rd, wd)}
     # [e, e] = u lands in the root-2 space: the bracket closure is not vacuous
     assert "nonzero" in claims["lem2.11.3"].detail
+
+
+def test_each_twist_is_inverted_once_per_algebra(monkeypatch):
+    """Validation, the root and the weight decomposition share the cached
+    inverses of psi and phi."""
+    inverted = []
+    for module in (model, roots):
+        real = module.mat_inverse
+        monkeypatch.setattr(module, "mat_inverse", lambda m, real=real: inverted.append(m) or real(m))
+    h = fixtures.fix_e2()
+    assert validate_hlr(h).ok
+    weight_decomposition(h, root_decomposition(h))
+    assert sum(m is h.psi for m in inverted) == 1
+    assert sum(m is h.phi for m in inverted) == 1
