@@ -6,9 +6,12 @@ twist-adjusted partial sums stay inside the signed root set and finally
 reach a signed twist power of the target.  Weight connectivity is the same
 idea with plain sums and no twist adjustment.
 
-The public functions compute witnesses with a breadth-first walk over the
-signed root set.  validate_*_chain replay a printed chain witness clause by
-clause, recomputing every displayed partial sum from its exponent pattern.
+Witnesses come from one breadth-first walk per source over the signed root
+set.  The walk does not depend on the target, so a single walk answers every
+target at once: the partitions make one walk per item, and roots_connected
+and weights_connected are the same walk with one target.  validate_*_chain
+replay a printed chain witness clause by clause, recomputing every displayed
+partial sum from its exponent pattern.
 """
 
 from dataclasses import dataclass
@@ -52,28 +55,7 @@ def roots_connected(gamma, xi, rd, wd, restrict=None):
     uses the full twist orbit.  Chains are searched shortest first and the
     lexicographically least chain at the winning depth is returned.
     """
-    gamma, xi = tuple(gamma), tuple(xi)
-    orbit_g = psi_orbit(gamma, rd)
-    neg_xi = vec_neg(xi)
-    for i, member in enumerate(orbit_g):
-        if member == xi:
-            return ConnectionWitness(kind="direct", epsilon=1, z=-i)
-        if member == neg_xi:
-            return ConnectionWitness(kind="direct", epsilon=-1, z=-i)
-
-    allowed_roots = set(map(tuple, restrict)) if restrict is not None else set(rd.gamma)
-    family = sorted(_pm(wd.lam) | _pm(allowed_roots))
-    targets = {}
-    for m, member in enumerate(psi_orbit(xi, rd)):
-        targets.setdefault(tuple(member), (1, m))
-        targets.setdefault(vec_neg(member), (-1, m))
-    return _shortest_chain(
-        starts=[o for o in orbit_g if tuple(o) in set(family)],
-        family=family,
-        sigma_set=_pm(allowed_roots),
-        targets=targets,
-        step=lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd),
-    )
+    return _root_witnesses(gamma, [xi], rd, wd, restrict).get(tuple(xi))
 
 
 def weights_connected(alpha, beta, rd, wd):
@@ -83,70 +65,95 @@ def weights_connected(alpha, beta, rd, wd):
     may pass through signed weights and signed roots, and must land on a
     signed copy of beta.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
-    if beta == alpha:
-        return ConnectionWitness(kind="direct", epsilon=1)
-    if beta == vec_neg(alpha):
-        return ConnectionWitness(kind="direct", epsilon=-1)
+    return _weight_witnesses(alpha, [beta], rd, wd).get(tuple(beta))
+
+
+def _root_witnesses(gamma, xis, rd, wd, restrict=None):
+    """{xi: witness} for every xi in xis that gamma connects to."""
+    gamma = tuple(gamma)
+    orbit_g = psi_orbit(gamma, rd)
+    direct = {}
+    for i, member in enumerate(orbit_g):
+        direct.setdefault(member, ConnectionWitness(kind="direct", epsilon=1, z=-i))
+        direct.setdefault(vec_neg(member), ConnectionWitness(kind="direct", epsilon=-1, z=-i))
+
+    allowed_roots = set(map(tuple, restrict)) if restrict is not None else set(rd.gamma)
+    sigma_set = _pm(allowed_roots)
+    family_set = _pm(wd.lam) | sigma_set
+    family = sorted(family_set)
+    targets = {}
+    for xi in map(tuple, xis):
+        if xi not in direct:
+            ends = {}
+            for m, member in enumerate(psi_orbit(xi, rd)):
+                ends.setdefault(tuple(member), (1, m))
+                ends.setdefault(vec_neg(member), (-1, m))
+            targets[xi] = ends
+    found = _walk(
+        starts=[o for o in orbit_g if tuple(o) in family_set],
+        family=family,
+        sigma_set=sigma_set,
+        targets=targets,
+        step=lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd),
+    )
+    return found | {xi: direct[xi] for xi in map(tuple, xis) if xi in direct}
+
+
+def _weight_witnesses(alpha, betas, rd, wd):
+    """{beta: witness} for every beta in betas that alpha connects to."""
+    alpha = tuple(alpha)
+    direct = {alpha: ConnectionWitness(kind="direct", epsilon=1)}
+    direct.setdefault(vec_neg(alpha), ConnectionWitness(kind="direct", epsilon=-1))
     sigma_set = _pm(wd.lam) | _pm(rd.gamma)
-    return _shortest_chain(
+    found = _walk(
         starts=[alpha],
         family=sorted(sigma_set),
         sigma_set=sigma_set,
-        targets={beta: (1, 0), vec_neg(beta): (-1, 0)},
+        targets={b: {b: (1, 0), vec_neg(b): (-1, 0)} for b in map(tuple, betas) if b not in direct},
         step=vec_add,
     )
+    return found | {b: direct[b] for b in map(tuple, betas) if b in direct}
 
 
-def _shortest_chain(starts, family, sigma_set, targets, step):
-    """Breadth-first chain search shared by both walkers.
+def _walk(starts, family, sigma_set, targets, step):
+    """Breadth-first chain walk shared by both relations.
 
     A chain is a start followed by family members; each step(sum, member)
-    must stay in sigma_set until it lands in targets, which maps an endpoint
-    to its (end_sign, end_power).  Returns the lexicographically least chain
-    of the least length as a witness, or None.
+    must stay in sigma_set until it lands on an endpoint of some item:
+    targets maps each item to {endpoint: (end_sign, end_power)}.  The
+    frontier never depends on the targets, so one walk serves them all.
+    Returns {item: witness} with, for each item reached, the
+    lexicographically least chain of the least length.
     """
-    parent = {}
-    frontier = sorted(set(map(tuple, starts)))
-    for s in frontier:
-        parent[s] = None
-    max_depth = len(family) + 2
-
-    def rebuild(node, last_zeta):
-        chain = [last_zeta]
-        while parent[node] is not None:
-            prev, zeta = parent[node]
-            chain.append(zeta)
-            node = prev
-        chain.append(node)
-        chain.reverse()
-        return tuple(chain)
-
+    hits = {}
+    for item, ends in targets.items():
+        for end, signed_power in ends.items():
+            hits.setdefault(end, {})[item] = signed_power
+    found = {}
+    paths = {s: (s,) for s in sorted(set(map(tuple, starts)))}
+    frontier = sorted(paths)
     depth = 1
-    while frontier and depth < max_depth:
-        completions = []
-        next_parent = {}
+    while len(found) < len(targets) and frontier and depth < len(family) + 2:
+        best = {}
+        next_paths = {}
         for sigma in frontier:
             for zeta in family:
                 nxt = step(sigma, zeta)
-                if nxt in targets:
-                    end_sign, end_power = targets[nxt]
-                    completions.append(
-                        ConnectionWitness(
-                            kind="chain",
-                            elements=rebuild(sigma, zeta),
-                            end_sign=end_sign,
-                            end_power=end_power,
-                        )
-                    )
-                if nxt in sigma_set and nxt not in parent and nxt not in next_parent:
-                    next_parent[nxt] = (sigma, zeta)
-        if completions:
-            return min(completions, key=lambda w: w.elements)
-        parent.update(next_parent)
-        frontier = sorted(next_parent)
+                if nxt in hits:
+                    chain = paths[sigma] + (zeta,)
+                    for item, signed_power in hits[nxt].items():
+                        if item not in found and (item not in best or chain < best[item][0]):
+                            best[item] = (chain, signed_power)
+                if nxt in sigma_set and nxt not in paths and nxt not in next_paths:
+                    next_paths[nxt] = paths[sigma] + (zeta,)
+        for item, (chain, (end_sign, end_power)) in best.items():
+            found[item] = ConnectionWitness(
+                kind="chain", elements=chain, end_sign=end_sign, end_power=end_power
+            )
+        paths.update(next_paths)
+        frontier = sorted(next_paths)
         depth += 1
-    return None
+    return found
 
 
 # -- literal replay of a chain ----------------------------------------------
@@ -216,65 +223,44 @@ def validate_weight_chain(alpha, beta, elements, rd, wd):
 class ConnectionPartition:
     items: tuple
     classes: tuple  # tuple of sorted tuples
-    witnesses: dict  # ordered pair -> ConnectionWitness, direct checks only
+    witnesses: dict  # ordered pair (f, g), f != g -> its ConnectionWitness
     raw_symmetric: bool
     reflexive_ok: bool
 
 
-def _partition(items, connected):
+def _partition(items, witnesses_from):
+    """Classes of items under the symmetric closure of the relation whose
+    witnesses witnesses_from(f, items) returns as {g: witness}."""
     items = sorted(map(tuple, items))
-    index = {f: i for i, f in enumerate(items)}
-    parent = list(range(len(items)))
+    reached = {f: witnesses_from(f, items) for f in items}
+    witnesses = {(f, g): w for f in items for g, w in reached[f].items() if g != f}
+    parent = {f: f for f in items}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(f):
+        while parent[f] != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    witnesses = {}
-    raw = {}
-    reflexive_ok = True
-    for f in items:
-        w = connected(f, f)
-        raw[(f, f)] = w is not None
-        if w is None:
-            reflexive_ok = False
-    for i, f in enumerate(items):
-        for g in items[i + 1 :]:
-            wf = connected(f, g)
-            wg = connected(g, f)
-            raw[(f, g)] = wf is not None
-            raw[(g, f)] = wg is not None
-            if wf is not None:
-                witnesses[(f, g)] = wf
-            if wg is not None:
-                witnesses[(g, f)] = wg
-            if wf is not None or wg is not None:
-                union(index[f], index[g])
-    raw_symmetric = all(raw[(f, g)] == raw[(g, f)] for (f, g) in raw)
+    for f, g in witnesses:
+        rf, rg = find(f), find(g)
+        parent[max(rf, rg)] = min(rf, rg)
     groups = {}
-    for i, f in enumerate(items):
-        groups.setdefault(find(i), []).append(f)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))
+    for f in items:
+        groups.setdefault(find(f), []).append(f)
     return ConnectionPartition(
         items=tuple(items),
-        classes=classes,
+        classes=tuple(tuple(g) for g in sorted(groups.values())),
         witnesses=witnesses,
-        raw_symmetric=raw_symmetric,
-        reflexive_ok=reflexive_ok,
+        raw_symmetric=all((f, g) in witnesses for g, f in witnesses),
+        reflexive_ok=all(f in reached[f] for f in items),
     )
 
 
 def root_partition(rd, wd, restrict=None):
     items = sorted(map(tuple, restrict)) if restrict is not None else rd.gamma
-    return _partition(items, lambda f, g: roots_connected(f, g, rd, wd, restrict=restrict))
+    return _partition(items, lambda f, items: _root_witnesses(f, items, rd, wd, restrict))
 
 
 def weight_partition(rd, wd):
-    return _partition(wd.lam, lambda f, g: weights_connected(f, g, rd, wd))
+    return _partition(wd.lam, lambda f, items: _weight_witnesses(f, items, rd, wd))

@@ -3,6 +3,10 @@
 The brute_force_* functions re-derive connectivity by enumerating families
 and recomputing every displayed partial sum from its exponent pattern, with
 no shared recurrence with the breadth-first walkers they check.
+pairwise_root_partition and pairwise_weight_partition build the connection
+partitions from one breadth-first search per ordered pair (the slow path
+that one walk per source replaces), through pairwise_roots_connected,
+pairwise_weights_connected and shortest_chain.
 dense_bilinear evaluates a structure tensor on its full dense grid, the
 slow path that the grouped sparse rows of HLRAlgebra replace.
 fraction_rref is Gauss-Jordan elimination over Fractions, the slow path
@@ -20,9 +24,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from hlra.connections import _displayed_root_sum, _pm
+from hlra.connections import ConnectionPartition, ConnectionWitness, _displayed_root_sum, _pm
 from hlra.linalg import basis_vector, mat_columns, mat_vec, vec_add, vec_neg
-from hlra.roots import compose_psi_power
+from hlra.roots import compose_psi_power, psi_orbit
 from hlra.scalars import format_vector
 
 
@@ -96,6 +100,164 @@ def brute_force_weight_connected(alpha, beta, rd, wd, max_len):
         return False
 
     return extend([alpha])
+
+
+# -- connection partitions by one search per ordered pair ----------------------
+
+
+def pairwise_roots_connected(gamma, xi, rd, wd, restrict=None):
+    """Witness connecting two roots, or None, from a search for xi alone."""
+    gamma, xi = tuple(gamma), tuple(xi)
+    orbit_g = psi_orbit(gamma, rd)
+    neg_xi = vec_neg(xi)
+    for i, member in enumerate(orbit_g):
+        if member == xi:
+            return ConnectionWitness(kind="direct", epsilon=1, z=-i)
+        if member == neg_xi:
+            return ConnectionWitness(kind="direct", epsilon=-1, z=-i)
+
+    allowed_roots = set(map(tuple, restrict)) if restrict is not None else set(rd.gamma)
+    family = sorted(_pm(wd.lam) | _pm(allowed_roots))
+    targets = {}
+    for m, member in enumerate(psi_orbit(xi, rd)):
+        targets.setdefault(tuple(member), (1, m))
+        targets.setdefault(vec_neg(member), (-1, m))
+    return shortest_chain(
+        starts=[o for o in orbit_g if tuple(o) in set(family)],
+        family=family,
+        sigma_set=_pm(allowed_roots),
+        targets=targets,
+        step=lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd),
+    )
+
+
+def pairwise_weights_connected(alpha, beta, rd, wd):
+    """Witness connecting two weights, or None, from a search for beta alone."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    if beta == alpha:
+        return ConnectionWitness(kind="direct", epsilon=1)
+    if beta == vec_neg(alpha):
+        return ConnectionWitness(kind="direct", epsilon=-1)
+    sigma_set = _pm(wd.lam) | _pm(rd.gamma)
+    return shortest_chain(
+        starts=[alpha],
+        family=sorted(sigma_set),
+        sigma_set=sigma_set,
+        targets={beta: (1, 0), vec_neg(beta): (-1, 0)},
+        step=vec_add,
+    )
+
+
+def shortest_chain(starts, family, sigma_set, targets, step):
+    """Breadth-first search for one target.
+
+    A chain is a start followed by family members; each step(sum, member)
+    must stay in sigma_set until it lands in targets, which maps an endpoint
+    to its (end_sign, end_power).  Returns the lexicographically least chain
+    of the least length as a witness, or None.
+    """
+    parent = {}
+    frontier = sorted(set(map(tuple, starts)))
+    for s in frontier:
+        parent[s] = None
+    max_depth = len(family) + 2
+
+    def rebuild(node, last_zeta):
+        chain = [last_zeta]
+        while parent[node] is not None:
+            prev, zeta = parent[node]
+            chain.append(zeta)
+            node = prev
+        chain.append(node)
+        chain.reverse()
+        return tuple(chain)
+
+    depth = 1
+    while frontier and depth < max_depth:
+        completions = []
+        next_parent = {}
+        for sigma in frontier:
+            for zeta in family:
+                nxt = step(sigma, zeta)
+                if nxt in targets:
+                    end_sign, end_power = targets[nxt]
+                    completions.append(
+                        ConnectionWitness(
+                            kind="chain",
+                            elements=rebuild(sigma, zeta),
+                            end_sign=end_sign,
+                            end_power=end_power,
+                        )
+                    )
+                if nxt in sigma_set and nxt not in parent and nxt not in next_parent:
+                    next_parent[nxt] = (sigma, zeta)
+        if completions:
+            return min(completions, key=lambda w: w.elements)
+        parent.update(next_parent)
+        frontier = sorted(next_parent)
+        depth += 1
+    return None
+
+
+def pairwise_partition(items, connected):
+    """Partition from connected(f, g) on each reflexive pair and on both
+    orders of each pair f < g, joined by union-find."""
+    items = sorted(map(tuple, items))
+    index = {f: i for i, f in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    witnesses = {}
+    raw = {}
+    reflexive_ok = True
+    for f in items:
+        w = connected(f, f)
+        raw[(f, f)] = w is not None
+        if w is None:
+            reflexive_ok = False
+    for i, f in enumerate(items):
+        for g in items[i + 1 :]:
+            wf = connected(f, g)
+            wg = connected(g, f)
+            raw[(f, g)] = wf is not None
+            raw[(g, f)] = wg is not None
+            if wf is not None:
+                witnesses[(f, g)] = wf
+            if wg is not None:
+                witnesses[(g, f)] = wg
+            if wf is not None or wg is not None:
+                union(index[f], index[g])
+    raw_symmetric = all(raw[(f, g)] == raw[(g, f)] for (f, g) in raw)
+    groups = {}
+    for i, f in enumerate(items):
+        groups.setdefault(find(i), []).append(f)
+    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))
+    return ConnectionPartition(
+        items=tuple(items),
+        classes=classes,
+        witnesses=witnesses,
+        raw_symmetric=raw_symmetric,
+        reflexive_ok=reflexive_ok,
+    )
+
+
+def pairwise_root_partition(rd, wd, restrict=None):
+    items = sorted(map(tuple, restrict)) if restrict is not None else rd.gamma
+    return pairwise_partition(items, lambda f, g: pairwise_roots_connected(f, g, rd, wd, restrict=restrict))
+
+
+def pairwise_weight_partition(rd, wd):
+    return pairwise_partition(wd.lam, lambda f, g: pairwise_weights_connected(f, g, rd, wd))
 
 
 def same_class(part, f, g):

@@ -1,6 +1,9 @@
 """Connection walkers, chain replay, brute-force agreement, partitions."""
 
+import time
 from fractions import Fraction
+
+import pytest
 
 from hlra import fixtures
 from hlra.connections import (
@@ -11,11 +14,20 @@ from hlra.connections import (
     weight_partition,
     weights_connected,
 )
-from hlra.model import compute_J
+from hlra.model import HLRAlgebra, compute_J, twist_by_endomorphism, validate_hlr
 from hlra.roots import root_decomposition, weight_decomposition
 from hlra.structure import j_split
 
-from oracles import brute_force_root_connected, brute_force_weight_connected, same_class
+from conftest import SPLIT_NAMES
+from oracles import (
+    brute_force_root_connected,
+    brute_force_weight_connected,
+    pairwise_root_partition,
+    pairwise_roots_connected,
+    pairwise_weight_partition,
+    pairwise_weights_connected,
+    same_class,
+)
 
 F = Fraction
 
@@ -75,15 +87,79 @@ def test_weight_chain_replay(bundled):
     assert not ok and "partial sum" in reason
 
 
+def three_root_line():
+    """[h,e] = e, [h,u] = 2u and [h,w] = 3w (skew) over square-zero scalars
+    t, s with rho(h) t = t and rho(h) s = 2s.  J is zero, so every root is
+    not-J, and the weights 1 and 2 differ by a root.  No bundled fixture and
+    no random_instance stores a chain in a weight or not-J partition, or
+    completes one ordered pair by two chains of the same length: here 1
+    reaches 2 by both [1 1] and [1 -3]."""
+    return HLRAlgebra(
+        dimL=4,
+        dimA=2,
+        bracket={(0, k, k): F(k) for k in (1, 2, 3)} | {(k, 0, k): F(-k) for k in (1, 2, 3)},
+        mul={},
+        action={},
+        anchor={(0, 0, 0): F(1), (0, 1, 1): F(2)},
+        psi=tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4)),
+        phi=((F(1), F(0)), (F(0), F(1))),
+        L_labels=("h", "e", "u", "w"),
+        A_labels=("t", "s"),
+        regular=True,
+        unital=False,
+        declared_H=((F(1), F(0), F(0), F(0)),),
+    )
+
+
+def test_three_root_line_stores_the_least_chain_in_every_partition():
+    h = three_root_line()
+    assert validate_hlr(h).ok
+    rd, wd = decomp(h)
+    restrict = j_split(rd, compute_J(h)).gamma_notJ
+    one, two, three = (F(1),), (F(2),), (F(3),)
+    assert sorted(restrict) == [one, two, three]
+    weight_chains = {
+        (one, two): "chain [(1) (-3)] end_sign=-1 end_power=0",
+        (two, one): "chain [(2) (-3)] end_sign=-1 end_power=0",
+    }
+    root_chains = weight_chains | {
+        (one, three): "chain [(1) (2)] end_sign=1 end_power=0",
+        (two, three): "chain [(2) (1)] end_sign=1 end_power=0",
+        (three, one): "chain [(3) (-2)] end_sign=1 end_power=0",
+        (three, two): "chain [(3) (-1)] end_sign=1 end_power=0",
+    }
+    for part, chains in (
+        (root_partition(rd, wd), root_chains),
+        (weight_partition(rd, wd), weight_chains),
+        (root_partition(rd, wd, restrict=restrict), root_chains),
+    ):
+        assert part.classes == (tuple(sorted(part.items)),)
+        assert {pair: w.describe() for pair, w in part.witnesses.items()} == chains
+
+
 def test_every_stored_witness_replays(bundled):
-    for name in ("fix_e", "fix_s", "fix_c_split", "fix_p", "fix_t", "fix_e2"):
-        rd, wd = decomp(bundled[name])
-        part = root_partition(rd, wd)
-        for (a, b), w in part.witnesses.items():
-            if w.kind != "chain":
-                continue
-            ok, reason = validate_root_chain(a, b, w.elements, rd, wd)
-            assert ok, (name, a, b, reason)
+    chains = {"root": 0, "weight": 0, "not-J": 0}
+    for name in ("fix_e", "fix_s", "fix_c_split", "fix_p", "fix_t", "fix_e2", "three_root_line"):
+        h = three_root_line() if name == "three_root_line" else bundled[name]
+        rd, wd = decomp(h)
+        restrict = j_split(rd, compute_J(h)).gamma_notJ
+        replays = (
+            ("root", root_partition(rd, wd), lambda a, b, w: validate_root_chain(a, b, w.elements, rd, wd)),
+            ("weight", weight_partition(rd, wd), lambda a, b, w: validate_weight_chain(a, b, w.elements, rd, wd)),
+            (
+                "not-J",
+                root_partition(rd, wd, restrict=restrict),
+                lambda a, b, w: validate_root_chain(a, b, w.elements, rd, wd, restrict=restrict),
+            ),
+        )
+        for kind, part, replay in replays:
+            for (a, b), w in part.witnesses.items():
+                if w.kind != "chain":
+                    continue
+                chains[kind] += 1
+                ok, reason = replay(a, b, w)
+                assert ok, (name, kind, a, b, reason)
+    assert all(chains.values()), chains
 
 
 # -- brute-force oracle agreement (small instances; the full sweep is in the
@@ -176,3 +252,69 @@ def test_partition_is_an_equivalence(bundled):
                     for k in part.items:
                         if same_class(part, f, g) and same_class(part, g, k):
                             assert same_class(part, f, k)
+
+
+# -- one walk per source against one search per ordered pair -----------------
+
+
+def witness_fields(w):
+    return (w.kind, w.epsilon, w.z, w.elements, w.end_sign, w.end_power)
+
+
+def partition_fields(part):
+    witnesses = {pair: witness_fields(w) for pair, w in part.witnesses.items()}
+    return part.items, part.classes, witnesses, part.raw_symmetric, part.reflexive_ok
+
+
+def _differential_input(source):
+    if source == "blocks3":
+        return fixtures.product_sum([fixtures._s_like(i) for i in (1, 2, 3)])
+    if source == "three_root_line":
+        return three_root_line()
+    if isinstance(source, str):
+        return fixtures.BUNDLED[source]()
+    h, g, f = fixtures.random_instance(source[0])
+    return twist_by_endomorphism(h, g, f) if source[1] else h
+
+
+DIFFERENTIAL_SOURCES = (
+    list(SPLIT_NAMES)
+    + [(seed, twisted) for seed in range(20) for twisted in (False, True)]
+    + ["blocks3", "three_root_line"]
+)
+
+
+@pytest.mark.parametrize("source", DIFFERENTIAL_SOURCES, ids=str)
+def test_partitions_match_the_pairwise_search(source):
+    h = _differential_input(source)
+    rd, wd = decomp(h)
+    restrict = j_split(rd, compute_J(h)).gamma_notJ
+    assert partition_fields(root_partition(rd, wd)) == partition_fields(pairwise_root_partition(rd, wd))
+    assert partition_fields(weight_partition(rd, wd)) == partition_fields(pairwise_weight_partition(rd, wd))
+    assert partition_fields(root_partition(rd, wd, restrict=restrict)) == partition_fields(
+        pairwise_root_partition(rd, wd, restrict=restrict)
+    )
+
+
+def test_single_pair_queries_match_the_pairwise_search(bundled):
+    for name in ("fix_s", "fix_c_split", "fix_p", "fix_t", "fix_e2", "fix_s2"):
+        rd, wd = decomp(bundled[name])
+        for a in rd.gamma:
+            for b in rd.gamma:
+                w, expected = roots_connected(a, b, rd, wd), pairwise_roots_connected(a, b, rd, wd)
+                assert (w and witness_fields(w)) == (expected and witness_fields(expected)), (name, a, b)
+        for a in wd.lam:
+            for b in wd.lam:
+                w, expected = weights_connected(a, b, rd, wd), pairwise_weights_connected(a, b, rd, wd)
+                assert (w and witness_fields(w)) == (expected and witness_fields(expected)), (name, a, b)
+
+
+def test_root_partition_on_six_blocks_is_fast():
+    """24 roots: one search per ordered pair took about 2.5 s here."""
+    h = fixtures.product_sum([fixtures._s_like(i) for i in range(1, 7)])
+    rd, wd = decomp(h)
+    start = time.perf_counter()
+    part = root_partition(rd, wd)
+    elapsed = time.perf_counter() - start
+    assert len(part.items) == 24 and len(part.classes) == 6
+    assert elapsed < 1.0, f"root_partition took {elapsed:.2f} s"
