@@ -18,6 +18,7 @@ from .linalg import (
     basis_vector,
     complement,
     mat_from_columns,
+    mat_inverse,
     mat_vec,
     span,
     sum_and_overlap,
@@ -257,23 +258,59 @@ def _from_h_coords(rd, w):
     return Subspace(rd.H.ambient, [mat_vec(to_l, c) for c in w.basis])
 
 
-def _h_part_window(rd, f_space, images):
-    """Greatest subspace W of H whose rule images stay inside W + F,
-    shrunk iteratively from H.
+def _window_parts(h, rd):
+    """(t_cols, kernels): the rule maps restricted to H, split along the
+    direct sum L = H + (sum of the root spaces) of a split decomposition.
 
-    images holds, for each rule map that does not vanish on H, the images
-    of the basis of H.  W is tracked in H-coordinates: each step keeps the
-    coordinate vectors of W whose combined images all lie in W + F.  The
-    greatest such W is unique, so the result does not depend on how it is
-    computed.
+    Every rule image of the basis of H is written once in the adapted basis
+    (the RREF basis of H, then the basis of each root space in gamma
+    order).  t_cols[i] stacks the H components of the images of basis
+    vector i under the rule maps, one d x d map T_m per rule map m, with
+    d = dim H; kernels[j] holds the x in Q^d whose images all have a zero
+    component in the root space of gamma[j].  Rule maps that vanish on H
+    are dropped.
     """
     d = rd.H.dim
-    w = Subspace.full(d)
-    cols = [tuple(x for imgs in images for x in imgs[i]) for i in range(d)]
+    spaces = [rd.space(g) for g in rd.gamma]
+    adapted = [*rd.H.basis, *(b for s in spaces for b in s.basis)]
+    to_adapted = mat_inverse(mat_from_columns(adapted, nrows=h.dimL))
+    per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
+    coords = [[mat_vec(to_adapted, v) for v in imgs] for imgs in zip(*per_basis) if any(map(any, imgs))]
+
+    def stacked(start, stop):
+        return [tuple(x for c in coords for x in c[i][start:stop]) for i in range(d)]
+
+    kernels = []
+    at = d
+    for s in spaces:
+        kernels.append(Subspace.zero(s.dim).preimage(stacked(at, at + s.dim)))
+        at += s.dim
+    return stacked(0, d), kernels
+
+
+def _h_part_window(rd, members, parts):
+    """Greatest subspace W of H whose rule images stay inside W + F_S, in
+    coordinates on the RREF basis of H, for the root subset S given by its
+    indices members into gamma and F_S the sum of its root spaces.
+
+    parts comes from `_window_parts`.  L is the direct sum of H and the root
+    spaces, so a rule image m(x) lies in W + F_S exactly when its H
+    component T_m x lies in W and its component in every root space
+    outside S is zero.  So W is the greatest subspace of
+    K_S = meet of kernels[j] over j not in S that every T_m maps into
+    itself.  Shrinking w <- w meet (the x with every T_m x in w) from K_S
+    keeps every such subspace and stops at one, so it stops at W.
+    """
+    t_cols, kernels = parts
+    inside = set(members)
+    w = Subspace.full(rd.H.dim)
+    for j, k in enumerate(kernels):
+        if j not in inside:
+            w = w.intersect(k)
     while True:
-        shrunk = w.intersect(_from_h_coords(rd, w).add(f_space).preimage(cols))
+        shrunk = w.intersect(w.preimage(t_cols))
         if shrunk == w:
-            return _from_h_coords(rd, w)
+            return w
         w = shrunk
 
 
@@ -306,7 +343,12 @@ def enumerate_ideals(h, rd):
 
     For a feasible S the H-part ranges from (sum of C_g) meet H up to the
     greatest W in H whose rule images stay in W + F_S; both ends are
-    ideals by construction (see `_ideals_from_closed_sets`).
+    ideals by construction (see `_ideals_from_closed_sets`).  The sum
+    L = H + (sum of the root spaces) is direct, so the window condition
+    splits into a kernel in H per root outside S, computed once per call,
+    and invariance under the H components of the rule maps, d x d matrices
+    with d = dim H.  Each window is found in coordinates on H, with no
+    elimination in L per subset (see `_h_part_window`).
 
     Complete when every root space is one-dimensional, the subset count
     stays under ENUMERATION_CAP, and for each feasible subset the window of
@@ -343,8 +385,10 @@ def _ideals_from_closed_sets(h, rd, closed):
 
     C_S is graded (see `enumerate_ideals`), holds L_d for d in S and meets
     no other L_d, so C_S = w_min + F_S with w_min = C_S meet H.  The rule
-    images of w_min lie in C_S, so no step of the window, shrinking from H
-    through subspaces that hold w_min, drops w_min: it lies in w_max.
+    images of w_min lie in C_S, which has no component in any L_d outside
+    S, so w_min lies in K_S, the meet of the kernels outside S; and their H
+    components lie in w_min, so every T_m maps w_min into itself.  w_max
+    is the greatest subspace of K_S with that property, so it holds w_min.
     top = w_max + F_S holds the rule images of w_max by the window condition
     and those of F_S inside C_S: an ideal, on root spaces of any dimension.
     """
@@ -354,13 +398,13 @@ def _ideals_from_closed_sets(h, rd, closed):
     found = set()
     complete = maximal
     note = "" if maximal else "a root space has dimension above one; enumeration is heuristic"
-    # images[m][i]: rule map m applied to basis vector i of H; maps that
-    # vanish on H are dropped
-    per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
-    images = [imgs for imgs in zip(*per_basis) if any(map(any, imgs))]
+    parts = _window_parts(h, rd)
+    lifted = {}  # each distinct window, from H coordinates into L
     for members, closure in closed:
-        f_space = span(n, [rd.space(gamma[i]) for i in members])
-        top = _h_part_window(rd, f_space, images).add(f_space)
+        w = _h_part_window(rd, members, parts)
+        if w not in lifted:
+            lifted[w] = _from_h_coords(rd, w)
+        top = span(n, [lifted[w]] + [rd.space(gamma[i]) for i in members])
         if top.dim > closure.dim + 1:
             complete = False
             note = "an H-part window spans more than one free dimension; middle layers not enumerated"

@@ -14,18 +14,29 @@ that the integer-row elimination of hlra.linalg replaces; the fraction_*
 functions below it rebuild kernels, intersections, preimages, residuals,
 solutions and inverses on top of it, through null spaces and over
 Fractions throughout.
+transport rewrites an algebra in other bases of L and A, for the tests
+that a result does not depend on the basis; seeded_transport draws the
+bases with random_basis.
+h_part_window is the H-part window of the ideal enumeration computed in L,
+by a preimage of W + F_S in the ambient space per step: the slow path that
+the per-root kernels in H coordinates replace, and window_enumeration
+assembles the enumerated ideals from it.
 scan_identities and scan_morphism check the defining identities of an
 algebra and of a morphism pair by evaluating both sides, as Fraction
 vectors, on every tuple of basis vectors in itertools.product order: the
 basis-tuple scan that the sparse residuals of hlra.model replace.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from random import Random
 
 from hlra.connections import ConnectionPartition, ConnectionWitness, _displayed_root_sum, _pm
-from hlra.linalg import basis_vector, mat_columns, mat_vec, vec_add, vec_neg
+from hlra.decomposition import _from_h_coords
+from hlra.linalg import Subspace, basis_vector, mat_columns, mat_vec, vec_add, vec_neg
+from hlra.model import ideal_closure, ideal_rules
 from hlra.roots import compose_psi_power, psi_orbit
 from hlra.scalars import format_vector
 
@@ -399,6 +410,122 @@ def fraction_inverse(m):
     if pivots != tuple(range(n)):
         return None
     return tuple(row[n:] for row in red)
+
+
+def fraction_product(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)) for row in a)
+
+
+# -- change of basis -----------------------------------------------------------
+
+
+def random_basis(rng, n):
+    """An invertible n x n matrix of 1-digit integers, drawn from rng until
+    one is invertible."""
+    while True:
+        m = tuple(tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n))
+        if fraction_inverse(m) is not None:
+            return m
+
+
+# the spaces (L or A) of the two arguments and of the value of each tensor
+TENSOR_KINDS = {"bracket": "LLL", "mul": "AAA", "action": "ALL", "anchor": "LAA"}
+
+
+def transport(h, P, Q):
+    """h written in the bases given by the columns of the invertible
+    matrices P (on L) and Q (on A).
+
+    Each structure constant is the product of two new basis vectors,
+    expanded through the old constants and written in new coordinates
+    through P^-1 or Q^-1.  psi becomes P^-1 psi P, phi becomes Q^-1 phi Q
+    and each declared_H row becomes P^-1 row.  Labels are kept.
+    """
+    P = tuple(tuple(Fraction(x) for x in row) for row in P)
+    Q = tuple(tuple(Fraction(x) for x in row) for row in Q)
+    P_inv, Q_inv = fraction_inverse(P), fraction_inverse(Q)
+    to_old = {"L": P, "A": Q}
+    to_new = {"L": P_inv, "A": Q_inv}
+
+    def moved(tensor, kinds):
+        left, right, out = to_old[kinds[0]], to_old[kinds[1]], to_new[kinds[2]]
+        old = {}  # (a, b) -> {l: coefficient of old basis vector l in the product}
+        for (i, j, l), c in tensor.items():
+            for a, pa in enumerate(left[i]):
+                for b, pb in enumerate(right[j]):
+                    if pa and pb:
+                        slot = old.setdefault((a, b), {})
+                        slot[l] = slot.get(l, ZERO) + c * pa * pb
+        new = {}
+        for (a, b), vec in old.items():
+            for k, row in enumerate(out):
+                c = sum((row[l] * x for l, x in vec.items()), ZERO)
+                if c:
+                    new[(a, b, k)] = c
+        return new
+
+    return replace(
+        h,
+        **{name: moved(getattr(h, name), kinds) for name, kinds in TENSOR_KINDS.items()},
+        psi=fraction_product(P_inv, fraction_product(h.psi, P)),
+        phi=fraction_product(Q_inv, fraction_product(h.phi, Q)),
+        declared_H=None if h.declared_H is None else tuple(mat_vec(P_inv, row) for row in h.declared_H),
+    )
+
+
+def seeded_transport(h, seed):
+    """h rewritten in bases of L and of A drawn by random_basis, seeded by
+    seed: every tensor comes out dense."""
+    rng = Random(seed)
+    return transport(h, random_basis(rng, h.dimL), random_basis(rng, h.dimA))
+
+
+# -- the H-part window in L ----------------------------------------------------
+
+
+def rule_images_on_h(h, rd):
+    """images[m][i]: rule map m applied to basis vector i of H, for each
+    rule map that does not vanish on H."""
+    per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
+    return [imgs for imgs in zip(*per_basis) if any(map(any, imgs))]
+
+
+def h_part_window(rd, f_space, images):
+    """Greatest subspace W of H whose rule images stay inside W + F, as a
+    subspace of L, shrunk iteratively from H.
+
+    images is as from rule_images_on_h.  W is tracked in H-coordinates:
+    each step keeps the coordinate vectors of W whose combined images all
+    lie in W + F, a preimage in the ambient space of L.
+    """
+    d = rd.H.dim
+    w = Subspace.full(d)
+    cols = [tuple(x for imgs in images for x in imgs[i]) for i in range(d)]
+    while True:
+        shrunk = w.intersect(_from_h_coords(rd, w).add(f_space).preimage(cols))
+        if shrunk == w:
+            return _from_h_coords(rd, w)
+        w = shrunk
+
+
+def window_enumeration(h, rd):
+    """(ideals, complete) as `enumerate_ideals` finds them, with every
+    window from h_part_window: the closure and the top of each root subset
+    whose single-root closures meet no root space outside it."""
+    n, gamma = h.dimL, rd.gamma
+    images = rule_images_on_h(h, rd)
+    closures = [ideal_closure(h, rd.space(g)).space for g in gamma]
+    complete = all(rd.root_spaces[g].dim == 1 for g in gamma)
+    found = set()
+    for mask in range(2 ** len(gamma)):
+        members = [i for i in range(len(gamma)) if mask >> i & 1]
+        closure = Subspace(n, [b for i in members for b in closures[i].basis])
+        if all(mask >> i & 1 or closure.intersect(rd.space(g)).is_zero for i, g in enumerate(gamma)):
+            f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
+            top = h_part_window(rd, f_space, images).add(f_space)
+            complete = complete and top.dim <= closure.dim + 1
+            found.update((closure, top))
+    return sorted(found, key=lambda s: (s.dim, s.basis)), complete
 
 
 # -- identity checks by basis-tuple scan ---------------------------------------

@@ -1,11 +1,13 @@
 """Connection walkers, chain replay, brute-force agreement, partitions."""
 
+import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from hlra import fixtures
+from hlra import fixtures, reporting
 from hlra.connections import (
     root_partition,
     roots_connected,
@@ -15,7 +17,7 @@ from hlra.connections import (
     weights_connected,
 )
 from hlra.model import HLRAlgebra, compute_J, twist_by_endomorphism, validate_hlr
-from hlra.roots import root_decomposition, weight_decomposition
+from hlra.roots import format_root, root_decomposition, weight_decomposition
 from hlra.structure import j_split
 
 from conftest import SPLIT_NAMES
@@ -235,6 +237,25 @@ def test_single_class_on_connected_fixture(bundled):
     rd, wd = decomp(bundled["fix_s"])
     part = root_partition(rd, wd)
     assert part.classes == (((F(-2),), (F(-1),), (F(1),), (F(2),)),)
+
+
+def test_an_asymmetric_raw_relation_is_reported(bundled):
+    """No bundled or random input yields a partition whose raw relation is
+    asymmetric, so one is made by dropping the reverse of a stored witness;
+    both report surfaces must say so."""
+    rd, wd = decomp(bundled["fix_s"])
+    part = root_partition(rd, wd)
+    f, g = next(iter(part.witnesses))
+    witnesses = {pair: w for pair, w in part.witnesses.items() if pair != (g, f)}
+    asym = replace(part, witnesses=witnesses, raw_symmetric=False)
+    lines = []
+    reporting.partition_lines("root", asym, lines)
+    text = reporting.render({}, lines, "text")
+    assert "root raw relation symmetric: no\n" in text
+    assert f"  {format_root(g)} ~ {format_root(f)}:" not in text
+    out = reporting.render({"root_partition": reporting.partition_json(asym)}, [], "json")
+    assert '"raw_symmetric": false' in out
+    assert len(json.loads(out)["root_partition"]["witnesses"]) == len(part.witnesses) - 1
 
 
 def test_partition_is_an_equivalence(bundled):

@@ -1,6 +1,8 @@
 """Class ideals, sum identities, directness, simplicity enumeration."""
 
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +16,6 @@ from hlra.linalg import (
     kernel,
     mat_from_columns,
     mat_mul,
-    mat_vec,
     stack_rows,
     vec_add,
 )
@@ -23,6 +24,7 @@ from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, w
 from hlra.structure import Analysis
 
 from conftest import SPLIT_NAMES
+from oracles import h_part_window, rule_images_on_h, seeded_transport, window_enumeration
 
 F = Fraction
 
@@ -371,9 +373,75 @@ def test_window_matches_residual_matrices(bundled):
         h = bundled[name]
         rd = root_decomposition(h)
         gamma = rd.gamma
-        images = [[mat_vec(m, b) for b in rd.H.basis] for m in _rule_matrices(h)]
+        parts = decomposition._window_parts(h, rd)
         for mask in range(2 ** len(gamma)):
             members = [g for i, g in enumerate(gamma) if mask >> i & 1]
             f_space = Subspace(h.dimL, [b for g in members for b in rd.space(g).basis])
-            got = decomposition._h_part_window(rd, f_space, images)
+            indices = [i for i in range(len(gamma)) if mask >> i & 1]
+            got = decomposition._from_h_coords(rd, decomposition._h_part_window(rd, indices, parts))
             assert got == _window_by_residual_matrices(h, rd, f_space), (name, mask)
+
+
+def _window_inputs():
+    """(label, h, rd): the split bundled files, random_instance seeds 0-19
+    plain and twisted with at most 8 roots, and three four-root files in a
+    seeded dense basis.  The oracle takes about 12 ms per root subset on
+    fix_s2 in such a basis, so that one is left to the scaling test."""
+    for name in SPLIT_NAMES:
+        h = fixtures.BUNDLED[name]()
+        yield name, h, root_decomposition(h)
+    for seed in range(20):
+        for twisted in (False, True):
+            drawn = _split_draw((seed, twisted))
+            if drawn is not None and len(drawn[1].gamma) <= 8:
+                yield (seed, twisted), *drawn
+    for name in ("fix_s", "fix_e2", "fix_p2"):
+        h = seeded_transport(fixtures.BUNDLED[name](), name)
+        yield f"{name} transported", h, root_decomposition(h)
+
+
+def test_window_in_h_coordinates_matches_the_window_in_l_on_every_root_subset():
+    """The window from per-root kernels and the maps T_m on H equals the
+    oracle's, which shrinks from H through preimages of W + F_S in L, for
+    every root subset, feasible or not."""
+    for label, h, rd in _window_inputs():
+        assert rd.split, label
+        gamma = rd.gamma
+        parts = decomposition._window_parts(h, rd)
+        images = rule_images_on_h(h, rd)
+        for mask in range(2 ** len(gamma)):
+            members = [i for i in range(len(gamma)) if mask >> i & 1]
+            f_space = Subspace(h.dimL, [b for i in members for b in rd.space(gamma[i]).basis])
+            got = decomposition._from_h_coords(rd, decomposition._h_part_window(rd, members, parts))
+            assert got == h_part_window(rd, f_space, images), (label, mask)
+
+
+def test_window_shrinks_until_no_map_leaves_it():
+    """No input above needs a second shrinking step, so this one is built
+    by hand in Q^4: one map T (h1 -> h2 -> h3 -> 0, h4 -> h4) and one root
+    whose kernel is x3 = 0.  The steps go span(h1, h2, h4), span(h1, h4),
+    span(h4); the greatest T-invariant subspace of the kernel is the last.
+    With that root in S no kernel applies, and all of Q^4 is invariant."""
+    e = [basis_vector(4, i) for i in range(4)]
+    t_cols = [e[1], e[2], (0, 0, 0, 0), e[3]]
+    kernel_x3 = Subspace(4, [e[0], e[1], e[3]])
+    rd = SimpleNamespace(H=Subspace.full(4))
+    assert decomposition._h_part_window(rd, [], (t_cols, [kernel_x3])) == Subspace(4, [e[3]])
+    assert decomposition._h_part_window(rd, [0], (t_cols, [kernel_x3])) == Subspace.full(4)
+
+
+def test_enumeration_in_a_dense_basis_scales():
+    """Nine roots in a seeded 1-digit basis: on a 2-vCPU Xeon VM the
+    windows in L took about 7.5 s, the windows in H coordinates about 1 s.
+    The count and the complete flag do not depend on the basis, so they are
+    the oracle's on the original instance."""
+    original = fixtures.product_sum([fixtures._s_like(1), fixtures._s_like(2), fixtures._b_like(3)])
+    h = seeded_transport(original, 0)
+    rd = root_decomposition(h)
+    assert len(rd.gamma) == 9
+    start = time.perf_counter()
+    enum = enumerate_ideals(h, rd)
+    elapsed = time.perf_counter() - start
+    expected, complete = window_enumeration(original, root_decomposition(original))
+    assert (len(enum.ideals), enum.complete) == (len(expected), complete) == (260, False)
+    assert elapsed < 2.5, elapsed

@@ -6,8 +6,8 @@ residual evaluator must report the same (key, status, detail) lines: the
 same verdicts, the same first violating tuple and the same lhs and rhs
 values there.  The inputs are every bundled file, random_instance seeds
 plain and twisted, single-entry mutations with integer and non-integer
-shifts, and dense rational twists.  Two scaling tests pin the inputs where
-the scan grew as n^4.
+shifts, dense rational twists, and files rewritten in a dense basis.
+Two scaling tests pin the inputs where the scan grew as n^4.
 """
 
 import random
@@ -30,7 +30,7 @@ from hlra.model import (
     validate_hlr,
 )
 
-from oracles import scan_identities, scan_morphism
+from oracles import scan_identities, scan_morphism, seeded_transport
 
 F = Fraction
 SEEDS = range(12)
@@ -121,6 +121,13 @@ def _mutants(draw):
 @given(h=_mutants())
 def test_single_entry_mutations_match_the_scan(h):
     assert_matches_scan(h)
+
+
+@pytest.mark.parametrize("name", ["fix_s", "fix_s2"])
+def test_inputs_in_a_dense_basis_match_the_scan(name):
+    """Every constant of the file rewritten in a seeded 1-digit basis of L
+    and of A, so each tensor is dense."""
+    assert_matches_scan(seeded_transport(fixtures.BUNDLED[name](), name))
 
 
 @pytest.mark.parametrize("name", ["fix_s", "fix_e2", "fix_p2"])
