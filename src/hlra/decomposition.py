@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .claims import FAIL, INFO, PASS, REFUSED, ClaimResult
 from .linalg import (
+    ZERO,
     Subspace,
     basis_vector,
     complement,
@@ -24,7 +25,7 @@ from .linalg import (
     sum_and_overlap,
     vec_neg,
 )
-from .model import absorbs, annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal
+from .model import annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal, rule_image, rule_values
 from .roots import format_class
 
 # root subset count above which enumeration keeps only the closure seeds
@@ -138,7 +139,7 @@ def _direct_sum(claim_id, missing, whole, ideals, noun, name):
 
 def verify_prop_3_3(a):
     h, ideals = a.h, a.root_ideals
-    rules = dict(ideal_rules(h))
+    rules = {rule[0]: rule for rule in ideal_rules(h)}
     return [
         _every_ideal(
             "prop3.3.1", ideals, lambda s: s.contains_space(h.bracket_space(s, s)),
@@ -149,11 +150,11 @@ def verify_prop_3_3(a):
             "twist image differs on the ideal of class {}", "twist fixes every class ideal",
         ),
         _every_ideal(
-            "prop3.3.3", ideals, lambda s: absorbs(s, rules["action"]),
+            "prop3.3.3", ideals, lambda s: s.contains_space(rule_image(h, rules["action"], s)),
             "scalar action escapes the ideal of class {}", "scalar action absorbed",
         ),
         _every_ideal(
-            "prop3.3.4", ideals, lambda s: absorbs(s, rules["anchor"]),
+            "prop3.3.4", ideals, lambda s: s.contains_space(rule_image(h, rules["anchor"], s)),
             "anchor push-through escapes the ideal of class {}", "anchor push-through absorbed",
         ),
         _cross_pairs("prop3.3.5", ideals, h.bracket_space, True, "bracket"),
@@ -274,8 +275,15 @@ def _window_parts(h, rd):
     spaces = [rd.space(g) for g in rd.gamma]
     adapted = [*rd.H.basis, *(b for s in spaces for b in s.basis)]
     to_adapted = mat_inverse(mat_from_columns(adapted, nrows=h.dimL))
-    per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
-    coords = [[mat_vec(to_adapted, v) for v in imgs] for imgs in zip(*per_basis) if any(map(any, imgs))]
+    # row i of H is its RREF basis vector i times its pivot entry
+    scale = [row[p] for row, p in zip(rd.H.rows, rd.H.pivots)]
+    by_map = {}  # (rule, its further arguments), one linear map -> its columns
+    for r, rule in enumerate(ideal_rules(h)):
+        values, den = rule_values(h, rule, rd.H)
+        for (i, *rest), vec in values.items():
+            image = mat_vec(to_adapted, [vec.get(k, 0) for k in range(h.dimL)])
+            by_map.setdefault((r, *rest), [(ZERO,) * h.dimL] * d)[i] = tuple(x / (den * scale[i]) for x in image)
+    coords = list(by_map.values())
 
     def stacked(start, stop):
         return [tuple(x for c in coords for x in c[i][start:stop]) for i in range(d)]

@@ -247,19 +247,6 @@ class Subspace:
     def is_zero(self):
         return not self.basis
 
-    def reduce(self, v):
-        """Residual of v after eliminating along the basis: v minus v[p]
-        times the basis row of pivot p, for every pivot p (each basis row is
-        zero at the other pivots)."""
-        out = [frac(x) for x in v]
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] -= c * x
-        return tuple(out)
-
     def _residual(self, w, blocks=1):
         """A multiple of the integer row w with each of its first `blocks`
         blocks of ambient entries reduced along the basis; the entries past

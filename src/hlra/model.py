@@ -12,6 +12,11 @@ nonzero Fraction entries, as the file lists them; a missing index is zero:
 
 psi acts on L, phi acts on A, both as dense matrices with columns holding
 images of basis vectors.
+
+Every map is evaluated through one `_Map` table per map, `HLRAlgebra.maps`.
+The defining identities, the morphism conditions and the ideal rules are all
+rows of terms over these maps; `_contract` evaluates a term on every tuple of
+rows of its argument spaces at once, and the subspace products take the span.
 """
 
 from collections.abc import Mapping
@@ -25,7 +30,6 @@ from .linalg import (
     ONE,
     ZERO,
     Subspace,
-    basis_vector,
     frac,
     identity_matrix,
     is_zero_vector,
@@ -35,7 +39,6 @@ from .linalg import (
     mat_vec,
     solve,
     stack_rows,
-    vec_add,
 )
 from .scalars import format_vector
 
@@ -116,16 +119,16 @@ class HLRAlgebra:
     # -- evaluation on coordinate vectors ---------------------------------
 
     def bracket_vec(self, u, v):
-        return _bilinear(self._rows["bracket"], u, v, self.dimL)
+        return _bilinear(self.maps.bracket, u, v)
 
     def mul_vec(self, a, b):
-        return _bilinear(self._rows["mul"], a, b, self.dimA)
+        return _bilinear(self.maps.mul, a, b)
 
     def act_vec(self, a, x):
-        return _bilinear(self._rows["action"], a, x, self.dimL)
+        return _bilinear(self.maps.action, a, x)
 
     def anchor_vec(self, x, a):
-        return _bilinear(self._rows["anchor"], x, a, self.dimA)
+        return _bilinear(self.maps.anchor, x, a)
 
     def psi_vec(self, x):
         return mat_vec(self.psi, x)
@@ -137,37 +140,30 @@ class HLRAlgebra:
 
     def ad_left(self, h):
         """Matrix of v -> [h, v]."""
-        cols = [self.bracket_vec(h, basis_vector(self.dimL, j)) for j in range(self.dimL)]
-        return mat_from_columns(cols, nrows=self.dimL)
+        return _operator(self.maps.bracket, h, 0, self.dimL)
 
     def ad_right(self, h):
         """Matrix of v -> [v, h]."""
-        cols = [self.bracket_vec(basis_vector(self.dimL, j), h) for j in range(self.dimL)]
-        return mat_from_columns(cols, nrows=self.dimL)
+        return _operator(self.maps.bracket, h, 1, self.dimL)
 
     def anchor_matrix(self, x):
         """Matrix of a -> rho(x)(a)."""
-        cols = [self.anchor_vec(x, basis_vector(self.dimA, j)) for j in range(self.dimA)]
-        return mat_from_columns(cols, nrows=self.dimA)
+        return _operator(self.maps.anchor, x, 0, self.dimA)
 
     # -- subspace products -------------------------------------------------
 
     def bracket_space(self, s, t):
         """Span of [s, t] over basis pairs."""
-        vecs = [self.bracket_vec(u, v) for u in s.basis for v in t.basis]
-        return Subspace(self.dimL, vecs)
+        return _span(self.maps.bracket, (s, t))
 
     def mul_space(self, s, t):
-        vecs = [self.mul_vec(u, v) for u in s.basis for v in t.basis]
-        return Subspace(self.dimA, vecs)
+        return _span(self.maps.mul, (s, t))
 
     def act_space(self, sa, sl):
-        vecs = [self.act_vec(a, x) for a in sa.basis for x in sl.basis]
-        return Subspace(self.dimL, vecs)
+        return _span(self.maps.action, (sa, sl))
 
     def anchor_space(self, sl, sa):
-        vecs = [self.anchor_vec(x, a) for x in sl.basis for a in sa.basis]
-        return Subspace(self.dimA, vecs)
+        return _span(self.maps.anchor, (sl, sa))
 
     # built once per algebra; cached_property keeps them out of __eq__
     @cached_property
@@ -189,28 +185,43 @@ class HLRAlgebra:
         return mat_inverse(self.phi)
 
     @cached_property
-    def _rows(self):
-        """Per tensor name, its nonzero (k, c) pairs grouped by (i, j)."""
-        out = {}
-        for name in ("bracket", "mul", "action", "anchor"):
-            rows = out[name] = {}
-            for (i, j, k), c in getattr(self, name).items():
-                rows.setdefault((i, j), []).append((k, c))
-        return out
+    def maps(self):
+        """bracket, mul, action, anchor, psi, phi and psi_inv as _Maps;
+        psi_inv is the zero map when psi is singular."""
+        maps = {name: _Map(getattr(self, name), dims[2]) for name, dims in tensor_shapes(self.dimL, self.dimA).items()}
+        psi_inv = _Map({}, self.dimL) if self.psi_inv is None else _matrix_map(self.psi_inv)
+        return SimpleNamespace(**maps, psi=_matrix_map(self.psi), phi=_matrix_map(self.phi), psi_inv=psi_inv)
 
 
-def _bilinear(rows, u, v, out_dim):
-    """Sum of u_i v_j c e_k over the (k, c) pairs that rows holds at (i, j)."""
-    out = [ZERO] * out_dim
-    v_nonzero = [(j, cj) for j, cj in enumerate(v) if cj]
-    for i, ci in enumerate(u):
-        if not ci:
-            continue
-        for j, cj in v_nonzero:
-            c = ci * cj
-            for k, t in rows.get((i, j), ()):
-                out[k] += c * t
-    return tuple(out)
+def _bilinear(m, u, v):
+    """m(u, v) for a bilinear _Map m, as Fractions, summed as integers over
+    one denominator."""
+    (du, u), (dv, v) = _integers(u), _integers(v)
+    out = [0] * m.out
+    for i, a in enumerate(u):
+        if a:
+            for j, k, c in m.rows.get(i, ()):
+                if v[j]:
+                    out[k] += a * v[j] * c
+    return tuple(Fraction(x, du * dv * m.den) if x else ZERO for x in out)
+
+
+def _integers(vec):
+    """(d, integers) with vec = integers / d."""
+    d = lcm(*(x.denominator for x in vec))
+    return d, [x.numerator * (d // x.denominator) for x in vec]
+
+
+def _operator(m, x, slot, n):
+    """Matrix of v -> m(x, v) on Q^n when slot is 0, of v -> m(v, x) when
+    slot is 1, for a bilinear _Map m."""
+    out = [[ZERO] * n for _ in range(m.out)]
+    for i, entries in m.rows.items():
+        for j, k, c in entries:
+            a, col = (x[i], j) if slot == 0 else (x[j], i)
+            if a:
+                out[k][col] += a * c
+    return tuple(tuple(y / m.den if y else y for y in row) for row in out)
 
 
 # -- validation -------------------------------------------------------------
@@ -234,12 +245,6 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if c.status == "fail"]
-
-    def by_key(self, key):
-        for c in self.checks:
-            if c.key == key:
-                return c
-        return None
 
 
 class _Term:
@@ -284,12 +289,6 @@ def _matrix_map(m):
     return _Map({(j, k): c for k, row in enumerate(m) for j, c in enumerate(row) if c}, len(m))
 
 
-def _structure_maps(h):
-    """bracket, mul, action, anchor, psi and phi of h as _Maps."""
-    maps = {name: _Map(getattr(h, name), dims[2]) for name, dims in tensor_shapes(h.dimL, h.dimA).items()}
-    return SimpleNamespace(**maps, psi=_matrix_map(h.psi), phi=_matrix_map(h.phi))
-
-
 def _nonzero(values):
     """values without zero coordinates and without vectors left empty."""
     out = {}
@@ -301,9 +300,11 @@ def _nonzero(values):
 
 
 def _contract(term, basis):
-    """(positions, values, den) of term on every tuple of basis vectors.
+    """(positions, values, den) of term on every tuple of vectors, where
+    basis[p] maps (index,) to the integer coordinates {k: c} of each vector
+    that argument position p ranges over.
 
-    values maps the basis indices taken at the argument positions, in that
+    values maps the indices taken at the argument positions, in that
     order, to the nonzero coordinates {k: integer} of den times the term.
     A map is applied by joining its entries with the coordinates of its
     operands on the shared index, so the cost is the number of nonzero
@@ -336,28 +337,59 @@ def _contract(term, basis):
     return positions, _nonzero(out), den
 
 
-def _residual(kinds, lhs, rhs, labels, basis):
-    """The first basis tuple, in itertools.product order over kinds, where
-    the sides lhs and rhs differ, as a detail string; None if there is none.
+def _terms(side, n):
+    """The _Terms that side, a function of n argument positions, sums."""
+    terms = side(*range(n))
+    return terms if type(terms) is tuple else (terms,)
 
-    Each side is brought to one common denominator and its terms summed
-    as integers; the residual lhs - rhs is the set of argument tuples
-    where the two integer maps differ."""
-    positions = range(len(kinds))
-    sides = [side if type(side) is tuple else (side,) for side in (lhs(*positions), rhs(*positions))]
-    basis = [basis[kind] for kind in kinds]
+
+def _evaluate(sides, spaces):
+    """(totals, den): per side, a tuple of _Terms, den times the sum of its
+    terms on every tuple of rows of spaces, one space per argument position.
+
+    A total maps the row indices, in position order, to the nonzero
+    coordinates {k: integer} of the sum there; den is one denominator for
+    every side, so the sides compare and add as integers."""
+    basis = [{(r,): {k: c for k, c in enumerate(row) if c} for r, row in enumerate(s.rows)} for s in spaces]
     contracted = [[_contract(term, basis) for term in side] for side in sides]
     den = lcm(*(d for side in contracted for _, _, d in side))
     totals = []
     for side in contracted:
         total = {}
         for order, values, d in side:
-            where, scale = [order.index(p) for p in positions], den // d
+            where, scale = [order.index(p) for p in range(len(spaces))], den // d
             for args, vec in values.items():
                 acc = total.setdefault(tuple(args[w] for w in where), {})
                 for k, c in vec.items():
                     acc[k] = acc.get(k, 0) + scale * c
         totals.append(_nonzero(total))
+    return totals, den
+
+
+def _span(side, spaces):
+    """The span of the values of side on every tuple of rows of spaces, one
+    space per argument position of side."""
+    terms = _terms(side, len(spaces))
+    (values,), _ = _evaluate([terms], spaces)
+    out = terms[0].fn.out
+    return Subspace(out, [tuple(vec.get(k, 0) for k in range(out)) for vec in values.values()])
+
+
+def _full(h, kinds):
+    """The whole of L or A for each kind, "L" or "A"."""
+    return [h.full_L if kind == "L" else h.full_A for kind in kinds]
+
+
+def _residual(kinds, lhs, rhs, labels, spaces):
+    """The first basis tuple, in itertools.product order over kinds, where
+    the sides lhs and rhs differ on the basis rows of spaces, as a detail
+    string; None if there is none.
+
+    Each side is brought to one common denominator and its terms summed
+    as integers; the residual lhs - rhs is the set of argument tuples
+    where the two integer maps differ."""
+    sides = [_terms(side, len(kinds)) for side in (lhs, rhs)]
+    totals, den = _evaluate(sides, spaces)
     left, right = totals
     bad = [args for args in left.keys() | right.keys() if left.get(args) != right.get(args)]
     if not bad:
@@ -375,14 +407,13 @@ def _violations(h, rows):
     the basis of h.  lhs and rhs take one argument position per kind, "L"
     or "A", and return a _Term or a tuple of _Terms to sum."""
     labels = {"L": h.L_labels, "A": h.A_labels}
-    basis = {kind: {(i,): {i: 1} for i in range(n)} for kind, n in (("L", h.dimL), ("A", h.dimA))}
-    return [(key, _residual(kinds, lhs, rhs, labels, basis)) for key, kinds, lhs, rhs in rows]
+    return [(key, _residual(kinds, lhs, rhs, labels, _full(h, kinds))) for key, kinds, lhs, rhs in rows]
 
 
 def _identities(h):
     """The defining identities of h as (key, argument kinds, lhs, rhs) rows,
     in report order."""
-    m = _structure_maps(h)
+    m = h.maps
     br, mul, act, anc, psi, phi = m.bracket, m.mul, m.action, m.anchor, m.psi, m.phi
     return (
         # over all ordered pairs: the first violating one in index order has
@@ -495,7 +526,7 @@ def check_morphism(g, f, src, dst):
     """
     g = _matrix_map(_freeze_rect(g, dst.dimA, src.dimA, "g"))
     f = _matrix_map(_freeze_rect(f, dst.dimL, src.dimL, "f"))
-    s, d = _structure_maps(src), _structure_maps(dst)
+    s, d = src.maps, dst.maps
     rows = (
         ("morphism.g_hom", "AA", lambda a, b: g(s.mul(a, b)), lambda a, b: d.mul(g(a), g(b))),
         ("morphism.1", "AL", lambda a, x: f(s.action(a, x)), lambda a, x: d.action(g(a), f(x))),
@@ -553,31 +584,36 @@ def twist_by_endomorphism(h, g, f):
 # -- ideals and annihilators -------------------------------------------------
 
 
-IDEAL_RULES = ("bracket_left", "bracket_right", "action", "anchor", "psi", "psi_inv")
-
-
 def ideal_rules(h):
-    """(name, images) for each name in IDEAL_RULES.  images(s) lists the
-    image of s under each linear map of the rule, always in the same order:
-    [s, x], [x, s], a . s, rho(s)(a) . x over basis vectors x of L and a of
-    A, then psi(s) and, when psi is invertible, its inverse image."""
-    eL = identity_matrix(h.dimL)
-    eA = identity_matrix(h.dimA)
-    psi_inv = h.psi_inv
-    images = {
-        "bracket_left": lambda s: [h.bracket_vec(s, x) for x in eL],
-        "bracket_right": lambda s: [h.bracket_vec(x, s) for x in eL],
-        "action": lambda s: [h.act_vec(a, s) for a in eA],
-        "anchor": lambda s: [h.act_vec(h.anchor_vec(s, a), x) for a in eA for x in eL],
-        "psi": lambda s: [h.psi_vec(s)],
-        "psi_inv": lambda s: [] if psi_inv is None else [mat_vec(psi_inv, s)],
-    }
-    return [(name, images[name]) for name in IDEAL_RULES]
+    """The rules an ideal I of h is closed under, as (name, kinds, term)
+    rows: term takes I at argument position 0 and the whole of L or A, by
+    kind, at the others, and its images must lie in I.  They are
+    [I, L], [L, I], A . I, rho(I)(A) . L, psi(I) and psi^-1(I)."""
+    m = h.maps
+    br, act, anc, psi, psi_inv = m.bracket, m.action, m.anchor, m.psi, m.psi_inv
+    return (
+        ("bracket_left", "LL", lambda s, x: br(s, x)),
+        ("bracket_right", "LL", lambda s, x: br(x, s)),
+        ("action", "LA", lambda s, a: act(a, s)),
+        ("anchor", "LAL", lambda s, a, x: act(anc(s, a), x)),
+        ("psi", "L", lambda s: psi(s)),
+        ("psi_inv", "L", lambda s: psi_inv(s)),
+    )
 
 
-def absorbs(sub, images):
-    """True when every image of every basis vector of sub lies in sub."""
-    return all(sub.contains(v) for s in sub.basis for v in images(s))
+def rule_values(h, rule, sub):
+    """(values, den) of one ideal rule on the rows of sub: values maps (row
+    index in sub, basis index of each further argument) to the nonzero
+    coordinates {k: integer} of den times the image."""
+    _, kinds, term = rule
+    (values,), den = _evaluate([_terms(term, len(kinds))], [sub] + _full(h, kinds[1:]))
+    return values, den
+
+
+def rule_image(h, rule, sub):
+    """The span of the images of sub under one ideal rule."""
+    _, kinds, term = rule
+    return _span(term, [sub] + _full(h, kinds[1:]))
 
 
 @dataclass(frozen=True)
@@ -589,19 +625,18 @@ class IdealClosure:
 def ideal_closure(h, seed):
     """Smallest subspace containing seed that is closed under all ideal
     rules, grown one rule at a time."""
-    n = h.dimL
-    current = seed if isinstance(seed, Subspace) else Subspace(n, seed)
+    current = seed if isinstance(seed, Subspace) else Subspace(h.dimL, seed)
     fired = []
     rules = ideal_rules(h)
     while True:
         added = False
-        for name, images in rules:
-            grown = current.add(Subspace(n, [v for s in current.basis for v in images(s)]))
+        for rule in rules:
+            grown = current.add(rule_image(h, rule, current))
             if grown.dim > current.dim:
                 current = grown
                 added = True
-                if name not in fired:
-                    fired.append(name)
+                if rule[0] not in fired:
+                    fired.append(rule[0])
         if not added:
             return IdealClosure(space=current, fired=tuple(fired))
 
@@ -611,7 +646,8 @@ def is_ideal(h, sub):
 
     psi_inv is not checked: in finite dimension psi(I) inside I with psi
     invertible gives psi(I) = I, so the inverse image stays in I too."""
-    failed = [name for name, images in ideal_rules(h) if name != "psi_inv" and not absorbs(sub, images)]
+    rules = [rule for rule in ideal_rules(h) if rule[0] != "psi_inv"]
+    failed = [rule[0] for rule in rules if not sub.contains_space(rule_image(h, rule, sub))]
     return (not failed, failed)
 
 
@@ -631,57 +667,25 @@ def compute_J(h):
     """Ideal generated by all symmetrized brackets, with both annihilation
     directions reported.  Only one direction is a theorem; the other is the
     printed claim and can genuinely fail."""
-    n = h.dimL
-    gens = []
-    for i in range(n):
-        for j in range(i, n):
-            gens.append(
-                vec_add(
-                    h.bracket_vec(basis_vector(n, i), basis_vector(n, j)),
-                    h.bracket_vec(basis_vector(n, j), basis_vector(n, i)),
-                )
-            )
-    closure = ideal_closure(h, Subspace(n, gens))
+    br, full = h.maps.bracket, h.full_L
+    closure = ideal_closure(h, _span(lambda x, y: br(x, y) + br(y, x), (full, full)))
     jspace = closure.space
-    full = h.full_L
     jl = h.bracket_space(jspace, full)
-    lj = h.bracket_space(full, jspace)
-    witness = ""
-    if not lj.is_zero:
-        for x in full.basis:
-            for s in jspace.basis:
-                val = h.bracket_vec(x, s)
-                if not is_zero_vector(val):
-                    witness = (
-                        f"[{format_vector(x)}, {format_vector(s)}] = {format_vector(val)}"
-                    )
-                    break
-            if witness:
-                break
-    return JReport(
-        closure=closure,
-        J_bracket_L_zero=jl.is_zero,
-        L_bracket_J_zero=lj.is_zero,
-        witness=witness,
-    )
+    # [L, J] = 0 exactly when no bracket of basis vectors is nonzero
+    brackets = ((x, s, h.bracket_vec(x, s)) for x in full.basis for s in jspace.basis)
+    found = next(((x, s, val) for x, s, val in brackets if not is_zero_vector(val)), None)
+    witness = "" if found is None else "[{}, {}] = {}".format(*map(format_vector, found))
+    return JReport(closure=closure, J_bracket_L_zero=jl.is_zero, L_bracket_J_zero=found is None, witness=witness)
 
 
 def annihilator(h, space):
     """Vectors with zero anchor that bracket to zero, on both sides, with
     every vector of space.  Over all of L this is Z(L); over the zero space
     it is the kernel of the anchor."""
-    n = h.dimL
-    blocks = []
-    for s in space.basis:
-        blocks.append(h.ad_right(s))  # v -> [v, s]
-        blocks.append(h.ad_left(s))  # v -> [s, v]
-    for j in range(h.dimA):
-        # v -> rho(v)(a_j), rows indexed by output coordinate
-        cols = [h.anchor_vec(basis_vector(n, i), basis_vector(h.dimA, j)) for i in range(n)]
-        blocks.append(mat_from_columns(cols, nrows=h.dimA))
-    if not blocks:
-        return Subspace.full(n)
-    return kernel(stack_rows(*blocks), ncols=n)
+    blocks = [m for s in space.basis for m in (h.ad_right(s), h.ad_left(s))]
+    # v -> rho(v)(a) for each basis vector a of A
+    blocks += [_operator(h.maps.anchor, a, 1, h.dimL) for a in identity_matrix(h.dimA)]
+    return kernel(stack_rows(*blocks), ncols=h.dimL)
 
 
 def annihilator_Z(h):
@@ -691,14 +695,8 @@ def annihilator_Z(h):
 
 def center_ZA(h):
     """Z(A): scalars multiplying everything to zero."""
-    na = h.dimA
-    blocks = []
-    for j in range(na):
-        cols = [h.mul_vec(basis_vector(na, i), basis_vector(na, j)) for i in range(na)]
-        blocks.append(mat_from_columns(cols, nrows=na))
-    if not blocks:
-        return Subspace.full(na)
-    return kernel(stack_rows(*blocks), ncols=na)
+    blocks = [_operator(h.maps.mul, a, 1, h.dimA) for a in identity_matrix(h.dimA)]
+    return kernel(stack_rows(*blocks), ncols=h.dimA)
 
 
 # -- subalgebra extraction ---------------------------------------------------

@@ -67,8 +67,10 @@ class RootDecomposition:
         of the power: composing a functional with them is one mat_vec."""
         return {1: mat_columns(self.psi_on_H), -1: mat_columns(self.psi_on_H_inv)}
 
-    @property
+    @cached_property
     def gamma(self):
+        """The roots in sorted order; root_spaces is only written before
+        the decomposition is returned."""
         return sorted(self.root_spaces)
 
     def space(self, f):
@@ -93,8 +95,9 @@ class WeightDecomposition:
     split: bool
     diagnosis: str = ""
 
-    @property
+    @cached_property
     def lam(self):
+        """The weights in sorted order, sorted once like gamma."""
         return sorted(self.weights)
 
     def space(self, f):

@@ -601,7 +601,7 @@ def run_structure(a):
         seeds = [ideal for ideal in a.enum.ideals if js.J.contains_space(ideal)]
         bad = None
         for seed in seeds:
-            _claim, run = verify_theorem_5_12(a, seed)
+            run = _thm512_branch(a, seed)
             runs.append(run)
             if not run.ok and bad is None:
                 bad = f"seed of dim {run.seed_dim}: {run.detail}"

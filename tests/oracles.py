@@ -9,6 +9,11 @@ that one walk per source replaces), through pairwise_roots_connected,
 pairwise_weights_connected and shortest_chain.
 dense_bilinear evaluates a structure tensor on its full dense grid, the
 slow path that the grouped sparse rows of HLRAlgebra replace.
+fraction_rules applies the ideal rules to one vector at a time, as
+Fraction vectors summed over the tensor entries, and fraction_products,
+fraction_closure and fraction_is_ideal build the products of subspaces,
+the ideal closure and the ideal test on them: the per-vector path that the
+term rows evaluated on integer rows in hlra.model replace.
 fraction_rref is Gauss-Jordan elimination over Fractions, the slow path
 that the integer-row elimination of hlra.linalg replaces; the fraction_*
 functions below it rebuild kernels, intersections, preimages, residuals,
@@ -36,7 +41,7 @@ from random import Random
 from hlra.connections import ConnectionPartition, ConnectionWitness, _displayed_root_sum, _pm
 from hlra.decomposition import _from_h_coords
 from hlra.linalg import Subspace, basis_vector, mat_columns, mat_vec, vec_add, vec_neg
-from hlra.model import ideal_closure, ideal_rules
+from hlra.model import ideal_closure
 from hlra.roots import compose_psi_power, psi_orbit
 from hlra.scalars import format_vector
 
@@ -290,6 +295,82 @@ def dense_bilinear(tensor, u, v, out_dim):
     return tuple(out)
 
 
+# -- ideal rules one vector at a time ------------------------------------------
+
+
+def entry_bilinear(tensor, u, v, out_dim):
+    """sum over the nonzero entries (i, j, k) of u_i v_j tensor[i, j, k] e_k."""
+    out = [Fraction(0)] * out_dim
+    for (i, j, k), c in tensor.items():
+        if u[i] and v[j]:
+            out[k] += u[i] * v[j] * c
+    return tuple(out)
+
+
+def fraction_rules(h):
+    """(name, images) for each ideal rule, in the order of the package.
+    images(s) lists the image of the vector s under each linear map of the
+    rule: [s, x], [x, s], a . s, rho(s)(a) . x over basis vectors x of L and
+    a of A, then psi(s) and, when psi is invertible, its inverse image."""
+    eL = [basis_vector(h.dimL, i) for i in range(h.dimL)]
+    eA = [basis_vector(h.dimA, i) for i in range(h.dimA)]
+    br = partial(entry_bilinear, h.bracket, out_dim=h.dimL)
+    act = partial(entry_bilinear, h.action, out_dim=h.dimL)
+    anc = partial(entry_bilinear, h.anchor, out_dim=h.dimA)
+    psi_inv = fraction_inverse(h.psi)
+    return [
+        ("bracket_left", lambda s: [br(s, x) for x in eL]),
+        ("bracket_right", lambda s: [br(x, s) for x in eL]),
+        ("action", lambda s: [act(a, s) for a in eA]),
+        ("anchor", lambda s: [act(anc(s, a), x) for a in eA for x in eL]),
+        ("psi", lambda s: [mat_vec(h.psi, s)]),
+        ("psi_inv", lambda s: [] if psi_inv is None else [mat_vec(psi_inv, s)]),
+    ]
+
+
+def absorbs(sub, images):
+    """True when every image of every basis vector of sub lies in sub."""
+    return all(sub.contains(v) for s in sub.basis for v in images(s))
+
+
+def fraction_products(h):
+    """name -> product(s, t): the span of the structure map on every pair
+    of basis vectors of the subspaces s and t, for the four tensors."""
+
+    def product(tensor, out_dim):
+        return lambda s, t: Subspace(out_dim, [entry_bilinear(tensor, u, v, out_dim) for u in s.basis for v in t.basis])
+
+    return {
+        "bracket": product(h.bracket, h.dimL),
+        "mul": product(h.mul, h.dimA),
+        "action": product(h.action, h.dimL),
+        "anchor": product(h.anchor, h.dimA),
+    }
+
+
+def fraction_closure(h, seed):
+    """(space, fired) of the smallest subspace holding seed closed under the
+    rules, grown one rule at a time as the package does; fired lists the
+    rules that ever added a vector, in the order they first did."""
+    current, fired = seed, []
+    while True:
+        added = False
+        for name, images in fraction_rules(h):
+            grown = current.add(Subspace(h.dimL, [v for s in current.basis for v in images(s)]))
+            if grown.dim > current.dim:
+                current, added = grown, True
+                if name not in fired:
+                    fired.append(name)
+        if not added:
+            return current, tuple(fired)
+
+
+def fraction_is_ideal(h, sub):
+    """(ok, names of the rules other than psi_inv that sub does not absorb)."""
+    failed = [name for name, images in fraction_rules(h) if name != "psi_inv" and not absorbs(sub, images)]
+    return not failed, failed
+
+
 # -- exact linear algebra over Fractions --------------------------------------
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -486,7 +567,7 @@ def seeded_transport(h, seed):
 def rule_images_on_h(h, rd):
     """images[m][i]: rule map m applied to basis vector i of H, for each
     rule map that does not vanish on H."""
-    per_basis = [[v for _, images in ideal_rules(h) for v in images(b)] for b in rd.H.basis]
+    per_basis = [[v for _, images in fraction_rules(h) for v in images(b)] for b in rd.H.basis]
     return [imgs for imgs in zip(*per_basis) if any(map(any, imgs))]
 
 

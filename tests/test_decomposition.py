@@ -19,12 +19,19 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import ideal_closure, ideal_rules, is_ideal, twist_by_endomorphism
+from hlra.model import ideal_closure, is_ideal, twist_by_endomorphism
 from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
 from hlra.structure import Analysis
 
 from conftest import SPLIT_NAMES
-from oracles import h_part_window, rule_images_on_h, seeded_transport, window_enumeration
+from oracles import (
+    fraction_reduce,
+    fraction_rules,
+    h_part_window,
+    rule_images_on_h,
+    seeded_transport,
+    window_enumeration,
+)
 
 F = Fraction
 
@@ -349,7 +356,7 @@ def _rule_matrices(h):
     """Each ideal rule map as an n x n matrix: its columns are the images
     of the basis vectors of L."""
     n = h.dimL
-    per_basis = [[v for _, images in ideal_rules(h) for v in images(basis_vector(n, j))] for j in range(n)]
+    per_basis = [[v for _, images in fraction_rules(h) for v in images(basis_vector(n, j))] for j in range(n)]
     return [mat_from_columns(cols, nrows=n) for cols in zip(*per_basis)]
 
 
@@ -361,7 +368,8 @@ def _window_by_residual_matrices(h, rd, f_space):
     w = rd.H
     while True:
         target = w.add(f_space)
-        res = mat_from_columns([target.reduce(basis_vector(n, j)) for j in range(n)], nrows=n)
+        residuals = [fraction_reduce(target.basis, target.pivots, basis_vector(n, j)) for j in range(n)]
+        res = mat_from_columns(residuals, nrows=n)
         shrunk = w.intersect(kernel(stack_rows(*[mat_mul(res, m) for m in maps]), ncols=n))
         if shrunk == w:
             return w

@@ -3,11 +3,13 @@
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlra import fixtures
+from hlra.decomposition import ClassIdeal, verify_prop_3_3
 from hlra.fileio import dumps_algebra
 from hlra.linalg import Subspace, basis_vector, identity_matrix, kernel, mat_from_columns, mat_inverse
 from hlra.model import (
@@ -25,14 +27,24 @@ from hlra.model import (
     fiber_product,
     find_unit,
     ideal_closure,
+    ideal_rules,
     is_ideal,
+    rule_image,
     tensor_shapes,
     twist_by_endomorphism,
     validate_hlr,
 )
 from hlra.scalars import format_vector
 
-from oracles import dense_bilinear
+from oracles import (
+    absorbs,
+    dense_bilinear,
+    fraction_closure,
+    fraction_is_ideal,
+    fraction_products,
+    fraction_rules,
+    seeded_transport,
+)
 
 F = Fraction
 
@@ -77,14 +89,14 @@ def test_strict_failures_are_exactly_the_relaxed_fixtures(bundled):
 
 def test_relaxed_mode_downgrades_not_hides(bundled):
     rep = validate_hlr(bundled["fix_e"], strictness=RELAXED)
-    c = rep.by_key("rep.bracket")
+    c = next(c for c in rep.checks if c.key == "rep.bracket")
     assert c.status == "warn"
     assert "(e,f,t)" in c.detail
 
 
 def test_skew_symmetry_is_informational(bundled):
     rep = validate_hlr(bundled["fix_c"])
-    c = rep.by_key("L.skew_symmetric")
+    c = next(c for c in rep.checks if c.key == "L.skew_symmetric")
     assert c.status == "info"
     assert rep.ok
 
@@ -538,3 +550,60 @@ def test_structure_maps_match_the_dense_oracle(h, data):
     assert h.mul_vec(a, b) == dense_bilinear(h.mul, a, b, h.dimA)
     assert h.act_vec(a, x) == dense_bilinear(h.action, a, x, h.dimL)
     assert h.anchor_vec(x, a) == dense_bilinear(h.anchor, x, a, h.dimA)
+
+
+# -- ideal rules and subspace products against the per-vector oracle -----------
+
+
+TRANSPORTED = ("fix_b", "fix_e", "fix_s", "fix_w", "fix_p", "fix_t")
+
+
+@cache
+def _transported(name, seed):
+    return seeded_transport(fixtures.BUNDLED[name](), seed)
+
+
+@st.composite
+def _twisted_arbitrary_algebras(draw):
+    """_arbitrary_algebras with a drawn psi, often singular."""
+    h = draw(_arbitrary_algebras())
+    row = st.lists(st.integers(-1, 1), min_size=h.dimL, max_size=h.dimL)
+    return replace(h, psi=draw(st.lists(row, min_size=h.dimL, max_size=h.dimL)))
+
+
+def _subspaces(n):
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    return st.lists(vec, max_size=3).map(lambda rows: Subspace(n, rows))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    h=(st.sampled_from(sorted(fixtures.BUNDLED)) | st.tuples(st.integers(0, 39), st.booleans())).map(_oracle_algebra)
+    | st.builds(_transported, st.sampled_from(TRANSPORTED), st.integers(0, 9))
+    | _twisted_arbitrary_algebras(),
+    data=st.data(),
+)
+def test_rules_and_products_match_the_per_vector_oracle(h, data):
+    """Every product of subspaces, every rule image, the closure with the
+    rules it fired, the ideal test and prop3.3.3/3.3.4 agree with the same
+    computed one vector at a time over Fractions."""
+    s, t = data.draw(_subspaces(h.dimL)), data.draw(_subspaces(h.dimL))
+    a, b = data.draw(_subspaces(h.dimA)), data.draw(_subspaces(h.dimA))
+    products = fraction_products(h)
+    assert h.bracket_space(s, t) == products["bracket"](s, t)
+    assert h.mul_space(a, b) == products["mul"](a, b)
+    assert h.act_space(a, s) == products["action"](a, s)
+    assert h.anchor_space(s, a) == products["anchor"](s, a)
+    rules, oracle = ideal_rules(h), fraction_rules(h)
+    assert [rule[0] for rule in rules] == [name for name, _ in oracle]
+    for rule, (name, images) in zip(rules, oracle):
+        assert rule_image(h, rule, s) == Subspace(h.dimL, [v for x in s.basis for v in images(x)]), name
+    closure = ideal_closure(h, s)
+    assert (closure.space, closure.fired) == fraction_closure(h, s)
+    for sub in (s, t, closure.space):
+        assert is_ideal(h, sub) == fraction_is_ideal(h, sub)
+    ideals = (ClassIdeal((), s), ClassIdeal((), closure.space))
+    claims = {c.claim_id: c.status for c in verify_prop_3_3(SimpleNamespace(h=h, root_ideals=ideals))}
+    for claim_id, name in (("prop3.3.3", "action"), ("prop3.3.4", "anchor")):
+        images = dict(oracle)[name]
+        assert claims[claim_id] == ("PASS" if all(absorbs(ci.space, images) for ci in ideals) else "FAIL"), claim_id

@@ -5,9 +5,11 @@ itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
 Oracles and helpers that only tests need live under tests/.  Structure
 tensors are read by their (i, j, k) entries, never as dense t[i][j][k].
 Importing the command line loads nothing but the standard library and hlra.
+Every function the benchmark tracer wraps by name still exists.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ from pathlib import Path
 import hlra
 
 PACKAGE = Path(hlra.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -45,6 +48,16 @@ def test_every_top_level_definition_has_a_package_caller():
         and d.name not in fixtures_public
         and not any(other is not d and d.name in refs for other, refs in uses)
     ]
+    # a method counts as called when its name is looked up anywhere in the
+    # package, its own class included
+    methods = [
+        (p, c, m)
+        for p, c in definitions
+        if isinstance(c, ast.ClassDef)
+        for m in c.body
+        if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+    ]
+    unused += [f"{p.stem}.{c.name}.{m.name}" for p, c, m in methods if not any(m.name in refs for _, refs in uses)]
     assert unused == [], f"defined in the package but used only outside it: {unused}"
 
 
@@ -92,3 +105,27 @@ def test_importing_the_cli_loads_only_the_standard_library_and_hlra():
     assert "hlra.cli" in loaded
     foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "hlra"]
     assert foreign == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_a_package_callable():
+    """perfbench/tracing.py looks up each function of LAYERS in its module
+    and each name of METHODS on linalg.Subspace; a renamed or deleted one
+    would break the traced benchmark run, not the package's own tests."""
+    tree = ast.parse(TRACING.read_text())
+    traced = {
+        target.id: ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name) and target.id in ("LAYERS", "METHODS")
+    }
+    layers = traced["LAYERS"]
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"hlra.{layer}"), name, None))
+    ]
+    subspace = importlib.import_module("hlra.linalg").Subspace
+    missing += [f"linalg.Subspace.{name}" for name in traced["METHODS"] if not callable(subspace.__dict__.get(name))]
+    assert layers and traced["METHODS"] and missing == []
