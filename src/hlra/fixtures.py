@@ -11,7 +11,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from .model import HLRAlgebra, twist_by_endomorphism
+from .model import HLRAlgebra, _block_diag, _embed, twist_by_endomorphism
 
 
 def _diag(*values):
@@ -234,13 +234,6 @@ def _offsets(dims):
     return offs, total
 
 
-def _embed(entries, tensor, offs):
-    """Copy one block's tensor entries into entries, each index shifted by
-    its axis offset."""
-    for (i, j, k), v in tensor.items():
-        entries[offs[0] + i, offs[1] + j, offs[2] + k] = v
-
-
 def _bracket_side(blocks, l_offs, a_offs):
     """Bracket, action and anchor tensors of the blocks placed on the
     diagonal at the given L and A offsets."""
@@ -313,20 +306,6 @@ def product_sum(blocks):
         unital=all(b.unital for b in blocks),
         declared_H=_stack_declared(blocks, l_offs, nl),
     )
-
-
-def _block_diag(mats):
-    n = sum(len(m) for m in mats)
-    rows = []
-    off = 0
-    for m in mats:
-        w = len(m)
-        for r in m:
-            rows.append(
-                (Fraction(0),) * off + tuple(r) + (Fraction(0),) * (n - off - w)
-            )
-        off += w
-    return tuple(rows)
 
 
 def _suffixed(label_groups):

@@ -14,15 +14,19 @@ psi acts on L, phi acts on A, both as dense matrices with columns holding
 images of basis vectors.
 
 Every map is evaluated through one `_Map` table per map, `HLRAlgebra.maps`.
-The defining identities, the morphism conditions and the ideal rules are all
-rows of terms over these maps; `_contract` evaluates a term on every tuple of
-rows of its argument spaces at once, and the subspace products take the span.
+The defining identities, the morphism conditions, the ideal rules and the
+builders (twist, sub-algebra, fiber product) are all rows of terms over these
+maps; `_contract` evaluates a term on every tuple of rows of its argument
+spaces at once, and the subspace products take the span.  `_bilinear` is the
+one per-vector evaluator left: `compute_J` reports the first nonzero bracket
+of a basis vector of L with one of J, in basis order, and the benchmark
+tracer counts `_bilinear` by name.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import lcm, prod
 from types import MappingProxyType, SimpleNamespace
 
@@ -34,9 +38,7 @@ from .linalg import (
     identity_matrix,
     is_zero_vector,
     kernel,
-    mat_from_columns,
     mat_inverse,
-    mat_vec,
     solve,
     stack_rows,
 )
@@ -115,26 +117,6 @@ class HLRAlgebra:
                 if len(r) != self.dimL:
                     raise InputError("declared_H row length does not match dimL")
             object.__setattr__(self, "declared_H", rows)
-
-    # -- evaluation on coordinate vectors ---------------------------------
-
-    def bracket_vec(self, u, v):
-        return _bilinear(self.maps.bracket, u, v)
-
-    def mul_vec(self, a, b):
-        return _bilinear(self.maps.mul, a, b)
-
-    def act_vec(self, a, x):
-        return _bilinear(self.maps.action, a, x)
-
-    def anchor_vec(self, x, a):
-        return _bilinear(self.maps.anchor, x, a)
-
-    def psi_vec(self, x):
-        return mat_vec(self.psi, x)
-
-    def phi_vec(self, a):
-        return mat_vec(self.phi, a)
 
     # -- operators as matrices --------------------------------------------
 
@@ -485,7 +467,7 @@ def validate_hlr(h, strictness=RELAXED):
             checks.append(CheckResult("A.unital", "fail", "flagged unital but no unit solves e*a=a"))
         else:
             checks.append(CheckResult("A.unital", "pass", f"unit {format_vector(unit)}"))
-            identically = all(h.act_vec(unit, x) == x for x in identity_matrix(h.dimL))
+            identically = _operator(h.maps.action, unit, 0, h.dimL) == identity_matrix(h.dimL)
             checks.append(
                 CheckResult(
                     "module.unit_action",
@@ -538,11 +520,6 @@ def check_morphism(g, f, src, dst):
     return [CheckResult(key, "fail" if bad else "pass", bad or "") for key, bad in _violations(src, rows)]
 
 
-def _entries(pairs):
-    """Tensor entries {(i, j, k): vector[k]} from ((i, j), vector) pairs."""
-    return {(i, j, k): c for (i, j), vec in pairs for k, c in enumerate(vec) if c}
-
-
 class TwistError(ValueError):
     """The requested twist is not by an endomorphism pair."""
 
@@ -556,7 +533,9 @@ def twist_by_endomorphism(h, g, f):
 
     The input must carry identity twists; (g, f) must be an endomorphism
     pair of it.  The new bracket is f applied after the old one, the new
-    anchor is g applied after the old one, and (g, f) become the twists.
+    anchor is g applied after the old one, and (g, f) become the twists;
+    both are term rows, f(br(x, y)) and g(anc(x, a)), evaluated on the
+    whole of L and A at once.
     """
     if h.psi != identity_matrix(h.dimL) or h.phi != identity_matrix(h.dimA):
         raise InputError("twist input must carry identity twists")
@@ -567,18 +546,12 @@ def twist_by_endomorphism(h, g, f):
         raise TwistError(failed, f"not an endomorphism pair: {details}")
     g = _freeze_rect(g, h.dimA, h.dimA, "g")
     f = _freeze_rect(f, h.dimL, h.dimL, "f")
-    eL, eA = identity_matrix(h.dimL), identity_matrix(h.dimA)
-    bracket = _entries(((i, j), mat_vec(f, h.bracket_vec(x, y))) for i, x in enumerate(eL) for j, y in enumerate(eL))
-    anchor = _entries(((i, j), mat_vec(g, h.anchor_vec(x, a))) for i, x in enumerate(eL) for j, a in enumerate(eA))
+    gm, fm, br, anc = _matrix_map(g), _matrix_map(f), h.maps.bracket, h.maps.anchor
+    spaces = {"L": h.full_L, "A": h.full_A}
+    bracket = _restricted("bracket", lambda x, y: fm(br(x, y)), "LL", "L", spaces)
+    anchor = _restricted("anchor", lambda x, a: gm(anc(x, a)), "LA", "A", spaces)
     regular = mat_inverse(f) is not None and mat_inverse(g) is not None
-    return replace(
-        h,
-        bracket=bracket,
-        anchor=anchor,
-        psi=f,
-        phi=g,
-        regular=regular,
-    )
+    return replace(h, bracket=bracket, anchor=anchor, psi=f, phi=g, regular=regular)
 
 
 # -- ideals and annihilators -------------------------------------------------
@@ -672,7 +645,7 @@ def compute_J(h):
     jspace = closure.space
     jl = h.bracket_space(jspace, full)
     # [L, J] = 0 exactly when no bracket of basis vectors is nonzero
-    brackets = ((x, s, h.bracket_vec(x, s)) for x in full.basis for s in jspace.basis)
+    brackets = ((x, s, _bilinear(br, x, s)) for x in full.basis for s in jspace.basis)
     found = next(((x, s, val) for x, s, val in brackets if not is_zero_vector(val)), None)
     witness = "" if found is None else "[{}, {}] = {}".format(*map(format_vector, found))
     return JReport(closure=closure, J_bracket_L_zero=jl.is_zero, L_bracket_J_zero=found is None, witness=witness)
@@ -714,44 +687,65 @@ class ClosureError(ValueError):
         self.image = image
 
 
+def _restricted(kind, side, kinds, out, spaces):
+    """The entries {(argument indices..., k): c} of side, a function of one
+    argument position per kind, "L" or "A", on the RREF bases of
+    spaces[kind]: c is coordinate k of the value in the RREF basis of
+    spaces[out].
+
+    side is evaluated on the integer rows of the spaces; dividing a value by
+    the pivot entries of its rows gives the value on the RREF basis, whose
+    coordinates are its pivot entries once it lies in spaces[out].  The
+    first argument tuple in index order whose value does not raises
+    ClosureError."""
+    args_spaces = [spaces[k] for k in kinds]
+    terms = _terms(side, len(kinds))
+    (values,), den = _evaluate([terms], args_spaces)
+    target, n = spaces[out], terms[0].fn.out
+    entries = {}
+    for args in sorted(values):
+        vec, scale = values[args], den * prod(s.rows[r][s.pivots[r]] for s, r in zip(args_spaces, args))
+        v = tuple(Fraction(vec[k], scale) if k in vec else ZERO for k in range(n))
+        c = target.coords(v)
+        if c is None:
+            raise ClosureError(f"{kind} leaves the chosen {out} subspace: {format_vector(v)}", kind, args, v)
+        entries.update(((*args, k), x) for k, x in enumerate(c) if x)
+    return entries
+
+
 def sub_algebra(h, l_sub, a_sub, l_labels=None, a_labels=None):
     """Restrict the structure to chosen L and A subspaces.
 
-    Reads only the six maps bracket_vec, mul_vec, act_vec, anchor_vec,
-    psi_vec and phi_vec of h.  Every structure map must land back inside the
-    chosen spaces; otherwise a ClosureError names the offending map.
+    Reads only h.maps.  Each of bracket, mul, action, anchor, psi and phi,
+    in that order, is evaluated on every tuple of basis vectors of the
+    chosen spaces at once and must land back inside them; otherwise a
+    ClosureError names the map and its first argument tuple, in index
+    order, whose value leaves them.
     """
-    lb = l_sub.basis
-    ab = a_sub.basis
-    dl, da = len(lb), len(ab)
-
-    def coords(space, side, kind, witness, v):
-        c = space.coords(v)
-        if c is None:
-            raise ClosureError(f"{kind} leaves the chosen {side} subspace: {format_vector(v)}", kind, witness, v)
-        return c
-
-    lcoords = partial(coords, l_sub, "L")
-    acoords = partial(coords, a_sub, "A")
-
-    def table(kind, place, vec, left, right):
-        pairs = (((i, j), place(kind, (i, j), vec(u, v))) for i, u in enumerate(left) for j, v in enumerate(right))
-        return _entries(pairs)
-
-    bracket = table("bracket", lcoords, h.bracket_vec, lb, lb)
-    mul = table("mul", acoords, h.mul_vec, ab, ab)
-    action = table("action", lcoords, h.act_vec, ab, lb)
-    anchor = table("anchor", acoords, h.anchor_vec, lb, ab)
-    psi = mat_from_columns([lcoords("psi", (j,), h.psi_vec(b)) for j, b in enumerate(lb)], nrows=dl)
-    phi = mat_from_columns([acoords("phi", (j,), h.phi_vec(b)) for j, b in enumerate(ab)], nrows=da)
+    m, spaces = h.maps, {"L": l_sub, "A": a_sub}
+    tables = {
+        kind: _restricted(kind, getattr(m, kind), kinds, out, spaces)
+        for kind, kinds, out in (
+            ("bracket", "LL", "L"),
+            ("mul", "AA", "A"),
+            ("action", "AL", "L"),
+            ("anchor", "LA", "A"),
+            ("psi", "L", "L"),
+            ("phi", "A", "A"),
+        )
+    }
+    dl, da = l_sub.dim, a_sub.dim
+    # column j of a twist holds the coordinates of its image of basis vector j
+    psi = tuple(tuple(tables["psi"].get((j, k), ZERO) for j in range(dl)) for k in range(dl))
+    phi = tuple(tuple(tables["phi"].get((j, k), ZERO) for j in range(da)) for k in range(da))
     regular = mat_inverse(psi) is not None and mat_inverse(phi) is not None
     return HLRAlgebra(
         dimL=dl,
         dimA=da,
-        bracket=bracket,
-        mul=mul,
-        action=action,
-        anchor=anchor,
+        bracket=tables["bracket"],
+        mul=tables["mul"],
+        action=tables["action"],
+        anchor=tables["anchor"],
         psi=psi,
         phi=phi,
         L_labels=tuple(l_labels or (f"u{i}" for i in range(dl))),
@@ -762,6 +756,26 @@ def sub_algebra(h, l_sub, a_sub, l_labels=None, a_labels=None):
 
 
 # -- fiber product -----------------------------------------------------------
+
+
+def _embed(entries, tensor, offs):
+    """Copy one block's tensor entries into entries, each index shifted by
+    its axis offset."""
+    for (i, j, k), v in tensor.items():
+        entries[offs[0] + i, offs[1] + j, offs[2] + k] = v
+
+
+def _block_diag(mats):
+    """The block-diagonal matrix of square blocks, in order."""
+    n = sum(len(m) for m in mats)
+    rows = []
+    off = 0
+    for m in mats:
+        w = len(m)
+        for r in m:
+            rows.append((ZERO,) * off + tuple(r) + (ZERO,) * (n - off - w))
+        off += w
+    return tuple(rows)
 
 
 class FiberClosureError(ClosureError):
@@ -793,18 +807,18 @@ def fiber_product(h1, h2):
                 + tuple(-h2.anchor.get((i, j, k), ZERO) for i in range(n2))
             )
     w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
-    # L1 x L2 with the legs split at n1; on the carrier both anchors agree,
-    # so the first leg's serves
-    product_maps = SimpleNamespace(
-        bracket_vec=lambda u, v: h1.bracket_vec(u[:n1], v[:n1]) + h2.bracket_vec(u[n1:], v[n1:]),
-        act_vec=lambda a, v: h1.act_vec(a, v[:n1]) + h2.act_vec(a, v[n1:]),
-        psi_vec=lambda v: h1.psi_vec(v[:n1]) + h2.psi_vec(v[n1:]),
-        anchor_vec=lambda v, a: h1.anchor_vec(v[:n1], a),
-        mul_vec=h1.mul_vec,
-        phi_vec=h1.phi_vec,
+    # L1 x L2 with the second leg at offset n1; on the carrier both anchors
+    # agree, so the first leg's serves
+    bracket, action = {}, {}
+    for h, o in ((h1, 0), (h2, n1)):
+        _embed(bracket, h.bracket, (o, o, o))
+        _embed(action, h.action, (0, o, o))
+    product = HLRAlgebra(
+        dimL=n, dimA=na, bracket=bracket, mul=h1.mul, action=action, anchor=h1.anchor,
+        psi=_block_diag([h1.psi, h2.psi]), phi=h1.phi,
     )
     try:
-        algebra = sub_algebra(product_maps, w, h1.full_A, tuple(f"w{p}" for p in range(w.dim)), h1.A_labels)
+        algebra = sub_algebra(product, w, product.full_A, tuple(f"w{p}" for p in range(w.dim)), h1.A_labels)
     except ClosureError as exc:
         raise FiberClosureError(
             f"fiber carrier not closed under {exc.kind} at {exc.witness}: image {format_vector(exc.image)}",

@@ -30,6 +30,10 @@ scan_identities and scan_morphism check the defining identities of an
 algebra and of a morphism pair by evaluating both sides, as Fraction
 vectors, on every tuple of basis vectors in itertools.product order: the
 basis-tuple scan that the sparse residuals of hlra.model replace.
+per_vector_twist and per_vector_sub_algebra build the twisted algebra and
+the restriction to chosen subspaces one tuple of basis vectors at a time,
+through vector_maps (entry_bilinear on each tensor) and mat_vec: the path
+that the term rows evaluated on integer rows in hlra.model replace.
 """
 
 from dataclasses import replace
@@ -40,8 +44,8 @@ from random import Random
 
 from hlra.connections import ConnectionPartition, ConnectionWitness, _displayed_root_sum, _pm
 from hlra.decomposition import _from_h_coords
-from hlra.linalg import Subspace, basis_vector, mat_columns, mat_vec, vec_add, vec_neg
-from hlra.model import ideal_closure
+from hlra.linalg import Subspace, basis_vector, identity_matrix, mat_columns, mat_from_columns, mat_vec, vec_add, vec_neg
+from hlra.model import ClosureError, HLRAlgebra, InputError, TwistError, check_morphism, ideal_closure
 from hlra.roots import compose_psi_power, psi_orbit
 from hlra.scalars import format_vector
 
@@ -371,6 +375,84 @@ def fraction_is_ideal(h, sub):
     return not failed, failed
 
 
+# -- builders one basis pair at a time -------------------------------------------
+
+
+def vector_maps(h):
+    """bracket, mul, action and anchor of h on Fraction vectors, through
+    entry_bilinear."""
+    return (
+        partial(entry_bilinear, h.bracket, out_dim=h.dimL),
+        partial(entry_bilinear, h.mul, out_dim=h.dimA),
+        partial(entry_bilinear, h.action, out_dim=h.dimL),
+        partial(entry_bilinear, h.anchor, out_dim=h.dimA),
+    )
+
+
+def _entries(pairs):
+    """Tensor entries {(i, j, k): vector[k]} from ((i, j), vector) pairs."""
+    return {(i, j, k): c for (i, j), vec in pairs for k, c in enumerate(vec) if c}
+
+
+def per_vector_twist(h, g, f):
+    """twist_by_endomorphism one pair of basis vectors at a time: f applied
+    after the bracket and g after the anchor of each pair, as Fraction
+    vectors.  The morphism conditions are the package's check_morphism, which
+    scan_morphism checks."""
+    if h.psi != identity_matrix(h.dimL) or h.phi != identity_matrix(h.dimA):
+        raise InputError("twist input must carry identity twists")
+    bad = [r for r in check_morphism(g, f, h, h) if r.status == "fail"]
+    if bad:
+        raise TwistError([r.key for r in bad], "not an endomorphism pair: " + "; ".join(f"{r.key} {r.detail}" for r in bad))
+    g, f = (tuple(tuple(Fraction(c) for c in row) for row in m) for m in (g, f))
+    br, _, _, anc = vector_maps(h)
+    eL, eA = identity_matrix(h.dimL), identity_matrix(h.dimA)
+    bracket = _entries(((i, j), mat_vec(f, br(x, y))) for i, x in enumerate(eL) for j, y in enumerate(eL))
+    anchor = _entries(((i, j), mat_vec(g, anc(x, a))) for i, x in enumerate(eL) for j, a in enumerate(eA))
+    regular = fraction_inverse(f) is not None and fraction_inverse(g) is not None
+    return replace(h, bracket=bracket, anchor=anchor, psi=f, phi=g, regular=regular)
+
+
+def per_vector_sub_algebra(h, l_sub, a_sub, l_labels=None, a_labels=None):
+    """sub_algebra one tuple of basis vectors at a time: each map applied to
+    the RREF basis vectors of the chosen spaces as Fraction vectors, and
+    each value read in their coordinates by fraction_coords.  The first
+    value outside them, maps in the order bracket, mul, action, anchor, psi,
+    phi and pairs in index order, raises the ClosureError of the package."""
+    br, mul, act, anc = vector_maps(h)
+    spaces = {"L": l_sub, "A": a_sub}
+    lb, ab = l_sub.basis, a_sub.basis
+
+    def coords(kind, side, witness, v):
+        c = fraction_coords(spaces[side].basis, spaces[side].pivots, v)
+        if c is None:
+            raise ClosureError(f"{kind} leaves the chosen {side} subspace: {format_vector(v)}", kind, witness, v)
+        return c
+
+    def table(kind, side, vec, left, right):
+        return _entries(((i, j), coords(kind, side, (i, j), vec(u, v))) for i, u in enumerate(left) for j, v in enumerate(right))
+
+    tables = {
+        "bracket": table("bracket", "L", br, lb, lb),
+        "mul": table("mul", "A", mul, ab, ab),
+        "action": table("action", "L", act, ab, lb),
+        "anchor": table("anchor", "A", anc, lb, ab),
+    }
+    psi = mat_from_columns([coords("psi", "L", (j,), mat_vec(h.psi, b)) for j, b in enumerate(lb)], nrows=len(lb))
+    phi = mat_from_columns([coords("phi", "A", (j,), mat_vec(h.phi, b)) for j, b in enumerate(ab)], nrows=len(ab))
+    return HLRAlgebra(
+        dimL=len(lb),
+        dimA=len(ab),
+        **tables,
+        psi=psi,
+        phi=phi,
+        L_labels=tuple(l_labels or (f"u{i}" for i in range(len(lb)))),
+        A_labels=tuple(a_labels or (f"b{i}" for i in range(len(ab)))),
+        regular=fraction_inverse(psi) is not None and fraction_inverse(phi) is not None,
+        unital=False,
+    )
+
+
 # -- exact linear algebra over Fractions --------------------------------------
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -651,7 +733,7 @@ def scan_violations(h, rows):
 def scan_identities(h):
     """(key, first violation or None) for each defining identity of h, in
     the order of the validation report."""
-    br, mul, act, anc = h.bracket_vec, h.mul_vec, h.act_vec, h.anchor_vec
+    br, mul, act, anc = vector_maps(h)
     psi, phi = twist_columns(h.psi), twist_columns(h.phi)
     rows = (
         ("A.commutative", "AA", lambda a, b: mul(a, b), lambda a, b: mul(b, a)),
@@ -687,12 +769,15 @@ def scan_morphism(g, f, src, dst):
     pair g: A_src -> A_dst, f: L_src -> L_dst, given as matrices."""
     g = partial(mat_vec, tuple(tuple(Fraction(c) for c in row) for row in g))
     f = partial(mat_vec, tuple(tuple(Fraction(c) for c in row) for row in f))
+    s_br, s_mul, s_act, s_anc = vector_maps(src)
+    d_br, d_mul, d_act, d_anc = vector_maps(dst)
+    s_psi, s_phi, d_psi, d_phi = (partial(mat_vec, m) for m in (src.psi, src.phi, dst.psi, dst.phi))
     rows = (
-        ("morphism.g_hom", "AA", lambda a, b: g(src.mul_vec(a, b)), lambda a, b: dst.mul_vec(g(a), g(b))),
-        ("morphism.1", "AL", lambda a, x: f(src.act_vec(a, x)), lambda a, x: dst.act_vec(g(a), f(x))),
-        ("morphism.2", "LL", lambda x, y: f(src.bracket_vec(x, y)), lambda x, y: dst.bracket_vec(f(x), f(y))),
-        ("morphism.3", "L", lambda x: f(src.psi_vec(x)), lambda x: dst.psi_vec(f(x))),
-        ("morphism.4", "A", lambda a: g(src.phi_vec(a)), lambda a: dst.phi_vec(g(a))),
-        ("morphism.5", "LA", lambda x, a: g(src.anchor_vec(x, a)), lambda x, a: dst.anchor_vec(f(x), g(a))),
+        ("morphism.g_hom", "AA", lambda a, b: g(s_mul(a, b)), lambda a, b: d_mul(g(a), g(b))),
+        ("morphism.1", "AL", lambda a, x: f(s_act(a, x)), lambda a, x: d_act(g(a), f(x))),
+        ("morphism.2", "LL", lambda x, y: f(s_br(x, y)), lambda x, y: d_br(f(x), f(y))),
+        ("morphism.3", "L", lambda x: f(s_psi(x)), lambda x: d_psi(f(x))),
+        ("morphism.4", "A", lambda a: g(s_phi(a)), lambda a: d_phi(g(a))),
+        ("morphism.5", "LA", lambda x, a: g(s_anc(x, a)), lambda x, a: d_anc(f(x), g(a))),
     )
     return scan_violations(src, rows)

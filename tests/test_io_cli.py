@@ -450,14 +450,38 @@ def mutated_documents(draw):
     return doc
 
 
+def _identity_flag(doc, key):
+    """The identity matrix of the dimension doc declares under key, as a
+    flag value; of dimension 1 when the declaration itself was mutated."""
+    n = doc.get(key)
+    n = n if type(n) is int and 0 <= n <= 8 else 1
+    return json.dumps([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _fuzz_argv(command, doc, path):
+    """argv running command on the file: the builders get identity matrices
+    for their flags and take the file as both operands."""
+    ident_l, ident_a = _identity_flag(doc, "dimL"), _identity_flag(doc, "dimA")
+    if command == "twist":
+        return ["twist", path, "--psi", ident_l, "--phi", ident_a]
+    if command == "fiber":
+        return ["fiber", path, path]
+    if command == "morphism":
+        return ["morphism", path, path, "--g", ident_a, "--f", ident_l]
+    return [command, path]
+
+
 @settings(deadline=None, max_examples=150)
-@given(mutated_documents(), st.sampled_from(("validate", "decompose", "analyze", "connect", "j")))
+@given(
+    mutated_documents(),
+    st.sampled_from(("validate", "decompose", "analyze", "connect", "j", "twist", "fiber", "morphism")),
+)
 def test_fuzzed_files_keep_the_exit_code_contract(tmp_path_factory, doc, command):
     p = tmp_path_factory.mktemp("fuzz") / "case.json"
     p.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(p)])
+        code = cli.main(_fuzz_argv(command, doc, str(p)))
     assert code in (0, 1, 2), code
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
