@@ -219,10 +219,10 @@ def cmd_decompose(args):
             doc[f"{side}_class_ideals"].append(
                 {"class": [format_root(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
             )
-    lines.append(f"bracket-side complement U: {reporting.space_text(dec.U)}")
-    lines.append(f"scalar-side complement V: {reporting.space_text(dec.V)}")
-    doc["U"] = reporting.space_json(dec.U)
-    doc["V"] = reporting.space_json(dec.V)
+    # a sum identity that fails by escape leaves no complement
+    for name, side, comp in (("U", "bracket", dec.U), ("V", "scalar", dec.V)):
+        lines.append(f"{side}-side complement {name}: {'none' if comp is None else reporting.space_text(comp)}")
+        doc[name] = None if comp is None else reporting.space_json(comp)
     sim = dec.simplicity
     lines.append(
         f"ideal enumeration: {len(sim.enumerated.ideals)} found, "

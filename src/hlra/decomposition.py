@@ -327,6 +327,7 @@ class EnumeratedIdeals:
     ideals: tuple  # Subspaces, sorted by (dim, basis)
     complete: bool
     note: str
+    seeds: tuple  # the single-root closures C_g, in gamma order
 
 
 def enumerate_ideals(h, rd):
@@ -347,81 +348,62 @@ def enumerate_ideals(h, rd):
     when some C_g with g in S does.  The feasible subsets are therefore the
     down-closed ones: supp(C_g) lies in S for every g in S, where supp(C_g)
     is the set of roots d with C_g meeting L_d.  Only the |Gamma|
-    single-root closures are computed; infeasible subsets are never closed.
+    single-root closures are computed, and they are kept as the seeds;
+    infeasible subsets are never closed.
 
-    For a feasible S the H-part ranges from (sum of C_g) meet H up to the
-    greatest W in H whose rule images stay in W + F_S; both ends are
-    ideals by construction (see `_ideals_from_closed_sets`).  The sum
-    L = H + (sum of the root spaces) is direct, so the window condition
-    splits into a kernel in H per root outside S, computed once per call,
-    and invariance under the H components of the rule maps, d x d matrices
-    with d = dim H.  Each window is found in coordinates on H, with no
-    elimination in L per subset (see `_h_part_window`).
+    For a feasible S the H-part ranges over a window from w_min to w_max,
+    both in coordinates on the RREF basis of H, and both ends lifted to L
+    plus F_S are ideals:
+    - C_S = sum of the C_g over S is graded, holds L_d for d in S and meets
+      no other L_d, so C_S = (C_S meet H) + F_S, and C_S meet H is
+      w_min = the span of the w_g = C_g meet H over g in S.
+    - w_max is the greatest W in H whose rule images stay in W + F_S (see
+      `_h_part_window`).  The sum L = H + (sum of the root spaces) is
+      direct, so this condition splits into a kernel in H per root outside
+      S and invariance under the H components T_m of the rule maps, d x d
+      matrices with d = dim H: no elimination in L runs per subset.  The
+      rule images of w_min lie in C_S, so they have no component outside
+      S and their H components lie in w_min; w_max is the greatest
+      subspace with that property, so it holds w_min.  w_max + F_S holds
+      the rule images of w_max by the window condition and those of F_S
+      inside C_S: an ideal, on root spaces of any dimension.
 
     Complete when every root space is one-dimensional, the subset count
-    stays under ENUMERATION_CAP, and for each feasible subset the window of
-    compatible H-parts spans at most one extra dimension; the completeness
-    argument additionally rests on gradedness of ideals, which the caller
-    re-verifies on everything found here.
+    stays under ENUMERATION_CAP, and for each feasible subset the window
+    spans at most one extra dimension.  The completeness argument also
+    rests on the seeds being graded, which lem5.1
+    (`structure.verify_lemma_5_1`) verifies on the |Gamma| seeds.
     """
     if not rd.split:
         raise ValueError("root decomposition is not split; ideals are not enumerated")
     n = h.dimL
     gamma = rd.gamma
-    closures = [ideal_closure(h, rd.space(g)).space for g in gamma]
+    seeds = tuple(ideal_closure(h, rd.space(g)).space for g in gamma)
     if 2 ** len(gamma) > ENUMERATION_CAP:
-        found = {Subspace.zero(n), h.full_L, *closures}
-        return EnumeratedIdeals(
-            ideals=tuple(sorted(found, key=lambda s: (s.dim, s.basis))),
-            complete=False,
-            note=f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only",
-        )
-    support = [
-        sum(1 << j for j, d in enumerate(gamma) if not c.intersect(rd.space(d)).is_zero) for c in closures
-    ]
-    closed = []
+        found = {Subspace.zero(n), h.full_L, *seeds}
+        note = f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only"
+        return EnumeratedIdeals(tuple(sorted(found, key=lambda s: (s.dim, s.basis))), False, note, seeds)
+    support = [sum(1 << j for j, d in enumerate(gamma) if not c.intersect(rd.space(d)).is_zero) for c in seeds]
+    h_parts = [Subspace(rd.H.dim, [rd.H.coords(v) for v in c.intersect(rd.H).basis]) for c in seeds]
+    complete = all(rd.root_spaces[g].dim == 1 for g in gamma)
+    note = "" if complete else "a root space has dimension above one; enumeration is heuristic"
+    parts = _window_parts(h, rd)
+    lifted = {}  # each distinct window end, from H coordinates into L
+    found = set()
     for mask in range(2 ** len(gamma)):
         members = [i for i in range(len(gamma)) if mask >> i & 1]
-        if all(support[i] & ~mask == 0 for i in members):
-            closed.append((members, span(n, [closures[i] for i in members])))
-    return _ideals_from_closed_sets(h, rd, closed)
-
-
-def _ideals_from_closed_sets(h, rd, closed):
-    """Ideals from (feasible root subset S as indices into gamma, the ideal
-    C_S it generates) pairs: both ends of each H-part window, untested.
-
-    C_S is graded (see `enumerate_ideals`), holds L_d for d in S and meets
-    no other L_d, so C_S = w_min + F_S with w_min = C_S meet H.  The rule
-    images of w_min lie in C_S, which has no component in any L_d outside
-    S, so w_min lies in K_S, the meet of the kernels outside S; and their H
-    components lie in w_min, so every T_m maps w_min into itself.  w_max
-    is the greatest subspace of K_S with that property, so it holds w_min.
-    top = w_max + F_S holds the rule images of w_max by the window condition
-    and those of F_S inside C_S: an ideal, on root spaces of any dimension.
-    """
-    n = h.dimL
-    gamma = rd.gamma
-    maximal = all(rd.root_spaces[g].dim == 1 for g in gamma)
-    found = set()
-    complete = maximal
-    note = "" if maximal else "a root space has dimension above one; enumeration is heuristic"
-    parts = _window_parts(h, rd)
-    lifted = {}  # each distinct window, from H coordinates into L
-    for members, closure in closed:
-        w = _h_part_window(rd, members, parts)
-        if w not in lifted:
-            lifted[w] = _from_h_coords(rd, w)
-        top = span(n, [lifted[w]] + [rd.space(gamma[i]) for i in members])
-        if top.dim > closure.dim + 1:
+        if any(support[i] & ~mask for i in members):
+            continue
+        w_min = span(rd.H.dim, [h_parts[i] for i in members])
+        w_max = _h_part_window(rd, members, parts)
+        if w_max.dim > w_min.dim + 1:
             complete = False
             note = "an H-part window spans more than one free dimension; middle layers not enumerated"
-        found.update((closure, top))
-    return EnumeratedIdeals(
-        ideals=tuple(sorted(found, key=lambda s: (s.dim, s.basis))),
-        complete=complete,
-        note=note,
-    )
+        for w in (w_min, w_max):
+            if w not in lifted:
+                lifted[w] = _from_h_coords(rd, w)
+            found.add(span(n, [lifted[w]] + [rd.space(gamma[i]) for i in members]))
+    return EnumeratedIdeals(tuple(sorted(found, key=lambda s: (s.dim, s.basis))), complete, note, seeds)
 
 
 @dataclass(frozen=True)

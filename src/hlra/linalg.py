@@ -61,10 +61,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -84,10 +80,6 @@ def mat_columns(m):
     if not m:
         return ()
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
-
-
-def mat_trace(m):
-    return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
 def stack_rows(*matrices):
@@ -413,10 +405,10 @@ def charpoly(m):
     mk = identity_matrix(n)
     for k in range(1, n + 1):
         mk = mat_mul(m, mk)
-        c = -mat_trace(mk) / k
+        c = -sum((mk[i][i] for i in range(n)), ZERO) / k
         coeffs[n - k] = c
         if k < n:
-            mk = mat_add(mk, mat_scale(c, identity_matrix(n)))
+            mk = tuple(tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mk))
     return tuple(coeffs)
 
 

@@ -18,7 +18,9 @@ fraction_rref is Gauss-Jordan elimination over Fractions, the slow path
 that the integer-row elimination of hlra.linalg replaces; the fraction_*
 functions below it rebuild kernels, intersections, preimages, residuals,
 solutions and inverses on top of it, through null spaces and over
-Fractions throughout.
+Fractions throughout.  faddeev_leverrier is the characteristic polynomial
+from whole-matrix sums and scalings, the path that adding each coefficient
+on the diagonal in hlra.linalg.charpoly replaces.
 transport rewrites an algebra in other bases of L and A, for the tests
 that a result does not depend on the basis; seeded_transport draws the
 bases with random_basis.
@@ -577,6 +579,22 @@ def fraction_inverse(m):
 
 def fraction_product(a, b):
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)) for row in a)
+
+
+def faddeev_leverrier(m):
+    """Coefficients of det(tI - M), low degree first, by Faddeev-LeVerrier
+    on whole matrices: M_1 = M and M_k = M (M_(k-1) + c_(k-1) I), with
+    c_k = -trace(M_k) / k the coefficient of t^(n-k)."""
+    n = len(m)
+    ident = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    coeffs = [ZERO] * n + [ONE]
+    shifted = ident
+    for k in range(1, n + 1):
+        mk = fraction_product(m, shifted)
+        c = -sum((mk[i][i] for i in range(n)), ZERO) / k
+        coeffs[n - k] = c
+        shifted = tuple(tuple(x + c * y for x, y in zip(row, irow)) for row, irow in zip(mk, ident))
+    return tuple(coeffs)
 
 
 # -- change of basis -----------------------------------------------------------

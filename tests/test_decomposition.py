@@ -195,28 +195,38 @@ def test_violating_ideal_is_reported(reports):
 
 
 def enumerate_by_subsets(h, rd):
-    """`enumerate_ideals` by closing every one of the 2^|Gamma| root
-    subsets, keeping those whose closure meets no root space outside."""
-    n = h.dimL
-    gamma = rd.gamma
-    closed = []
+    """(ideals, complete, note) as `enumerate_ideals` should find them, by
+    closing every one of the 2^|Gamma| root subsets, keeping those whose
+    closure meets no root space outside, and taking the top of each window
+    from h_part_window in L."""
+    n, gamma = h.dimL, rd.gamma
+    images = rule_images_on_h(h, rd)
+    complete = all(rd.root_spaces[g].dim == 1 for g in gamma)
+    note = "" if complete else "a root space has dimension above one; enumeration is heuristic"
+    found = set()
     for mask in range(2 ** len(gamma)):
         members = [i for i in range(len(gamma)) if mask >> i & 1]
         f_space = Subspace(n, [b for i in members for b in rd.space(gamma[i]).basis])
         closure = ideal_closure(h, f_space).space
-        if all(i in members or closure.intersect(rd.space(g)).is_zero for i, g in enumerate(gamma)):
-            closed.append((members, closure))
-    return decomposition._ideals_from_closed_sets(h, rd, closed)
+        if any(i not in members and not closure.intersect(rd.space(g)).is_zero for i, g in enumerate(gamma)):
+            continue
+        top = h_part_window(rd, f_space, images).add(f_space)
+        if top.dim > closure.dim + 1:
+            complete = False
+            note = "an H-part window spans more than one free dimension; middle layers not enumerated"
+        found.update((closure, top))
+    return tuple(sorted(found, key=lambda s: (s.dim, s.basis))), complete, note
 
 
 def assert_matches_oracle(h, rd):
-    """The fast enumeration equals the oracle, every single-root closure is
-    graded, which the fast path relies on, and every enumerated ideal is a
-    graded ideal, which the construction guarantees without testing."""
-    for g in rd.gamma:
-        assert rd.is_graded(ideal_closure(h, rd.space(g)).space), g
+    """The fast enumeration equals the oracle, its seeds are the graded
+    single-root closures, which the fast path relies on, and every
+    enumerated ideal is a graded ideal, which the construction guarantees
+    without testing."""
     enum = enumerate_ideals(h, rd)
-    assert enum == enumerate_by_subsets(h, rd)
+    assert enum.seeds == tuple(ideal_closure(h, rd.space(g)).space for g in rd.gamma)
+    assert all(map(rd.is_graded, enum.seeds))
+    assert (enum.ideals, enum.complete, enum.note) == enumerate_by_subsets(h, rd)
     for ideal in enum.ideals:
         ok, failed = is_ideal(h, ideal)
         assert ok, (ideal.basis, failed)
@@ -286,6 +296,7 @@ def test_enumeration_past_the_cap_keeps_the_closure_seeds(tmp_path, capsys):
     enum = enumerate_ideals(h, rd)
     assert len(enum.ideals) == 14
     assert not enum.complete
+    assert enum.seeds == tuple(ideal_closure(h, rd.space(g)).space for g in rd.gamma)
     for ideal in enum.ideals:
         ok, failed = is_ideal(h, ideal)
         assert ok, (ideal.basis, failed)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hlra import cli, fixtures
 from hlra.fileio import ParseError, canonical_dumps, dumps_algebra, loads_algebra, to_document
+from hlra.model import twist_by_endomorphism
 
 
 def run(capsys, *argv):
@@ -259,6 +260,25 @@ def test_decompose_reports_a_rational_obstruction(capsys, data_dir):
     assert code == 1
     assert "split: no (bracket side)" in out
     assert "remainder has dimension 1" in out
+
+
+def test_decompose_without_a_bracket_side_complement(capsys, tmp_path):
+    # random_instance(1) twisted by its own pair passes strict validation,
+    # but its opposite products escape H, so thm3.6 fails and leaves no U
+    h, g, f = fixtures.random_instance(1)
+    twisted = tmp_path / "twisted.json"
+    twisted.write_text(dumps_algebra(twist_by_endomorphism(h, g, f)))
+    assert run(capsys, "validate", str(twisted), "--strict")[0] == 0
+    code, out, err = run(capsys, "decompose", str(twisted))
+    assert code == 1
+    assert "bracket-side complement U: none\n" in out
+    assert "scalar-side complement V: dim 1, basis [1, 0]\n" in out
+    assert "[FAIL] thm3.6 " in out and "Traceback" not in err
+    code, out, _ = run(capsys, "decompose", str(twisted), "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["U"] is None
+    assert doc["V"] == {"basis": [["1", "0"]], "dim": 1}
 
 
 def test_malformed_cartan_flag(capsys, data_dir):

@@ -33,6 +33,7 @@ from hlra.linalg import (
 )
 from hlra.model import twist_by_endomorphism
 from oracles import (
+    faddeev_leverrier,
     fraction_coords,
     fraction_intersect,
     fraction_inverse,
@@ -289,6 +290,15 @@ def rational_matrices(draw, rows=None, cols=None):
 
 def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 8).flatmap(lambda n: rational_matrices(rows=n, cols=n)))
+def test_charpoly_matches_faddeev_leverrier_on_whole_matrices(case):
+    m, _ = case
+    got = charpoly(m)
+    assert got == faddeev_leverrier(m)
+    assert all(type(c) is Fraction for c in got)
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,17 +1,19 @@
 """J-split, structure profile, two-ideal split theorem, simple components."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from hlra.linalg import Subspace
 from hlra.model import annihilator_Z, compute_J
-from hlra.roots import root_decomposition, weight_decomposition
+from hlra.roots import RootDecomposition, root_decomposition, weight_decomposition
 from hlra.structure import (
     Analysis,
     j_split,
     run_structure,
     verify_cor_5_13,
+    verify_lemma_5_1,
     verify_pairing_5_9,
     verify_theorem_5_12,
 )
@@ -135,6 +137,32 @@ def test_bounded_search_is_flagged(reports):
         got = {c.claim_id: c for c in reports[name][3].claims}
         flagged = "(bounded search)" in got["lem5.1"].detail
         assert flagged == (name in {"fix_a", "fix_b2", "fix_s2", "fix_p2"}), name
+
+
+def test_lemma_5_1_tests_the_seeds_only(bundled, monkeypatch):
+    """One gradedness test per root: 8 on fix_s2, not one per each of its
+    98 enumerated ideals, which the detail still counts."""
+    h, rd, wd, _ = setup(bundled, "fix_s2")
+    a = Analysis(h, rd, wd)
+    assert len(a.enum.ideals) == 98
+    calls = []
+    graded = RootDecomposition.is_graded
+    monkeypatch.setattr(RootDecomposition, "is_graded", lambda self, space: calls.append(space) or graded(self, space))
+    claim = verify_lemma_5_1(a)
+    assert calls == list(a.enum.seeds) and len(calls) == 8
+    assert claim.status == "PASS"
+    assert claim.detail == "98 enumerated ideals split into their H and root parts (bounded search)"
+
+
+def test_lemma_5_1_names_a_seed_that_is_not_graded(bundled):
+    h, rd, wd, _ = setup(bundled, "fix_s")
+    a = Analysis(h, rd, wd)
+    # h + e: the Cartan vector plus the root vector of root 1
+    mixed = Subspace(5, [(1, 1, 0, 0, 0)])
+    a.enum = dataclasses.replace(a.enum, seeds=(*a.enum.seeds, mixed))
+    claim = verify_lemma_5_1(a)
+    assert claim.status == "FAIL"
+    assert claim.detail == "an ideal of dim 1 does not split into H and root parts"
 
 
 def test_annihilator_refusal_for_lemma(reports):
