@@ -259,17 +259,31 @@ def _from_h_coords(rd, w):
     return Subspace(rd.H.ambient, [mat_vec(to_l, c) for c in w.basis])
 
 
-def _window_parts(h, rd):
-    """(t_cols, kernels): the rule maps restricted to H, split along the
-    direct sum L = H + (sum of the root spaces) of a split decomposition.
+def _invariant_core(start, t_cols):
+    """core(start): the greatest subspace of start that every map T_m
+    keeps invariant, where t_cols[i] stacks the images of basis vector i
+    under the maps.  Shrinking w <- w meet (the x with every T_m x in w)
+    keeps every such subspace and stops at one, so it stops at the core."""
+    w = start
+    while True:
+        shrunk = w.intersect(w.preimage(t_cols))
+        if shrunk == w:
+            return w
+        w = shrunk
 
-    Every rule image of the basis of H is written once in the adapted basis
-    (the RREF basis of H, then the basis of each root space in gamma
-    order).  t_cols[i] stacks the H components of the images of basis
-    vector i under the rule maps, one d x d map T_m per rule map m, with
-    d = dim H; kernels[j] holds the x in Q^d whose images all have a zero
-    component in the root space of gamma[j].  Rule maps that vanish on H
-    are dropped.
+
+def _window_parts(h, rd):
+    """The cores core(K_j), one per root gamma[j] in gamma order, in
+    coordinates on the RREF basis of H.
+
+    The rule maps are split along the direct sum L = H + (sum of the root
+    spaces) of a split decomposition.  Every rule image of the basis of H
+    is written once in the adapted basis (the RREF basis of H, then the
+    basis of each root space in gamma order).  Its H components give one
+    d x d map T_m per rule map m, with d = dim H; K_j holds the x in Q^d
+    whose images all have a zero component in the root space of gamma[j].
+    Rule maps that vanish on H are dropped.  The window tops of
+    `enumerate_ideals` are meets of these cores.
     """
     d = rd.H.dim
     spaces = [rd.space(g) for g in rd.gamma]
@@ -288,38 +302,13 @@ def _window_parts(h, rd):
     def stacked(start, stop):
         return [tuple(x for c in coords for x in c[i][start:stop]) for i in range(d)]
 
-    kernels = []
+    t_cols = stacked(0, d)
+    cores = []
     at = d
     for s in spaces:
-        kernels.append(Subspace.zero(s.dim).preimage(stacked(at, at + s.dim)))
+        cores.append(_invariant_core(Subspace.zero(s.dim).preimage(stacked(at, at + s.dim)), t_cols))
         at += s.dim
-    return stacked(0, d), kernels
-
-
-def _h_part_window(rd, members, parts):
-    """Greatest subspace W of H whose rule images stay inside W + F_S, in
-    coordinates on the RREF basis of H, for the root subset S given by its
-    indices members into gamma and F_S the sum of its root spaces.
-
-    parts comes from `_window_parts`.  L is the direct sum of H and the root
-    spaces, so a rule image m(x) lies in W + F_S exactly when its H
-    component T_m x lies in W and its component in every root space
-    outside S is zero.  So W is the greatest subspace of
-    K_S = meet of kernels[j] over j not in S that every T_m maps into
-    itself.  Shrinking w <- w meet (the x with every T_m x in w) from K_S
-    keeps every such subspace and stops at one, so it stops at W.
-    """
-    t_cols, kernels = parts
-    inside = set(members)
-    w = Subspace.full(rd.H.dim)
-    for j, k in enumerate(kernels):
-        if j not in inside:
-            w = w.intersect(k)
-    while True:
-        shrunk = w.intersect(w.preimage(t_cols))
-        if shrunk == w:
-            return w
-        w = shrunk
+    return cores
 
 
 @dataclass(frozen=True)
@@ -357,16 +346,22 @@ def enumerate_ideals(h, rd):
     - C_S = sum of the C_g over S is graded, holds L_d for d in S and meets
       no other L_d, so C_S = (C_S meet H) + F_S, and C_S meet H is
       w_min = the span of the w_g = C_g meet H over g in S.
-    - w_max is the greatest W in H whose rule images stay in W + F_S (see
-      `_h_part_window`).  The sum L = H + (sum of the root spaces) is
-      direct, so this condition splits into a kernel in H per root outside
-      S and invariance under the H components T_m of the rule maps, d x d
-      matrices with d = dim H: no elimination in L runs per subset.  The
-      rule images of w_min lie in C_S, so they have no component outside
-      S and their H components lie in w_min; w_max is the greatest
-      subspace with that property, so it holds w_min.  w_max + F_S holds
-      the rule images of w_max by the window condition and those of F_S
-      inside C_S: an ideal, on root spaces of any dimension.
+    - w_max is the greatest W in H whose rule images stay in W + F_S.  The
+      sum L = H + (sum of the root spaces) is direct, so a rule image m(x)
+      lies in W + F_S exactly when its H component T_m x lies in W and its
+      component in every root space outside S is zero.  So w_max is
+      core(K_S), the greatest subspace of K_S = meet of the K_j over j
+      outside S that every T_m keeps invariant (see `_window_parts`).  A
+      meet of T-invariant subspaces is T-invariant, so core(K meet K') =
+      core(K) meet core(K'), and w_max is the meet of the cores core(K_j)
+      over j outside S, as w_min is the join of the w_g over S: each core
+      is computed once, and no fixpoint or elimination in L runs per
+      subset.  The rule images of w_min lie in C_S, so they have no
+      component outside S and their H components lie in w_min; w_max is
+      the greatest subspace with that property, so it holds w_min.
+      w_max + F_S holds the rule images of w_max by the window condition
+      and those of F_S inside C_S: an ideal, on root spaces of any
+      dimension.
 
     Complete when every root space is one-dimensional, the subset count
     stays under ENUMERATION_CAP, and for each feasible subset the window
@@ -387,7 +382,7 @@ def enumerate_ideals(h, rd):
     h_parts = [Subspace(rd.H.dim, [rd.H.coords(v) for v in c.intersect(rd.H).basis]) for c in seeds]
     complete = all(rd.root_spaces[g].dim == 1 for g in gamma)
     note = "" if complete else "a root space has dimension above one; enumeration is heuristic"
-    parts = _window_parts(h, rd)
+    cores = _window_parts(h, rd)
     lifted = {}  # each distinct window end, from H coordinates into L
     found = set()
     for mask in range(2 ** len(gamma)):
@@ -395,7 +390,10 @@ def enumerate_ideals(h, rd):
         if any(support[i] & ~mask for i in members):
             continue
         w_min = span(rd.H.dim, [h_parts[i] for i in members])
-        w_max = _h_part_window(rd, members, parts)
+        w_max = Subspace.full(rd.H.dim)
+        for j, core in enumerate(cores):
+            if not mask >> j & 1:
+                w_max = w_max.intersect(core)
         if w_max.dim > w_min.dim + 1:
             complete = False
             note = "an H-part window spans more than one free dimension; middle layers not enumerated"

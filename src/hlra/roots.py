@@ -77,7 +77,8 @@ class RootDecomposition:
         """Root space for a functional; the zero functional names H."""
         if all(c == 0 for c in f):
             return self.H
-        return self.root_spaces.get(tuple(f), Subspace.zero(self.H.ambient))
+        space = self.root_spaces.get(tuple(f))
+        return Subspace.zero(self.H.ambient) if space is None else space
 
     def is_graded(self, space):
         """True when space is the sum of its intersections with the zero
@@ -103,7 +104,8 @@ class WeightDecomposition:
     def space(self, f):
         if all(c == 0 for c in f):
             return self.A0
-        return self.weights.get(tuple(f), Subspace.zero(self.A0.ambient))
+        space = self.weights.get(tuple(f))
+        return Subspace.zero(self.A0.ambient) if space is None else space
 
 
 def _restriction_matrix(op, sub):

@@ -2,7 +2,6 @@
 
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,9 +18,9 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import ideal_closure, is_ideal, twist_by_endomorphism
+from hlra.model import InputError, ideal_closure, is_ideal, twist_by_endomorphism
 from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
-from hlra.structure import Analysis
+from hlra.structure import Analysis, run_structure
 
 from conftest import SPLIT_NAMES
 from oracles import (
@@ -387,17 +386,26 @@ def _window_by_residual_matrices(h, rd, f_space):
         w = shrunk
 
 
+def _meet_of_cores(d, cores, mask):
+    """The window top of the root subset given by mask, in coordinates on
+    the RREF basis of H: the meet of the cores of the roots outside it."""
+    w = Subspace.full(d)
+    for j, core in enumerate(cores):
+        if not mask >> j & 1:
+            w = w.intersect(core)
+    return w
+
+
 def test_window_matches_residual_matrices(bundled):
     for name in ("fix_a", "fix_b", "fix_s", "fix_w", "fix_p", "fix_t", "fix_b2", "fix_e2", "fix_p2"):
         h = bundled[name]
         rd = root_decomposition(h)
         gamma = rd.gamma
-        parts = decomposition._window_parts(h, rd)
+        cores = decomposition._window_parts(h, rd)
         for mask in range(2 ** len(gamma)):
             members = [g for i, g in enumerate(gamma) if mask >> i & 1]
             f_space = Subspace(h.dimL, [b for g in members for b in rd.space(g).basis])
-            indices = [i for i in range(len(gamma)) if mask >> i & 1]
-            got = decomposition._from_h_coords(rd, decomposition._h_part_window(rd, indices, parts))
+            got = decomposition._from_h_coords(rd, _meet_of_cores(rd.H.dim, cores, mask))
             assert got == _window_by_residual_matrices(h, rd, f_space), (name, mask)
 
 
@@ -420,33 +428,87 @@ def _window_inputs():
 
 
 def test_window_in_h_coordinates_matches_the_window_in_l_on_every_root_subset():
-    """The window from per-root kernels and the maps T_m on H equals the
-    oracle's, which shrinks from H through preimages of W + F_S in L, for
+    """The meet of the per-root cores in H coordinates equals the oracle's
+    window, which shrinks from H through preimages of W + F_S in L, for
     every root subset, feasible or not."""
     for label, h, rd in _window_inputs():
         assert rd.split, label
         gamma = rd.gamma
-        parts = decomposition._window_parts(h, rd)
+        cores = decomposition._window_parts(h, rd)
         images = rule_images_on_h(h, rd)
         for mask in range(2 ** len(gamma)):
             members = [i for i in range(len(gamma)) if mask >> i & 1]
             f_space = Subspace(h.dimL, [b for i in members for b in rd.space(gamma[i]).basis])
-            got = decomposition._from_h_coords(rd, decomposition._h_part_window(rd, members, parts))
+            got = decomposition._from_h_coords(rd, _meet_of_cores(rd.H.dim, cores, mask))
             assert got == h_part_window(rd, f_space, images), (label, mask)
 
 
 def test_window_shrinks_until_no_map_leaves_it():
     """No input above needs a second shrinking step, so this one is built
-    by hand in Q^4: one map T (h1 -> h2 -> h3 -> 0, h4 -> h4) and one root
-    whose kernel is x3 = 0.  The steps go span(h1, h2, h4), span(h1, h4),
-    span(h4); the greatest T-invariant subspace of the kernel is the last.
-    With that root in S no kernel applies, and all of Q^4 is invariant."""
+    by hand in Q^4: one map T (h1 -> h2 -> h3 -> 0, h4 -> h4) and the
+    kernel x3 = 0.  The steps go span(h1, h2, h4), span(h1, h4), span(h4);
+    the greatest T-invariant subspace of the kernel is the last.  With the
+    one root in S no core applies, and the meet over no roots is Q^4."""
     e = [basis_vector(4, i) for i in range(4)]
     t_cols = [e[1], e[2], (0, 0, 0, 0), e[3]]
     kernel_x3 = Subspace(4, [e[0], e[1], e[3]])
-    rd = SimpleNamespace(H=Subspace.full(4))
-    assert decomposition._h_part_window(rd, [], (t_cols, [kernel_x3])) == Subspace(4, [e[3]])
-    assert decomposition._h_part_window(rd, [0], (t_cols, [kernel_x3])) == Subspace.full(4)
+    core = decomposition._invariant_core(kernel_x3, t_cols)
+    assert core == Subspace(4, [e[3]])
+    assert _meet_of_cores(4, [core], 0) == core
+    assert _meet_of_cores(4, [core], 1) == Subspace.full(4)
+
+
+def _shrunk_from(start, t_cols):
+    """The greatest T-invariant subspace of start, shrunk one map and one
+    step at a time: w keeps the x with T_m x in w for each map m."""
+    maps = [[col[at:at + start.ambient] for col in t_cols] for at in range(0, len(t_cols[0]), start.ambient)]
+    w = start
+    while True:
+        shrunk = w
+        for cols in maps:
+            shrunk = shrunk.intersect(w.preimage(cols))
+        if shrunk == w:
+            return w
+        w = shrunk
+
+
+@st.composite
+def _maps_and_kernels(draw):
+    """(t_cols, K, K'): one or two small-integer maps on Q^d, d = 3 or 4,
+    stacked as `_invariant_core` takes them, and two subspaces of Q^d."""
+    d = draw(st.integers(3, 4))
+    row = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    maps = draw(st.lists(st.lists(row, min_size=d, max_size=d), min_size=1, max_size=2))
+    t_cols = [tuple(m[r][i] for m in maps for r in range(d)) for i in range(d)]
+    return t_cols, *(Subspace(d, draw(st.lists(row, max_size=d))) for _ in range(2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_maps_and_kernels())
+def test_core_of_a_meet_is_the_meet_of_the_cores(drawn):
+    """core(K meet K') = core(K) meet core(K') for one or two random maps
+    on Q^3 or Q^4, against a shrink started from K meet K' as every root
+    subset once ran it."""
+    t_cols, k, k2 = drawn
+    core = decomposition._invariant_core
+    assert core(k, t_cols).intersect(core(k2, t_cols)) == _shrunk_from(k.intersect(k2), t_cols)
+
+
+def test_each_core_is_computed_once_per_root(monkeypatch):
+    """One enumeration of fix_s2 shrinks 8 cores, one per root, where a
+    fixpoint per down-closed root subset shrank 81 windows."""
+    calls = []
+    shrink = decomposition._invariant_core
+
+    def counted(start, t_cols):
+        calls.append(start)
+        return shrink(start, t_cols)
+
+    monkeypatch.setattr(decomposition, "_invariant_core", counted)
+    h = fixtures.fix_s2()
+    rd = root_decomposition(h)
+    enumerate_ideals(h, rd)
+    assert len(rd.gamma) == len(calls) == 8
 
 
 def test_enumeration_in_a_dense_basis_scales():
@@ -464,3 +526,59 @@ def test_enumeration_in_a_dense_basis_scales():
     expected, complete = window_enumeration(original, root_decomposition(original))
     assert (len(enum.ideals), enum.complete) == (len(expected), complete) == (260, False)
     assert elapsed < 2.5, elapsed
+
+
+# -- basis change -----------------------------------------------------------
+
+
+def _basis_free_summary(h):
+    """What `decompose` and `analyze` report that no basis can change: the
+    sorted root and weight space dimensions, every claim status, the sorted
+    class sizes, the enumeration count and complete flag and the def3.4
+    verdict.  Root labels are coordinates on H, so classes are compared by
+    size only."""
+    try:
+        rd = root_decomposition(h)
+    except (CartanError, InputError) as exc:
+        return type(exc).__name__
+    wd = weight_decomposition(h, rd)
+    dims = (
+        rd.zero_space.dim,
+        sorted(rd.space(g).dim for g in rd.gamma),
+        wd.A0.dim,
+        sorted(wd.space(x).dim for x in wd.lam),
+    )
+    if not (rd.split and wd.split):
+        return "not split", dims
+    a = Analysis(h, rd, wd)
+    dec = run_decomposition(a, verify_lemma_closures(h, rd, wd))
+    claims = [(c.claim_id, c.status) for c in dec.claims + run_structure(a).claims]
+    sizes = [sorted(map(len, part.classes)) for part in (a.root_part, a.weight_part)]
+    return dims, claims, sizes, len(a.enum.ideals), a.enum.complete, dec.simplicity.verdict
+
+
+def _small_source(source):
+    """The bundled file or (random_instance seed, twisted) pair, or None
+    when its dimL exceeds 10."""
+    if isinstance(source, str):
+        h = fixtures.BUNDLED[source]()
+    else:
+        h, g, f = fixtures.random_instance(source[0])
+        h = twist_by_endomorphism(h, g, f) if source[1] else h
+    return h if h.dimL <= 10 else None
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.one_of(st.sampled_from(sorted(fixtures.BUNDLED)), st.tuples(st.integers(0, 10**6), st.booleans())),
+    st.integers(0, 10**6),
+)
+def test_reports_do_not_depend_on_the_basis(source, seed):
+    """The same algebra written in a seeded dense basis gets the same
+    basis-free report content.  A sweep of the 15 bundled files and
+    random_instance seeds 0-39 plain and twisted, one seeded basis each,
+    matched on every one; the transported side takes up to 0.8 s at dimL
+    10, hence the bounds."""
+    h = _small_source(source)
+    assume(h is not None)
+    assert _basis_free_summary(seeded_transport(h, seed)) == _basis_free_summary(h)

@@ -239,3 +239,24 @@ def test_each_twist_is_inverted_once_per_algebra(monkeypatch):
     weight_decomposition(h, root_decomposition(h))
     assert sum(m is h.psi for m in inverted) == 1
     assert sum(m is h.phi for m in inverted) == 1
+
+
+def test_looking_up_a_root_or_weight_builds_no_subspace(monkeypatch):
+    """rd.space and wd.space return the stored space and build the zero
+    space only for a functional that is no root or weight."""
+    h = fixtures.fix_e2()
+    rd = root_decomposition(h)
+    wd = weight_decomposition(h, rd)
+    built = []
+    hold = Subspace._hold
+
+    def counted(self, *args):
+        built.append(args)
+        hold(self, *args)
+
+    monkeypatch.setattr(Subspace, "_hold", counted)
+    assert [rd.space(g) for g in rd.gamma] == [rd.root_spaces[g] for g in rd.gamma]
+    assert [wd.space(a) for a in wd.lam] == [wd.weights[a] for a in wd.lam]
+    assert rd.gamma and wd.lam and not built
+    assert rd.space(one(7, 7)) == Subspace.zero(h.dimL)
+    assert wd.space(one(7, 7)) == Subspace.zero(h.dimA)
