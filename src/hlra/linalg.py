@@ -4,8 +4,9 @@ Vectors are tuples of Fraction.  A matrix is a tuple of row tuples, and it
 acts on column vectors: column j holds the image of the j-th basis vector,
 entry m[i][j] is the coefficient of basis vector i in that image.
 
-Subspaces are always stored through their reduced row echelon basis, so two
-equal subspaces compare equal and every derived object is reproducible.
+Subspaces are stored as the integer rows of their reduced row echelon form,
+so two equal subspaces compare equal and every derived object is
+reproducible; the Fraction RREF basis is derived from those rows on read.
 Zero-dimensional ambients are supported throughout; the zero algebra is a
 legitimate input.
 """
@@ -59,14 +60,6 @@ def mat_mul(a, b):
         tuple(sum((a[i][k] * b[k][j] for k in range(len(b)) if a[i][k]), ZERO) for j in range(cols))
         for i in range(len(a))
     )
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, m):
-    return tuple(tuple(c * x for x in row) for row in m)
 
 
 def mat_from_columns(cols, nrows=None):
@@ -182,14 +175,15 @@ def rref(rows):
 
 
 class Subspace:
-    """A subspace of Q^n held through its canonical RREF basis.
+    """A subspace of Q^n held through its canonical integer rows.
 
-    rows holds the same basis as primitive integer rows with positive
-    pivots, which are just as canonical; the arithmetic runs on them and
-    basis is built from them once.
+    rows holds the RREF basis as primitive integer rows with positive
+    pivots, which are just as canonical; they are the only stored form and
+    the arithmetic runs on them.  basis, the RREF basis in Fractions, is
+    derived from them each time it is read.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "rows")
+    __slots__ = ("ambient", "pivots", "rows")
 
     def __init__(self, ambient, vectors=()):
         work = []
@@ -207,7 +201,6 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "basis", tuple(_fractions(w, c) for w, c in zip(rows, pivots)))
 
     @classmethod
     def _reduced(cls, ambient, work, pivots):
@@ -232,12 +225,17 @@ class Subspace:
         return cls._reduced(ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)], range(ambient))
 
     @property
+    def basis(self):
+        """The RREF basis: each row scaled to 1 at its pivot."""
+        return tuple(_fractions(w, c) for w, c in zip(self.rows, self.pivots))
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self):
-        return not self.basis
+        return not self.rows
 
     def _residual(self, w, blocks=1):
         """A multiple of the integer row w with each of its first `blocks`
@@ -296,7 +294,7 @@ class Subspace:
     def image(self, m):
         """Span of m applied to this subspace."""
         nrows = len(m)
-        return Subspace(nrows, tuple(mat_vec(m, b) for b in self.basis))
+        return Subspace(nrows, tuple(mat_vec(m, w) for w in self.rows))
 
     def __eq__(self, other):
         return (
@@ -366,14 +364,14 @@ def mat_inverse(m):
 def complement(inner, outer):
     """Deterministic complement of inner in outer.
 
-    Scans outer's RREF basis in index order and keeps each vector that is
-    not already spanned.  Requires inner to be a subspace of outer.
+    Scans outer's basis rows in index order and keeps each one that is not
+    already spanned.  Requires inner to be a subspace of outer.
     """
     if not outer.contains_space(inner):
         raise ValueError("complement: inner is not contained in outer")
     chosen = []
     current = inner
-    for b in outer.basis:
+    for b in outer.rows:
         if not current.contains(b):
             chosen.append(b)
             current = current.add(Subspace(outer.ambient, (b,)))
@@ -530,27 +528,24 @@ def joint_eigenspaces(ops, space):
     (eigenvalue_tuple, Subspace) in sorted eigenvalue-tuple order; the i-th
     entry of the tuple is the eigenvalue of ops[i].  remainder is the
     deterministic complement of the sum of all classes inside `space`.  With
-    no operators the whole space is one class with the empty tuple.
+    no operators a nonzero space is one class with the empty tuple.
     """
     n = space.ambient
-    classes = [((), space)]
+    classes = [((), space)] if space.rows else []
     for op in ops:
-        eigenspaces = [
-            (lam, kernel(mat_sub(op, mat_scale(lam, identity_matrix(n))), ncols=n))
-            for lam in eigenvalues(op)
-        ]
+        # the kernel of op - lam: the preimage of 0 under its columns
+        cols = [list(col) for col in zip(*op)]
+        eigenspaces = []
+        for lam in eigenvalues(op):
+            for j in range(n):
+                cols[j][j] = op[j][j] - lam
+            eigenspaces.append((lam, Subspace.zero(n).preimage(cols)))
+        # eigenvalues are sorted, so refining keeps the tuples sorted
         refined = []
         for tup, sub in classes:
-            if sub.is_zero:
-                continue
             for lam, eigenspace in eigenspaces:
                 k = sub.intersect(eigenspace)
                 if not k.is_zero:
                     refined.append((tup + (lam,), k))
         classes = refined
-    classes = [(tup, sub) for tup, sub in classes if not sub.is_zero]
-    classes.sort(key=lambda pair: pair[0])
-    total = Subspace.zero(n)
-    for _, sub in classes:
-        total = total.add(sub)
-    return classes, complement(total, space)
+    return classes, complement(span(n, [sub for _, sub in classes]), space)

@@ -645,7 +645,8 @@ def compute_J(h):
     jspace = closure.space
     jl = h.bracket_space(jspace, full)
     # [L, J] = 0 exactly when no bracket of basis vectors is nonzero
-    brackets = ((x, s, _bilinear(br, x, s)) for x in full.basis for s in jspace.basis)
+    j_basis = jspace.basis
+    brackets = ((x, s, _bilinear(br, x, s)) for x in full.basis for s in j_basis)
     found = next(((x, s, val) for x, s, val in brackets if not is_zero_vector(val)), None)
     witness = "" if found is None else "[{}, {}] = {}".format(*map(format_vector, found))
     return JReport(closure=closure, J_bracket_L_zero=jl.is_zero, L_bracket_J_zero=found is None, witness=witness)

@@ -13,9 +13,9 @@ from functools import cached_property
 from .claims import FAIL, PASS, ClaimResult
 from .linalg import (
     Subspace,
-    complement,
     joint_eigenspaces,
     mat_columns,
+    mat_from_columns,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -108,18 +108,6 @@ class WeightDecomposition:
         return Subspace.zero(self.A0.ambient) if space is None else space
 
 
-def _restriction_matrix(op, sub):
-    cols = []
-    for b in sub.basis:
-        c = sub.coords(mat_vec(op, b))
-        if c is None:
-            return None
-        cols.append(c)
-    if not cols:
-        return ()
-    return tuple(tuple(col[i] for col in cols) for i in range(len(sub.basis)))
-
-
 def _resolve_h(h, H):
     if H is None:
         if h.declared_H is None:
@@ -150,9 +138,10 @@ def root_decomposition(h, H=None):
     psi_inv = h.psi_inv
     if psi_inv is None:
         raise CartanError("psi_singular", "the twist on L is singular; no regular decomposition")
-    psi_h = _restriction_matrix(h.psi, H)
-    if psi_h is None:
+    psi_cols = [H.coords(mat_vec(h.psi, b)) for b in H.basis]
+    if None in psi_cols:
         raise CartanError("psi_not_stable", "the twist does not preserve the chosen subalgebra")
+    psi_h = mat_from_columns(psi_cols)
     # psi restricted to an invariant subspace of an invertible map is invertible
     psi_h_inv = mat_inverse(psi_h)
 
@@ -161,15 +150,15 @@ def root_decomposition(h, H=None):
     zero_tup = zero_vector(H.dim)
     root_spaces = {}
     zero_space = Subspace.zero(n)
-    pulled_total = Subspace.zero(n)
     for tup, w_sub in classes:
-        pulled = Subspace(n, [mat_vec(psi_inv, w) for w in w_sub.basis])
-        pulled_total = pulled_total.add(pulled)
+        pulled = w_sub.image(psi_inv)
         if tup == zero_tup:
             zero_space = pulled
         else:
             root_spaces[tup] = pulled
-    remainder = complement(pulled_total, Subspace.full(n))
+    # psi_inv is a bijection, so it maps a complement of the classes to a
+    # complement of their images
+    remainder = w_rem.image(psi_inv)
 
     split = remainder.is_zero and zero_space == H
     diagnosis = ""

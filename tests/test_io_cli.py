@@ -411,6 +411,8 @@ def test_connect_finds_a_40_digit_root_quickly(tmp_path):
 # -- exit-code contract under fuzzed files ----------------------------------
 
 FUZZ_SOURCES = sorted(name for name, make in fixtures.BUNDLED.items() if make().dimL <= 8)
+# the mutable values are deep-copied into a document when drawn: a later
+# "ragged" step may append to or pop from them
 WRONG_TYPES = (None, True, "x", 2.5, -1, [], {}, [[]], [["1"]], {"1": 1})
 BAD_SCALARS = ("", "abc", "1.5", "1e3", " 1", "1/0", "0x10", "--1", "1/2/3", None, 1.5, [], {})
 
@@ -445,10 +447,10 @@ def mutated_documents(draw):
         if kind == "drop" and doc:
             del doc[draw(st.sampled_from(sorted(doc)))]
         elif kind == "type" and doc:
-            doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(WRONG_TYPES))
+            doc[draw(st.sampled_from(sorted(doc)))] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES)))
         elif kind == "scalar" and slots:
             row, j = draw(st.sampled_from(slots))
-            row[j] = draw(st.sampled_from(BAD_SCALARS) | st.text(max_size=4))
+            row[j] = copy.deepcopy(draw(st.sampled_from(BAD_SCALARS) | st.text(max_size=4)))
         elif kind == "ragged" and rows:
             row = draw(st.sampled_from(rows))
             if row and draw(st.booleans()):

@@ -28,6 +28,7 @@ from hlra.linalg import (
     rational_roots,
     rref,
     solve,
+    span,
     stack_rows,
     vec_add,
 )
@@ -250,16 +251,49 @@ def test_subspace_equality_and_hash():
 
 def test_joint_eigenspaces_takes_each_eigenspace_once(monkeypatch):
     # one kernel of op - lam I per (op, lam), shared by every class; each
-    # such kernel is the only mat_sub joint_eigenspaces makes
+    # such kernel is the preimage of the zero space under its columns, and
+    # it is the only such preimage joint_eigenspaces makes
     shifts = []
-    orig = linalg.mat_sub
-    monkeypatch.setattr(linalg, "mat_sub", lambda a, b: shifts.append(1) or orig(a, b))
+    orig = Subspace.preimage
+
+    def counted(self, columns):
+        if self.is_zero:
+            shifts.append(1)
+        return orig(self, columns)
+
+    monkeypatch.setattr(Subspace, "preimage", counted)
     d1 = tuple(tuple(F(c) if i == j else F(0) for j in range(4)) for i, c in enumerate((1, 1, 2, 2)))
     d2 = tuple(tuple(F(c) if i == j else F(0) for j in range(4)) for i, c in enumerate((1, 2, 1, 2)))
     classes, rem = joint_eigenspaces([d1, d2], Subspace.full(4))
     assert [tup for tup, _ in classes] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert rem.is_zero
     assert len(shifts) == 4
+
+
+def test_no_fraction_basis_is_built_until_it_is_read(monkeypatch):
+    """A Subspace stores its integer rows only; basis derives the Fraction
+    rows from them on each read, one per dimension."""
+    built = []
+    orig = linalg._fractions
+    monkeypatch.setattr(linalg, "_fractions", lambda row, c: built.append(c) or orig(row, c))
+    a = Subspace(4, [(1, 2, 0, F(1, 3)), (0, F(-5, 2), 1, 0)])
+    b = Subspace(4, [(1, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 0)])
+    spaces = [
+        a,
+        b,
+        Subspace.full(3),
+        Subspace.zero(4),
+        a.add(b),
+        a.intersect(b),
+        b.preimage([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+        span(4, [a, b]),
+    ]
+    assert built == []
+    assert [s.dim for s in spaces] == [2, 3, 3, 0, 4, 1, 2, 4]
+    for s in spaces:
+        built.clear()
+        assert s.basis == fraction_rref(s.rows)[0]
+        assert len(built) == s.dim
 
 
 # -- integer-row elimination against the Fraction oracle ----------------------

@@ -5,7 +5,8 @@ itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
 Oracles and helpers that only tests need live under tests/.  Structure
 tensors are read by their (i, j, k) entries, never as dense t[i][j][k].
 Importing the command line loads nothing but the standard library and hlra.
-Every function the benchmark tracer wraps by name still exists.
+Every function the benchmark tracer wraps by name still exists.  Every name a
+module imports is read in that module.
 """
 
 import ast
@@ -129,3 +130,24 @@ def test_every_name_the_benchmark_tracer_wraps_is_a_package_callable():
     subspace = importlib.import_module("hlra.linalg").Subspace
     missing += [f"linalg.Subspace.{name}" for name in traced["METHODS"] if not callable(subspace.__dict__.get(name))]
     assert layers and traced["METHODS"] and missing == []
+
+
+def _unread_imports(tree):
+    """Names bound by an import in tree and never read in it; a name listed
+    in __all__ counts as read."""
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            read.update(ast.literal_eval(stmt.value))
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = [f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py")) for name in _unread_imports(ast.parse(p.read_text()))]
+    assert unread == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hlra import fixtures, model, roots
-from hlra.linalg import Subspace, mat_columns, mat_vec
+from hlra.linalg import Subspace, basis_vector, complement, mat_columns, mat_vec, span
 from hlra.model import InputError, twist_by_endomorphism, validate_hlr
 from hlra.roots import (
     CartanError,
@@ -109,6 +109,25 @@ def test_nilpotent_cartan_choice_leaves_a_remainder(bundled):
     assert rd.zero_space == rd.H
     assert rd.remainder.dim == 1
     assert "remainder" in rd.diagnosis
+
+
+# (source, index i of the basis vector spanning H): choices with a nonzero
+# remainder; the random instances are twisted, so psi is not the identity
+NON_SPLIT_CHOICES = [("fix_b", 1), ("fix_e", 1), ("fix_b2", 3), ("fix_e2", 4), (7, 3), (10, 5), (17, 1)]
+
+
+@pytest.mark.parametrize("source, i", NON_SPLIT_CHOICES)
+def test_the_root_remainder_is_a_complement_of_the_graded_part(bundled, source, i):
+    """The remainder meets zero_space + (sum of the root spaces) in 0 and
+    fills L with it, like the complement of the re-summed root spaces."""
+    h = bundled[source] if isinstance(source, str) else twist_by_endomorphism(*fixtures.random_instance(source))
+    n = h.dimL
+    rd = root_decomposition(h, H=(basis_vector(n, i),))
+    graded = span(n, [rd.zero_space, *rd.root_spaces.values()])
+    assert not rd.remainder.is_zero
+    assert rd.remainder.intersect(graded).is_zero
+    assert rd.remainder.dim + graded.dim == n
+    assert rd.remainder.dim == complement(graded, Subspace.full(n)).dim
 
 
 def test_twist_unstable_choice_raises(bundled):
