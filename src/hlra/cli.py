@@ -33,7 +33,6 @@ from .roots import (
     format_class,
     format_root,
     root_decomposition,
-    verify_lemma_closures,
     weight_decomposition,
 )
 from .scalars import parse_scalar
@@ -207,12 +206,12 @@ def cmd_decompose(args):
         return opened
     a, doc, lines = opened
     h, rd = a.h, a.rd
-    dec = run_decomposition(a, verify_lemma_closures(h, rd, a.wd))
+    dec = run_decomposition(a)
     if not rd.gamma and dec.U == rd.H and rd.H.dim == h.dimL:
         lines.append("no roots; L = U = H")
     doc["root_classes"] = [[format_root(f) for f in c] for c in a.root_part.classes]
     doc["weight_classes"] = [[format_root(f) for f in c] for c in a.weight_part.classes]
-    for side, ideals in (("root", dec.root_ideals), ("weight", dec.weight_ideals)):
+    for side, ideals in (("root", a.root_ideals), ("weight", a.weight_ideals)):
         doc[f"{side}_class_ideals"] = []
         for ideal in ideals:
             lines.append(f"{side} class {format_class(ideal.cls)} ideal: dim {ideal.space.dim}")
@@ -223,17 +222,13 @@ def cmd_decompose(args):
     for name, side, comp in (("U", "bracket", dec.U), ("V", "scalar", dec.V)):
         lines.append(f"{side}-side complement {name}: {'none' if comp is None else reporting.space_text(comp)}")
         doc[name] = None if comp is None else reporting.space_json(comp)
-    sim = dec.simplicity
+    enum = a.enum
     lines.append(
-        f"ideal enumeration: {len(sim.enumerated.ideals)} found, "
-        f"{'complete' if sim.enumerated.complete else 'incomplete'}"
-        + (f" ({sim.enumerated.note})" if sim.enumerated.note else "")
+        f"ideal enumeration: {len(enum.ideals)} found, "
+        f"{'complete' if enum.complete else 'incomplete'}"
+        + (f" ({enum.note})" if enum.note else "")
     )
-    doc["ideal_enumeration"] = {
-        "count": len(sim.enumerated.ideals),
-        "complete": sim.enumerated.complete,
-        "note": sim.enumerated.note,
-    }
+    doc["ideal_enumeration"] = {"count": len(enum.ideals), "complete": enum.complete, "note": enum.note}
     _append_claims(dec.claims, doc, lines)
     return _finish(args, doc, lines, failed=any(c.failed for c in dec.claims))
 
@@ -244,7 +239,7 @@ def cmd_analyze(args):
         return opened
     a, doc, lines = opened
     st = run_structure(a)
-    js, prof, enum = st.js, st.profile, a.enum
+    js, prof, enum = a.js, a.profile, a.enum
 
     lines.append(f"ideal J: {reporting.space_text(js.J)}")
     lines.append(

@@ -26,7 +26,7 @@ from .linalg import (
     vec_neg,
 )
 from .model import annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal, rule_image, rule_values
-from .roots import format_class
+from .roots import format_class, verify_lemma_closures
 
 # root subset count above which enumeration keeps only the closure seeds
 ENUMERATION_CAP = 512
@@ -408,7 +408,6 @@ def enumerate_ideals(h, rd):
 class SimplicityReport:
     verdict: str  # simple | not_simple | inconclusive
     reason: str
-    enumerated: EnumeratedIdeals
     violating: object  # Subspace or None
 
     def claim(self):
@@ -443,7 +442,7 @@ def simplicity_check(a):
         verdict, reason = "simple", f"complete enumeration found {len(enum.ideals)} ideals, all allowed"
     else:
         verdict, reason = "inconclusive", f"incomplete search ({enum.note}); no violating ideal found"
-    return SimplicityReport(verdict=verdict, reason=reason, enumerated=enum, violating=violating)
+    return SimplicityReport(verdict=verdict, reason=reason, violating=violating)
 
 
 def a_simplicity_probe(h, wd):
@@ -479,19 +478,18 @@ def a_simplicity_probe(h, wd):
 
 @dataclass
 class DecompositionReport:
-    root_ideals: tuple
-    weight_ideals: tuple
     U: object
     V: object
     simplicity: SimplicityReport
     claims: tuple
 
 
-def run_decomposition(a, lemma_claims):
-    """Run every decomposition verifier on the class ideals of a."""
+def run_decomposition(a):
+    """Run the closure lemmas and every decomposition verifier on the class
+    ideals of a."""
     if not a.rd.split or not a.wd.split:
         raise ValueError("decomposition is not split; nothing to verify")
-    claims = list(lemma_claims)
+    claims = verify_lemma_closures(a.h, a.rd, a.wd)
     claims.extend(verify_prop_3_3(a))
     claims.append(verify_thm_3_5_1(a))
     thm36, u = verify_thm_3_6(a)
@@ -505,8 +503,6 @@ def run_decomposition(a, lemma_claims):
     simplicity = simplicity_check(a)
     claims.append(simplicity.claim())
     return DecompositionReport(
-        root_ideals=a.root_ideals,
-        weight_ideals=a.weight_ideals,
         U=u,
         V=v,
         simplicity=simplicity,

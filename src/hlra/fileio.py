@@ -54,7 +54,7 @@ def _locate(text, token):
     return line, col
 
 
-def _dim(doc, key, text):
+def _dim(doc, key):
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ParseError(f"{key} must be a nonnegative integer, got {v!r}")
@@ -135,8 +135,8 @@ def from_document(doc, text=None):
         raise ParseError(
             f'format_version must be "{FORMAT_VERSION}", got {version!r}'
         )
-    nl = _dim(doc, "dimL", text)
-    na = _dim(doc, "dimA", text)
+    nl = _dim(doc, "dimL")
+    na = _dim(doc, "dimA")
     l_labels, a_labels = _labels(doc, nl, na)
     # a file with both a bad twist and a bad tensor names the twist
     psi = _matrix(doc, "psi", nl, text)

@@ -348,11 +348,19 @@ class Thm512Run:
     I_prime: object  # Subspace or None
 
 
-def _thm512_branch(a, seed):
+def verify_theorem_5_12(a, seed):
+    """One seed ideal inside J: either it is J, or J splits off a
+    complementary ideal built from the negative seed roots.  The branch runs
+    whatever the hypotheses; when some fail, the detail says the caller
+    assumed them (`run_structure` refuses instead)."""
     h, rd, wd, js = a.h, a.rd, a.wd, a.js
+    if not js.J.contains_space(seed):
+        raise ValueError("the seed ideal is not contained in J")
+    prefix = "hypotheses assumed by caller: " if _hypothesis_gaps(a.profile) else ""
 
     def run(branch, ok, detail, iprime=None):
-        return Thm512Run(seed_dim=seed.dim, branch=branch, ok=ok, detail=detail, I_prime=iprime)
+        claim = ClaimResult("thm5.12", PASS if ok else FAIL, f"{prefix}[{branch}] {detail}")
+        return claim, Thm512Run(seed_dim=seed.dim, branch=branch, ok=ok, detail=detail, I_prime=iprime)
 
     if seed.is_zero:
         # J is an ideal_closure output, closed under every ideal rule
@@ -396,26 +404,6 @@ def _thm512_branch(a, seed):
     )
 
 
-def verify_theorem_5_12(a, seed, assume_hypotheses=False):
-    """One seed ideal inside J: either it is J, or J splits off a
-    complementary ideal built from the negative seed roots."""
-    if not a.js.J.contains_space(seed):
-        raise ValueError("the seed ideal is not contained in J")
-    missing = _hypothesis_gaps(a.profile)
-    if missing and not assume_hypotheses:
-        return refusal("thm5.12", missing), None
-    run = _thm512_branch(a, seed)
-    prefix = "hypotheses assumed by caller: " if (missing and assume_hypotheses) else ""
-    return (
-        ClaimResult(
-            "thm5.12",
-            PASS if run.ok else FAIL,
-            f"{prefix}[{run.branch}] {run.detail}",
-        ),
-        run,
-    )
-
-
 @dataclass(frozen=True)
 class ComponentInfo:
     cls: tuple
@@ -429,7 +417,6 @@ class Cor513Report:
     claim: ClaimResult
     components: tuple
     weight_dims: tuple
-    assumed: bool
 
 
 def _component_simplicity(h, rd, l_space, a_space):
@@ -451,17 +438,11 @@ def _component_simplicity(h, rd, l_space, a_space):
     return simplicity_check(Analysis(sub, sub_rd, None)).verdict
 
 
-def verify_cor_5_13(a, assume_hypotheses=False):
-    """Simple-component decomposition of both algebras with the pairing."""
+def verify_cor_5_13(a):
+    """Simple-component decomposition of both algebras with the pairing.
+    It runs whatever the hypotheses; when some fail, the detail says the
+    caller assumed them (`run_structure` refuses instead)."""
     h = a.h
-    missing = _hypothesis_gaps(a.profile, need_weights_connected=True)
-    if missing and not assume_hypotheses:
-        return Cor513Report(
-            claim=refusal("cor5.13", missing),
-            components=(),
-            weight_dims=(),
-            assumed=False,
-        )
     l_ideals = a.root_ideals
     a_ideals = a.weight_ideals
     problems = []
@@ -502,7 +483,7 @@ def verify_cor_5_13(a, assume_hypotheses=False):
             ComponentInfo(cls=ci.cls, dim=ci.space.dim, simple_verdict=verdict, paired=paired)
         )
 
-    prefix = "hypotheses assumed by caller: " if (missing and assume_hypotheses) else ""
+    prefix = "hypotheses assumed by caller: " if _hypothesis_gaps(a.profile, need_weights_connected=True) else ""
     if problems:
         claim = ClaimResult("cor5.13", FAIL, prefix + "; ".join(sorted(set(problems))))
     elif verdict_gap is not None:
@@ -520,7 +501,6 @@ def verify_cor_5_13(a, assume_hypotheses=False):
         claim=claim,
         components=tuple(components),
         weight_dims=tuple(ci.space.dim for ci in a_ideals),
-        assumed=bool(missing) and assume_hypotheses,
     )
 
 
@@ -570,8 +550,6 @@ def verify_pairing_5_9(a, criterion=None):
 
 @dataclass
 class StructureReport:
-    js: JSplit
-    profile: StructureProfile
     thm512_runs: tuple
     cor513: Cor513Report
     pairing: PairingReport
@@ -579,8 +557,9 @@ class StructureReport:
 
 
 def run_structure(a):
-    """Assemble the J-split, the profile, and every structure verifier."""
-    js, profile = a.js, a.profile
+    """Assemble every structure verifier; the two split statements are
+    refused here when their hypotheses fail."""
+    profile = a.profile
     claims = [verify_lemma_5_1(a), verify_lemma_5_2(a)]
     claims.extend(a.rm_claims)
     ml = profile.maximal_length
@@ -608,13 +587,9 @@ def run_structure(a):
     if missing:
         claims.append(refusal("thm5.12", missing))
     else:
-        seeds = [ideal for ideal in a.enum.ideals if js.J.contains_space(ideal)]
-        bad = None
-        for seed in seeds:
-            run = _thm512_branch(a, seed)
-            runs.append(run)
-            if not run.ok and bad is None:
-                bad = f"seed of dim {run.seed_dim}: {run.detail}"
+        seeds = [ideal for ideal in a.enum.ideals if a.js.J.contains_space(ideal)]
+        runs = [verify_theorem_5_12(a, seed)[1] for seed in seeds]
+        bad = next((f"seed of dim {run.seed_dim}: {run.detail}" for run in runs if not run.ok), None)
         claims.append(
             ClaimResult(
                 "thm5.12",
@@ -622,13 +597,12 @@ def run_structure(a):
                 bad or f"{len(seeds)} seed ideals inside J, every branch verified",
             )
         )
-    cor = verify_cor_5_13(a)
+    cor_missing = _hypothesis_gaps(profile, need_weights_connected=True)
+    cor = Cor513Report(refusal("cor5.13", cor_missing), (), ()) if cor_missing else verify_cor_5_13(a)
     claims.append(cor.claim)
     pairing = verify_pairing_5_9(a)
     claims.append(pairing.claim)
     return StructureReport(
-        js=js,
-        profile=profile,
         thm512_runs=tuple(runs),
         cor513=cor,
         pairing=pairing,

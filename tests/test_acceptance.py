@@ -277,7 +277,8 @@ CORE = (
 def test_criterion_6_decomposition_theorems(capsys, decomps):
     problems = []
     for name, (h, rd, wd) in decomps.items():
-        dec = run_decomposition(Analysis(h, rd, wd), verify_lemma_closures(h, rd, wd))
+        a = Analysis(h, rd, wd)
+        dec = run_decomposition(a)
         got = {c.claim_id: c for c in dec.claims}
         for cid in CORE:
             if got[cid].status != "PASS":
@@ -289,12 +290,12 @@ def test_criterion_6_decomposition_theorems(capsys, decomps):
             if c.status == "REFUSED" and not c.detail:
                 problems.append(f"{name} {cid}: refusal without a named hypothesis")
         u = dec.U
-        for ci in dec.root_ideals:
+        for ci in a.root_ideals:
             u = u.add(ci.space)
         if u.dim != h.dimL:
             problems.append(f"{name}: U + class ideals span dim {u.dim} of {h.dimL}")
         v = dec.V
-        for ci in dec.weight_ideals:
+        for ci in a.weight_ideals:
             v = v.add(ci.space)
         if v.dim != h.dimA:
             problems.append(f"{name}: V + weight ideals span dim {v.dim} of {h.dimA}")
@@ -313,29 +314,30 @@ def test_criterion_6_decomposition_theorems(capsys, decomps):
 def test_criterion_7_structure_theorems(capsys, decomps):
     problems = []
     for name, (h, rd, wd) in decomps.items():
-        st = run_structure(Analysis(h, rd, wd))
-        if sorted(st.js.gamma_J + st.js.gamma_notJ) != rd.gamma:
+        a = Analysis(h, rd, wd)
+        if sorted(a.js.gamma_J + a.js.gamma_notJ) != rd.gamma:
             problems.append(f"{name}: j-split misses roots")
-        if set(st.js.gamma_J) & set(st.js.gamma_notJ):
+        if set(a.js.gamma_J) & set(a.js.gamma_notJ):
             problems.append(f"{name}: j-split overlaps")
-        if not st.profile.Z_Lie.contains_space(annihilator_Z(h)):
+        if not a.profile.Z_Lie.contains_space(annihilator_Z(h)):
             problems.append(f"{name}: annihilator escapes the Lie annihilator")
         all_one = all(rd.space(g).dim == 1 for g in rd.gamma) and all(
-            wd.space(a).dim == 1 for a in wd.lam
+            wd.space(x).dim == 1 for x in wd.lam
         )
-        if bool(st.profile.maximal_length) != all_one:
+        if bool(a.profile.maximal_length) != all_one:
             problems.append(f"{name}: maximal-length flag wrong")
 
     # the zero algebra meets every hypothesis outright; 0 + 0 = 0
     h, rd, wd = decomps["fix_zero"]
-    st = run_structure(Analysis(h, rd, wd))
+    a = Analysis(h, rd, wd)
+    st = run_structure(a)
     got = {c.claim_id: c for c in st.claims}
     if got["thm5.12"].status != "PASS" or got["cor5.13"].status != "PASS":
         problems.append("zero algebra does not verify the split theorems")
     for run in st.thm512_runs:
         ipd = run.I_prime.dim if run.I_prime is not None else 0
-        if not run.ok or run.seed_dim + ipd != st.js.J.dim + (
-            st.js.J.dim if run.branch == "equal_J" else 0
+        if not run.ok or run.seed_dim + ipd != a.js.J.dim + (
+            a.js.J.dim if run.branch == "equal_J" else 0
         ):
             problems.append(f"zero algebra run {run.branch}: dims off")
 
@@ -347,13 +349,12 @@ def test_criterion_7_structure_theorems(capsys, decomps):
     if got["thm5.12"].status != "REFUSED" or "tight.5" not in got["thm5.12"].detail:
         problems.append("refusal does not name tight.5")
 
-    # under caller-assumed hypotheses the sums are substantive
-    js = st.js
+    # called directly, the verifiers assume the hypotheses and the sums are
+    # substantive
+    js = a.js
     from hlra.linalg import Subspace
 
-    claim, run = verify_theorem_5_12(
-        a, Subspace(5, ((0, 0, 0, 1, 0),)), assume_hypotheses=True
-    )
+    claim, run = verify_theorem_5_12(a, Subspace(5, ((0, 0, 0, 1, 0),)))
     if not (
         claim.status == "PASS"
         and run.branch == "complement"
@@ -361,7 +362,7 @@ def test_criterion_7_structure_theorems(capsys, decomps):
     ):
         problems.append("1+1=2 complement run failed")
     for seed, branch in ((js.J, "equal_J"), (Subspace.zero(5), "degenerate")):
-        claim, run = verify_theorem_5_12(a, seed, assume_hypotheses=True)
+        claim, run = verify_theorem_5_12(a, seed)
         if claim.status != "PASS" or run.branch != branch:
             problems.append(f"{branch} branch failed")
     h2, rd2, wd2 = decomps["fix_s2"]
@@ -369,20 +370,20 @@ def test_criterion_7_structure_theorems(capsys, decomps):
     seed2 = Subspace(
         10, ((0, 0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1, 0))
     )
-    claim, run = verify_theorem_5_12(Analysis(h2, rd2, wd2), seed2, assume_hypotheses=True)
+    claim, run = verify_theorem_5_12(Analysis(h2, rd2, wd2), seed2)
     if not (claim.status == "PASS" and run.seed_dim + run.I_prime.dim == js2.J.dim == 4):
         problems.append("2+2=4 complement run failed")
 
     he, rde, wde = decomps["fix_e2"]
-    cor = verify_cor_5_13(Analysis(he, rde, wde), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(he, rde, wde))
     if sum(c.dim for c in cor.components) != he.dimL:
         problems.append("two-block components do not sum to dim L")
     ht, rdt, wdt = decomps["fix_t"]
-    cor = verify_cor_5_13(Analysis(ht, rdt, wdt), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(ht, rdt, wdt))
     if sum(cor.weight_dims) != ht.dimA:
         problems.append("scalar components do not sum to dim A")
     hp, rdp, wdp = decomps["fix_p2"]
-    cor = verify_cor_5_13(Analysis(hp, rdp, wdp), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(hp, rdp, wdp))
     paired = [c.paired for c in cor.components]
     if sorted(paired) != [0, 1]:
         problems.append(f"pairing is not a function onto distinct scalar classes: {paired}")

@@ -82,6 +82,6 @@ def test_cor_5_13_builds_no_weight_decomposition(monkeypatch, bundled):
         for attr, value in list(vars(mod).items()):
             if value is orig:
                 monkeypatch.setattr(mod, attr, lambda *args: calls.append(args) or orig(*args))
-    report = structure.verify_cor_5_13(a, assume_hypotheses=True)
+    report = structure.verify_cor_5_13(a)
     assert [c.simple_verdict for c in report.components] == ["simple", "simple"]
     assert calls == []

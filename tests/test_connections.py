@@ -9,6 +9,8 @@ import pytest
 
 from hlra import fixtures, reporting
 from hlra.connections import (
+    ConnectionWitness,
+    _partition,
     root_partition,
     roots_connected,
     validate_root_chain,
@@ -256,6 +258,25 @@ def test_an_asymmetric_raw_relation_is_reported(bundled):
     out = reporting.render({"root_partition": reporting.partition_json(asym)}, [], "json")
     assert '"raw_symmetric": false' in out
     assert len(json.loads(out)["root_partition"]["witnesses"]) == len(part.witnesses) - 1
+
+
+def test_a_one_way_relation_is_closed_into_one_class():
+    """No algebra built in these tests has an asymmetric raw relation, so a
+    synthetic one is fed to the partition: f reaches g, g does not reach f.
+    The classes take the symmetric closure and the report says so."""
+    f, g = (F(1),), (F(2),)
+    witness = ConnectionWitness(kind="direct")
+
+    def witnesses_from(src, items):
+        return {src: witness, g: witness} if src == f else {src: witness}
+
+    part = _partition([g, f], witnesses_from)
+    assert part.raw_symmetric is False
+    assert part.classes == ((f, g),)
+    assert list(part.witnesses) == [(f, g)]
+    lines = []
+    reporting.partition_lines("root", part, lines)
+    assert "root raw relation symmetric: no" in lines
 
 
 def test_partition_is_an_equivalence(bundled):

@@ -19,7 +19,7 @@ from hlra.linalg import (
     vec_add,
 )
 from hlra.model import InputError, ideal_closure, is_ideal, twist_by_endomorphism
-from hlra.roots import CartanError, root_decomposition, verify_lemma_closures, weight_decomposition
+from hlra.roots import CartanError, root_decomposition, weight_decomposition
 from hlra.structure import Analysis, run_structure
 
 from conftest import SPLIT_NAMES
@@ -87,15 +87,19 @@ UV_DIMS = {
 BOUNDED_SEARCH = {"fix_a", "fix_b2", "fix_s2", "fix_p2"}
 
 
-def run(h):
+def analysis(h):
     rd = root_decomposition(h)
-    wd = weight_decomposition(h, rd)
-    return run_decomposition(Analysis(h, rd, wd), verify_lemma_closures(h, rd, wd))
+    return Analysis(h, rd, weight_decomposition(h, rd))
 
 
 @pytest.fixture(scope="module")
-def reports(bundled):
-    return {name: run(bundled[name]) for name in SPLIT_NAMES}
+def analyses(bundled):
+    return {name: analysis(bundled[name]) for name in SPLIT_NAMES}
+
+
+@pytest.fixture(scope="module")
+def reports(analyses):
+    return {name: run_decomposition(a) for name, a in analyses.items()}
 
 
 def test_core_claims_pass_everywhere(reports):
@@ -133,23 +137,23 @@ def test_complement_dimensions(reports):
         assert (dec.U.dim, dec.V.dim) == UV_DIMS[name], name
 
 
-def test_sum_identities_reconstruct_everything(reports, bundled):
+def test_sum_identities_reconstruct_everything(reports, analyses, bundled):
     for name, dec in reports.items():
         h = bundled[name]
         total_l = dec.U
-        for ideal in dec.root_ideals:
+        for ideal in analyses[name].root_ideals:
             total_l = total_l.add(ideal.space)
         assert total_l == Subspace.full(h.dimL), name
         total_a = dec.V
-        for ideal in dec.weight_ideals:
+        for ideal in analyses[name].weight_ideals:
             total_a = total_a.add(ideal.space)
         assert total_a == Subspace.full(h.dimA), name
 
 
-def test_class_ideals_really_are_ideals(reports, bundled):
-    for name, dec in reports.items():
+def test_class_ideals_really_are_ideals(analyses, bundled):
+    for name, a in analyses.items():
         h = bundled[name]
-        for ideal in dec.root_ideals:
+        for ideal in a.root_ideals:
             ok, failed = is_ideal(h, ideal.space)
             assert ok, (name, ideal.cls, failed)
 
@@ -159,7 +163,7 @@ def test_non_split_input_is_rejected(bundled):
     rd = root_decomposition(h, H=((0, 1),))
     wd = weight_decomposition(h, rd)
     with pytest.raises(ValueError):
-        run_decomposition(Analysis(h, rd, wd), [])
+        run_decomposition(Analysis(h, rd, wd))
 
 
 # -- ideal enumeration ------------------------------------------------------
@@ -551,7 +555,7 @@ def _basis_free_summary(h):
     if not (rd.split and wd.split):
         return "not split", dims
     a = Analysis(h, rd, wd)
-    dec = run_decomposition(a, verify_lemma_closures(h, rd, wd))
+    dec = run_decomposition(a)
     claims = [(c.claim_id, c.status) for c in dec.claims + run_structure(a).claims]
     sizes = [sorted(map(len, part.classes)) for part in (a.root_part, a.weight_part)]
     return dims, claims, sizes, len(a.enum.ideals), a.enum.complete, dec.simplicity.verdict

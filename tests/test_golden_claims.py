@@ -2,9 +2,9 @@
 
 The report gate (tests/golden_reports.json) reaches the two-ideal split and
 simple-component bodies only where their hypotheses hold, which among the
-bundled files is fix_zero alone.  This snapshot also runs them under
-caller-assumed hypotheses, so their PASS and FAIL branches are pinned on
-every split bundled file:
+bundled files is fix_zero alone.  This snapshot also calls their verifiers
+directly, which run whatever the hypotheses, so their PASS and FAIL branches
+are pinned on every split bundled file:
 
 - the (claim id, status, detail) triples of the decomposition and
   structure runs;
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from hlra import fixtures
 from hlra.decomposition import run_decomposition
-from hlra.roots import format_root, root_decomposition, verify_lemma_closures, weight_decomposition
+from hlra.roots import format_root, root_decomposition, weight_decomposition
 from hlra.structure import Analysis, run_structure, verify_cor_5_13, verify_pairing_5_9, verify_theorem_5_12
 
 from conftest import SPLIT_NAMES
@@ -39,12 +39,11 @@ def snapshot(h):
     rd = root_decomposition(h)
     wd = weight_decomposition(h, rd)
     a = Analysis(h, rd, wd)
-    dec = run_decomposition(a, verify_lemma_closures(h, rd, wd))
+    dec = run_decomposition(a)
     st = run_structure(a)
-    js = st.js
-    cor = verify_cor_5_13(a, assume_hypotheses=True)
-    seeds = [ideal for ideal in dec.simplicity.enumerated.ideals if js.J.contains_space(ideal)]
-    thm512 = [triple(verify_theorem_5_12(a, seed, assume_hypotheses=True)[0]) for seed in seeds]
+    cor = verify_cor_5_13(a)
+    seeds = [ideal for ideal in a.enum.ideals if a.js.J.contains_space(ideal)]
+    thm512 = [triple(verify_theorem_5_12(a, seed)[0]) for seed in seeds]
     pairing = {
         str(criterion): triple(verify_pairing_5_9(a, criterion=criterion).claim)
         for criterion in (None, "zero_unique", "nonzero_unique")

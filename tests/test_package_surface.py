@@ -151,3 +151,31 @@ def _unread_imports(tree):
 def test_every_imported_name_is_read_in_its_module():
     unread = [f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py")) for name in _unread_imports(ast.parse(p.read_text()))]
     assert unread == []
+
+
+def _unread_parameters(tree):
+    """(function.parameter, line) for each parameter of a def or lambda in
+    tree that its body never reads; self, cls and the parameters of dunder
+    methods, whose signatures a protocol fixes, are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [p.arg for p in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for param in params:
+            if param not in ("self", "cls") and param not in read:
+                yield f"{name}.{param}", node.lineno
+
+
+def test_every_parameter_is_read_in_its_body():
+    unread = [
+        f"{p.name}:{line} {param}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for param, line in _unread_parameters(ast.parse(p.read_text()))
+    ]
+    assert unread == []

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hlra import structure
+from hlra.claims import FAIL, PASS, ClaimResult
 from hlra.linalg import Subspace
 from hlra.model import annihilator_Z, compute_J
 from hlra.roots import RootDecomposition, root_decomposition, weight_decomposition
@@ -50,48 +52,52 @@ def setup(bundled, name):
 
 
 @pytest.fixture(scope="module")
-def reports(bundled):
+def analyses(bundled):
     out = {}
     for name in SPLIT_NAMES:
         h = bundled[name]
         rd = root_decomposition(h)
-        wd = weight_decomposition(h, rd)
-        out[name] = (h, rd, wd, run_structure(Analysis(h, rd, wd)))
+        out[name] = Analysis(h, rd, weight_decomposition(h, rd))
     return out
 
 
-def test_profiles(reports):
+@pytest.fixture(scope="module")
+def reports(analyses):
+    return {name: (a.h, a.rd, a.wd, run_structure(a)) for name, a in analyses.items()}
+
+
+def test_profiles(analyses):
     for name, (rm, tight, ml, zdim) in PROFILES.items():
-        prof = reports[name][3].profile
+        prof = analyses[name].profile
         assert tuple(int(b) for b in prof.root_multiplicative) == rm, name
         assert tuple(int(b) for b in prof.tight) == tight, name
         assert int(prof.maximal_length) == ml, name
         assert prof.Z_Lie.dim == zdim, name
 
 
-def test_annihilator_sits_inside_lie_annihilator(reports):
-    for name, (h, rd, wd, st) in reports.items():
-        assert st.profile.Z_Lie.contains_space(annihilator_Z(h)), name
+def test_annihilator_sits_inside_lie_annihilator(analyses):
+    for name, a in analyses.items():
+        assert a.profile.Z_Lie.contains_space(annihilator_Z(a.h)), name
 
 
-def test_j_split_values(reports):
-    _, _, _, st = reports["fix_s"]
-    assert st.js.gamma_J == ((F(-2),), (F(2),))
-    assert st.js.gamma_notJ == ((F(-1),), (F(1),))
-    assert st.js.clean and st.js.graded
-    _, _, _, st = reports["fix_c_split"]
-    assert st.js.gamma_J == ((F(2),),)
-    assert st.js.gamma_notJ == ((F(1),),)
-    _, _, _, st = reports["fix_e"]
-    assert st.js.gamma_J == ()
-    assert len(st.js.gamma_notJ) == 2
+def test_j_split_values(analyses):
+    js = analyses["fix_s"].js
+    assert js.gamma_J == ((F(-2),), (F(2),))
+    assert js.gamma_notJ == ((F(-1),), (F(1),))
+    assert js.clean and js.graded
+    js = analyses["fix_c_split"].js
+    assert js.gamma_J == ((F(2),),)
+    assert js.gamma_notJ == ((F(1),),)
+    js = analyses["fix_e"].js
+    assert js.gamma_J == ()
+    assert len(js.gamma_notJ) == 2
 
 
-def test_j_split_covers_gamma(reports):
-    for name, (h, rd, wd, st) in reports.items():
-        both = sorted(st.js.gamma_J + st.js.gamma_notJ)
-        assert both == rd.gamma, name
-        assert not (set(st.js.gamma_J) & set(st.js.gamma_notJ)), name
+def test_j_split_covers_gamma(analyses):
+    for name, a in analyses.items():
+        both = sorted(a.js.gamma_J + a.js.gamma_notJ)
+        assert both == a.rd.gamma, name
+        assert not (set(a.js.gamma_J) & set(a.js.gamma_notJ)), name
 
 
 def test_refusals_name_the_exact_clauses(reports):
@@ -115,7 +121,7 @@ def test_descriptive_failures_on_the_action_gap_fixture(reports):
     assert got["tight.1"].status == "PASS"
 
 
-def test_zero_algebra_satisfies_everything_vacuously(reports):
+def test_zero_algebra_satisfies_everything_vacuously(reports, analyses):
     _, _, _, st = reports["fix_zero"]
     got = {c.claim_id: c for c in st.claims}
     assert not any(c.failed for c in st.claims)
@@ -123,7 +129,7 @@ def test_zero_algebra_satisfies_everything_vacuously(reports):
     assert got["thm5.12"].detail == "1 seed ideals inside J, every branch verified"
     assert got["cor5.13"].status == "PASS"
     assert got["cor5.13"].detail == "0 simple components, scalar side 0, pairing well defined"
-    assert all(st.profile.tight)
+    assert all(analyses["fix_zero"].profile.tight)
 
 
 def test_simple_core_escape_clause(reports):
@@ -174,14 +180,50 @@ def test_annihilator_refusal_for_lemma(reports):
 # -- two-ideal split theorem ------------------------------------------------
 
 
-def test_thm512_refuses_without_hypotheses(bundled):
-    h, rd, wd, js = setup(bundled, "fix_s")
-    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), Subspace(5, ((0, 0, 0, 1, 0),)))
-    assert claim.status == "REFUSED" and run is None
+def test_thm512_refuses_without_hypotheses(reports):
+    st = reports["fix_s"][3]
+    claim = next(c for c in st.claims if c.claim_id == "thm5.12")
+    assert claim.status == "REFUSED" and st.thm512_runs == ()
     assert "tight.5" in claim.detail and "tight.6" in claim.detail
 
 
-def test_thm512_branches_under_assumed_hypotheses(bundled):
+def test_run_structure_reports_what_the_verifiers_find_when_the_hypotheses_hold(bundled, monkeypatch):
+    """fix_zero meets every hypothesis, so run_structure's two split claims
+    are the direct verifiers' verdicts, with no assumed-hypotheses prefix,
+    and it calls verify_theorem_5_12 once per seed inside J."""
+    h, rd, wd, js = setup(bundled, "fix_zero")
+    a = Analysis(h, rd, wd)
+    seeds = [ideal for ideal in a.enum.ideals if js.J.contains_space(ideal)]
+    calls = []
+    direct = structure.verify_theorem_5_12
+    monkeypatch.setattr(structure, "verify_theorem_5_12", lambda a, seed: calls.append(seed) or direct(a, seed))
+    st = run_structure(a)
+    assert calls == seeds and len(seeds) == 1
+    got = {c.claim_id: c for c in st.claims}
+    claims = [direct(a, seed)[0] for seed in seeds]
+    assert [c.detail for c in claims] == ["[degenerate] zero seed: the whole of J serves as the complement"]
+    status = PASS if all(c.status == PASS for c in claims) else FAIL
+    assert got["thm5.12"] == ClaimResult("thm5.12", status, f"{len(seeds)} seed ideals inside J, every branch verified")
+    cor = verify_cor_5_13(a)
+    assert st.cor513 == cor and got["cor5.13"] == cor.claim
+    assert not cor.claim.detail.startswith("hypotheses assumed by caller: ")
+
+
+def test_only_run_structure_refuses_the_split_statements(bundled):
+    h, rd, wd, js = setup(bundled, "fix_s")
+    a = Analysis(h, rd, wd)
+    st = run_structure(a)
+    got = {c.claim_id: c for c in st.claims}
+    for cid in ("thm5.12", "cor5.13"):
+        assert got[cid].status == "REFUSED", cid
+        assert "tight.5" in got[cid].detail and "tight.6" in got[cid].detail, cid
+    assert st.cor513.components == () and st.cor513.weight_dims == ()
+    claim, run = verify_theorem_5_12(a, js.J)
+    assert claim.detail.startswith("hypotheses assumed by caller: ") and run.branch == "equal_J"
+    assert verify_cor_5_13(a).claim.detail.startswith("hypotheses assumed by caller: ")
+
+
+def test_thm512_runs_each_branch_under_assumed_hypotheses(bundled):
     h, rd, wd, js = setup(bundled, "fix_s")
     cases = [
         (Subspace.zero(5), "degenerate", "the whole of J serves as the complement"),
@@ -189,7 +231,7 @@ def test_thm512_branches_under_assumed_hypotheses(bundled):
         (js.J, "equal_J", "expected I=J"),
     ]
     for seed, branch, phrase in cases:
-        claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed, assume_hypotheses=True)
+        claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed)
         assert claim.status == "PASS", (branch, claim.detail)
         assert claim.detail.startswith("hypotheses assumed by caller: ")
         assert run.branch == branch
@@ -199,7 +241,7 @@ def test_thm512_branches_under_assumed_hypotheses(bundled):
 def test_thm512_complement_sum_is_exact(bundled):
     h, rd, wd, js = setup(bundled, "fix_s")
     seed = Subspace(5, ((0, 0, 0, 1, 0),))
-    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed, assume_hypotheses=True)
+    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed)
     assert run.I_prime is not None
     assert seed.add(run.I_prime) == js.J
     assert seed.intersect(run.I_prime).is_zero
@@ -211,7 +253,7 @@ def test_thm512_two_block_split(bundled):
         10,
         ((0, 0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
     )
-    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed, assume_hypotheses=True)
+    claim, run = verify_theorem_5_12(Analysis(h, rd, wd), seed)
     assert claim.status == "PASS"
     assert "J = I + I' with dims 2+2=4" in claim.detail
 
@@ -221,8 +263,8 @@ def test_thm512_two_block_split(bundled):
 
 def test_cor513_assumed_on_two_block(bundled):
     h, rd, wd, js = setup(bundled, "fix_e2")
-    cor = verify_cor_5_13(Analysis(h, rd, wd), assume_hypotheses=True)
-    assert cor.assumed
+    cor = verify_cor_5_13(Analysis(h, rd, wd))
+    assert cor.claim.detail.startswith("hypotheses assumed by caller: ")
     assert cor.claim.status == "FAIL"  # the pairing genuinely degenerates
     assert [(c.dim, c.simple_verdict) for c in cor.components] == [
         (3, "simple"),
@@ -234,7 +276,7 @@ def test_cor513_assumed_on_two_block(bundled):
 
 def test_cor513_weight_sum_can_still_cover_a(bundled):
     h, rd, wd, js = setup(bundled, "fix_t")
-    cor = verify_cor_5_13(Analysis(h, rd, wd), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(h, rd, wd))
     assert cor.claim.status == "FAIL"
     assert cor.weight_dims == (2,)
     assert sum(cor.weight_dims) == h.dimA
@@ -242,7 +284,7 @@ def test_cor513_weight_sum_can_still_cover_a(bundled):
 
 def test_cor513_pairing_when_it_works(bundled):
     h, rd, wd, js = setup(bundled, "fix_p2")
-    cor = verify_cor_5_13(Analysis(h, rd, wd), assume_hypotheses=True)
+    cor = verify_cor_5_13(Analysis(h, rd, wd))
     assert [c.paired for c in cor.components] == [0, 1]
     assert "components span dim 4 of 6" in cor.claim.detail
 
