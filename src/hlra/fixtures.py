@@ -11,6 +11,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+from .linalg import identity_matrix
 from .model import HLRAlgebra, _block_diag, _embed, twist_by_endomorphism
 
 
@@ -22,30 +23,40 @@ def _diag(*values):
     )
 
 
-def _identity(n):
-    return _diag(*([1] * n))
-
-
-def _over_line(labels, bracket, declared_H):
-    """An algebra on the named basis of L with the given bracket entries
-    over the rational line: its unit acts as the identity, the anchor is
-    zero and both twists are identities."""
-    n = len(labels)
+def _block(l_labels, a_labels, bracket, mul, action, anchor, declared_H):
+    """A regular unital algebra on the named bases of L and A with the given
+    structure entries and identity twists."""
     return HLRAlgebra(
-        dimL=n,
-        dimA=1,
+        dimL=len(l_labels),
+        dimA=len(a_labels),
         bracket=bracket,
-        mul={(0, 0, 0): 1},
-        action={(0, j, j): 1 for j in range(n)},
-        anchor={},
-        psi=_identity(n),
-        phi=_identity(1),
-        L_labels=labels,
-        A_labels=("one",),
+        mul=mul,
+        action=action,
+        anchor=anchor,
+        psi=identity_matrix(len(l_labels)),
+        phi=identity_matrix(len(a_labels)),
+        L_labels=l_labels,
+        A_labels=a_labels,
         regular=True,
         unital=True,
         declared_H=declared_H,
     )
+
+
+def _over_line(labels, bracket, declared_H):
+    """An algebra on the named basis of L with the given bracket entries
+    over the rational line: its unit acts as the identity and the anchor is
+    zero."""
+    action = {(0, j, j): 1 for j in range(len(labels))}
+    return _block(labels, ("one",), bracket, {(0, 0, 0): 1}, action, {}, declared_H)
+
+
+def _over_dual(labels, bracket, action, anchor):
+    """An algebra on the named basis of L over the dual numbers, scalars one
+    and t with t^2 = 0; H is spanned by the first basis vector of L."""
+    mul = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    first = ((1,) + (0,) * (len(labels) - 1),)
+    return _block(labels, ("one", "t"), bracket, mul, action, anchor, first)
 
 
 # -- bundled instances -------------------------------------------------------
@@ -89,24 +100,8 @@ def fix_e():
         (1, 2, 0): 1,
         (2, 1, 0): -1,
     }
-    mul = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
     action = {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1}
-    anchor = {(0, 1, 1): 1}
-    return HLRAlgebra(
-        dimL=3,
-        dimA=2,
-        bracket=bracket,
-        mul=mul,
-        action=action,
-        anchor=anchor,
-        psi=_identity(3),
-        phi=_identity(2),
-        L_labels=("h", "e", "f"),
-        A_labels=("one", "t"),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0, 0),),
-    )
+    return _over_dual(("h", "e", "f"), bracket, action, {(0, 1, 1): 1})
 
 
 def fix_c_split():
@@ -140,21 +135,8 @@ def fix_s():
 
 def _w_like(lam):
     lam = Fraction(lam)
-    return HLRAlgebra(
-        dimL=2,
-        dimA=2,
-        bracket={(0, 1, 1): lam, (1, 0, 1): -lam},
-        mul={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
-        action={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
-        anchor={(0, 1, 1): lam},
-        psi=_identity(2),
-        phi=_identity(2),
-        L_labels=("h", "e"),
-        A_labels=("one", "t"),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0),),
-    )
+    action = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    return _over_dual(("h", "e"), {(0, 1, 1): lam, (1, 0, 1): -lam}, action, {(0, 1, 1): lam})
 
 
 def fix_w():
@@ -165,21 +147,8 @@ def fix_w():
 
 def _p_like(lam):
     lam = Fraction(lam)
-    return HLRAlgebra(
-        dimL=3,
-        dimA=2,
-        bracket={(0, 1, 1): lam, (0, 2, 2): 2 * lam},
-        mul={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
-        action={(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 1, 2): 1},
-        anchor={(0, 1, 1): lam},
-        psi=_identity(3),
-        phi=_identity(2),
-        L_labels=("h", "e", "u"),
-        A_labels=("one", "t"),
-        regular=True,
-        unital=True,
-        declared_H=((1, 0, 0),),
-    )
+    action = {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 1, 2): 1}
+    return _over_dual(("h", "e", "u"), {(0, 1, 1): lam, (0, 2, 2): 2 * lam}, action, {(0, 1, 1): lam})
 
 
 def fix_p():
@@ -198,7 +167,7 @@ def fix_t():
         mul={},
         action={},
         anchor={(0, 1, 1): 1, (2, 1, 0): 1},
-        phi=_identity(2),
+        phi=identity_matrix(2),
         A_labels=("s", "t"),
         unital=False,
     )
@@ -234,15 +203,33 @@ def _offsets(dims):
     return offs, total
 
 
-def _bracket_side(blocks, l_offs, a_offs):
-    """Bracket, action and anchor tensors of the blocks placed on the
-    diagonal at the given L and A offsets."""
+def _direct_sum(blocks, a_offs, dim_a, mul, phi, a_labels, unital):
+    """The blocks' bracket sides placed on the diagonal of L, with their
+    actions and anchors at the given A offsets, over the given scalar
+    algebra.  A single block comes back unchanged."""
+    if len(blocks) == 1:
+        return blocks[0]
+    l_offs, nl = _offsets(b.dimL for b in blocks)
     bracket, action, anchor = {}, {}, {}
     for b, lo, ao in zip(blocks, l_offs, a_offs):
         _embed(bracket, b.bracket, (lo, lo, lo))
         _embed(action, b.action, (ao, lo, lo))
         _embed(anchor, b.anchor, (lo, ao, ao))
-    return bracket, action, anchor
+    return HLRAlgebra(
+        dimL=nl,
+        dimA=dim_a,
+        bracket=bracket,
+        mul=mul,
+        action=action,
+        anchor=anchor,
+        psi=_block_diag([b.psi for b in blocks]),
+        phi=phi,
+        L_labels=_suffixed([b.L_labels for b in blocks]),
+        A_labels=a_labels,
+        regular=all(b.regular for b in blocks),
+        unital=unital,
+        declared_H=_stack_declared(blocks, l_offs, nl),
+    )
 
 
 def shared_scalar_sum(blocks):
@@ -258,54 +245,21 @@ def shared_scalar_sum(blocks):
     for b in blocks[1:]:
         if (b.dimA, b.mul, b.phi) != (first.dimA, first.mul, first.phi):
             raise ValueError("blocks disagree on the scalar algebra")
-    if len(blocks) == 1:
-        return first
-    l_offs, nl = _offsets(b.dimL for b in blocks)
-    bracket, action, anchor = _bracket_side(blocks, l_offs, [0] * len(blocks))
-    return HLRAlgebra(
-        dimL=nl,
-        dimA=first.dimA,
-        bracket=bracket,
-        mul=first.mul,
-        action=action,
-        anchor=anchor,
-        psi=_block_diag([b.psi for b in blocks]),
-        phi=first.phi,
-        L_labels=_suffixed([b.L_labels for b in blocks]),
-        A_labels=first.A_labels,
-        regular=all(b.regular for b in blocks),
-        unital=first.unital,
-        declared_H=_stack_declared(blocks, l_offs, nl),
-    )
+    a_offs = [0] * len(blocks)
+    return _direct_sum(blocks, a_offs, first.dimA, first.mul, first.phi, first.A_labels, first.unital)
 
 
 def product_sum(blocks):
     """Direct sum on both sides: scalars multiply and act componentwise."""
     if not blocks:
         raise ValueError("need at least one block")
-    if len(blocks) == 1:
-        return blocks[0]
-    l_offs, nl = _offsets(b.dimL for b in blocks)
     a_offs, na = _offsets(b.dimA for b in blocks)
-    bracket, action, anchor = _bracket_side(blocks, l_offs, a_offs)
     mul = {}
     for b, ao in zip(blocks, a_offs):
         _embed(mul, b.mul, (ao, ao, ao))
-    return HLRAlgebra(
-        dimL=nl,
-        dimA=na,
-        bracket=bracket,
-        mul=mul,
-        action=action,
-        anchor=anchor,
-        psi=_block_diag([b.psi for b in blocks]),
-        phi=_block_diag([b.phi for b in blocks]),
-        L_labels=_suffixed([b.L_labels for b in blocks]),
-        A_labels=_suffixed([b.A_labels for b in blocks]),
-        regular=all(b.regular for b in blocks),
-        unital=all(b.unital for b in blocks),
-        declared_H=_stack_declared(blocks, l_offs, nl),
-    )
+    phi = _block_diag([b.phi for b in blocks])
+    a_labels = _suffixed([b.A_labels for b in blocks])
+    return _direct_sum(blocks, a_offs, na, mul, phi, a_labels, all(b.unital for b in blocks))
 
 
 def _suffixed(label_groups):
@@ -440,6 +394,4 @@ def random_instance(seed):
         g, f = _family_maps(name, rng)
         gs.append(g)
         fs.append(f)
-    if count == 1:
-        return blocks[0], gs[0], fs[0]
     return product_sum(blocks), _block_diag(gs), _block_diag(fs)

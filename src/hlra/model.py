@@ -596,9 +596,9 @@ class IdealClosure:
 
 
 def ideal_closure(h, seed):
-    """Smallest subspace containing seed that is closed under all ideal
-    rules, grown one rule at a time."""
-    current = seed if isinstance(seed, Subspace) else Subspace(h.dimL, seed)
+    """Smallest subspace containing the Subspace seed that is closed under
+    all ideal rules, grown one rule at a time."""
+    current = seed
     fired = []
     rules = ideal_rules(h)
     while True:

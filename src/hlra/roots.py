@@ -5,6 +5,19 @@ the chosen subalgebra H, so functionals from the root side and the weight
 side live in one coordinate space and can be added freely.  Composition
 with the twist acts on those coordinate tuples through the transpose of
 the restricted twist matrix.
+
+The two sides follow different conventions today:
+
+- a root space is an eigenspace of ad h pulled back through psi^-1, so
+  L_gamma = {v : [h, psi(v)] = gamma(h) psi(v)} for every h in H;
+- a weight space is an eigenspace of phi^-1 rho(h), so
+  A_lambda = {a : rho(h)(a) = lambda(h) phi(a)}.
+
+The two agree when psi is the identity and differ on twisted inputs.  That
+is why lem2.11.5 (weight spaces act on root spaces into the sum root space)
+FAILs on some twisted inputs that validate strictly, for example
+`random_instance` seed 1 twisted by its own pair: f = diag(1, -1, 1) moves
+the root of e to -lambda while the weight of t stays lambda.
 """
 
 from dataclasses import dataclass, field
@@ -113,8 +126,6 @@ def _resolve_h(h, H):
         if h.declared_H is None:
             raise InputError("no abelian subalgebra specified and none declared in the input")
         return Subspace(h.dimL, h.declared_H)
-    if isinstance(H, Subspace):
-        return H
     for i, row in enumerate(H):
         if len(row) != h.dimL:
             raise InputError(f"subalgebra row {i} has {len(row)} entries; expected {h.dimL}, the dimension of L")
@@ -131,8 +142,6 @@ def root_decomposition(h, H=None):
     """
     H = _resolve_h(h, H)
     n = h.dimL
-    if H.ambient != n:
-        raise InputError("subalgebra rows have the wrong length")
     if not h.bracket_space(H, H).is_zero:
         raise CartanError("not_abelian", "the chosen subalgebra is not abelian")
     psi_inv = h.psi_inv

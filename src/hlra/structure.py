@@ -207,6 +207,18 @@ def root_multiplicativity_check(a):
 
 
 def tightness_check(a):
+    """The six tight clauses.  On a split regular input tight.3 and tight.6
+    hold together only when A = 0, and then tight.4 forces L = 0.
+
+    For every x in L, D = phi^-1 rho(x) is a derivation of A (the anchor
+    identity with phi invertible).  A weight vector a of nonzero weight
+    alpha is nilpotent: a^n has weight n alpha, and there are finitely many
+    weights.  In characteristic 0 the nilradical N of A is stable under
+    derivations and under phi, so every anchor image rho(x)(a) = phi(D(a))
+    and every product with a lies in N.  So tight.6 puts A0 in N, and
+    A = A0 + (the nonzero weight spaces) is nilpotent; tight.3 (AA = A) then
+    forces A = 0, and tight.4 (A.L = L) forces L = 0.
+    """
     h, rd, wd, js = a.h, a.rd, a.wd, a.js
     zl = a.Z_Lie
     za = center_ZA(h)

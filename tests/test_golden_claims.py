@@ -17,8 +17,6 @@ After an intended change to a verdict, re-record with
     PYTHONPATH=src python tests/test_golden_claims.py
 """
 
-import json
-import sys
 from pathlib import Path
 
 from hlra import fixtures
@@ -27,6 +25,7 @@ from hlra.roots import format_root, root_decomposition, weight_decomposition
 from hlra.structure import Analysis, run_structure, verify_cor_5_13, verify_pairing_5_9, verify_theorem_5_12
 
 from conftest import SPLIT_NAMES
+from golden import assert_unchanged, record
 
 GOLDEN = Path(__file__).with_name("golden_claims.json")
 
@@ -68,14 +67,8 @@ def claim_snapshots():
 
 
 def test_every_claim_is_unchanged():
-    golden = json.loads(GOLDEN.read_text())
-    got = json.loads(json.dumps(claim_snapshots()))
-    assert sorted(got) == sorted(golden)
-    changed = sorted(name for name in golden if got[name] != golden[name])
-    assert not changed, changed
+    assert_unchanged(GOLDEN, claim_snapshots())
 
 
 if __name__ == "__main__":
-    snaps = claim_snapshots()
-    GOLDEN.write_text(json.dumps(snaps, indent=1, sort_keys=True) + "\n")
-    print(f"wrote claim snapshots of {len(snaps)} fixtures to {GOLDEN}", file=sys.stderr)
+    record(GOLDEN, claim_snapshots())

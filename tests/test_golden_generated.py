@@ -19,20 +19,12 @@ fails this test.  After an intended change, re-record with
     PYTHONPATH=src:tests python tests/test_golden_generated.py
 """
 
-import contextlib
-import hashlib
-import io
-import json
-import os
-import shutil
-import sys
-import tempfile
 from pathlib import Path
 
-from hlra import cli, fixtures
-from hlra.fileio import dumps_algebra
+from hlra import fixtures
 from hlra.model import twist_by_endomorphism
 
+from golden import assert_unchanged, cli_digests, in_tempdir, record, write_inputs
 from oracles import seeded_transport
 
 GOLDEN = Path(__file__).with_name("golden_generated.json")
@@ -59,39 +51,14 @@ def generated_digests(workdir):
     """Write the inputs into workdir and run every command on them; returns
     {argv: [exit code, stdout sha256]}."""
     inputs = _inputs()
-    for name, h in inputs.items():
-        (Path(workdir) / name).write_text(dumps_algebra(h), encoding="utf-8")
-    out = {}
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        for name in sorted(inputs):
-            for command in COMMANDS:
-                for fmt in FORMATS:
-                    argv = [command, name, "--format", fmt]
-                    buf = io.StringIO()
-                    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                        code = cli.main(argv)
-                    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-                    out[" ".join(argv)] = [code, digest]
-    finally:
-        os.chdir(cwd)
-    return out
+    write_inputs(workdir, inputs)
+    calls = [[command, name, "--format", fmt] for name in sorted(inputs) for command in COMMANDS for fmt in FORMATS]
+    return cli_digests(workdir, calls)
 
 
 def test_every_generated_report_is_unchanged(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    got = generated_digests(tmp_path)
-    assert sorted(got) == sorted(golden)
-    changed = sorted(k for k in golden if got[k] != golden[k])
-    assert not changed, changed
+    assert_unchanged(GOLDEN, generated_digests(tmp_path))
 
 
 if __name__ == "__main__":
-    workdir = tempfile.mkdtemp()
-    try:
-        digests = generated_digests(workdir)
-    finally:
-        shutil.rmtree(workdir)
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+    record(GOLDEN, in_tempdir(generated_digests))

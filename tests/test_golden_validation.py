@@ -12,10 +12,7 @@ change, re-record with
     PYTHONPATH=src python tests/test_golden_validation.py
 """
 
-import hashlib
-import json
 import random
-import sys
 from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +21,8 @@ from pathlib import Path
 
 from hlra import fixtures
 from hlra.model import RELAXED, STRICT, check_morphism, tensor_shapes, validate_hlr
+
+from golden import assert_unchanged, record, sha256
 
 GOLDEN = Path(__file__).with_name("golden_validation.json")
 FIELDS = ("bracket", "mul", "action", "anchor", "psi", "phi")
@@ -65,8 +64,7 @@ def _random_matrix(rng, n):
 
 
 def _digest(results):
-    text = "".join(f"{r.key}\t{r.status}\t{r.detail}\n" for r in results)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256("".join(f"{r.key}\t{r.status}\t{r.detail}\n" for r in results))
 
 
 def validation_digests():
@@ -85,14 +83,8 @@ def validation_digests():
 
 
 def test_every_validation_report_is_unchanged():
-    golden = json.loads(GOLDEN.read_text())
-    got = validation_digests()
-    assert sorted(got) == sorted(golden)
-    changed = sorted(k for k in golden if got[k] != golden[k])
-    assert not changed, changed
+    assert_unchanged(GOLDEN, validation_digests())
 
 
 if __name__ == "__main__":
-    digests = validation_digests()
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+    record(GOLDEN, validation_digests())

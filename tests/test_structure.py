@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hlra import structure
+from hlra import fixtures, structure
 from hlra.claims import FAIL, PASS, ClaimResult
+from hlra.decomposition import weight_inner_sum
 from hlra.linalg import Subspace
-from hlra.model import annihilator_Z, compute_J
-from hlra.roots import RootDecomposition, root_decomposition, weight_decomposition
+from hlra.model import InputError, annihilator_Z, compute_J, twist_by_endomorphism
+from hlra.roots import CartanError, RootDecomposition, root_decomposition, weight_decomposition
 from hlra.structure import (
     Analysis,
     j_split,
@@ -21,6 +22,7 @@ from hlra.structure import (
 )
 
 from conftest import SPLIT_NAMES
+from oracles import entry_bilinear, seeded_transport
 
 F = Fraction
 
@@ -130,6 +132,53 @@ def test_zero_algebra_satisfies_everything_vacuously(reports, analyses):
     assert got["cor5.13"].status == "PASS"
     assert got["cor5.13"].detail == "0 simple components, scalar side 0, pairing well defined"
     assert all(analyses["fix_zero"].profile.tight)
+
+
+def _tightness_inputs():
+    """(label, algebra): the bundled files, `random_instance` seeds 0-39
+    plain and twisted by their own pair, and four transported files."""
+    out = [(name, make()) for name, make in sorted(fixtures.BUNDLED.items())]
+    for seed in range(40):
+        h, g, f = fixtures.random_instance(seed)
+        out += [(f"seed{seed}", h), (f"seed{seed} twisted", twist_by_endomorphism(h, g, f))]
+    for seed, name in enumerate(("fix_s", "fix_p2", "fix_e", "fix_t")):
+        out.append((f"{name} transported {seed}", seeded_transport(fixtures.BUNDLED[name](), seed)))
+    return out
+
+
+def _nilpotent(h, a):
+    """a^(dimA + 1) = 0, which holds exactly when a is nilpotent."""
+    power = a
+    for _ in range(h.dimA):
+        power = entry_bilinear(h.mul, power, a, h.dimA)
+    return not any(power)
+
+
+def test_tight_3_and_6_together_force_the_zero_algebra():
+    """On a split input every weight vector of nonzero weight is nilpotent,
+    and so is the part of A0 that tight.6 asks to be all of A0; so tight.6
+    makes A nilpotent, tight.3 (AA = A) then forces A = 0 and tight.4
+    (A.L = L) forces L = 0."""
+    split, both = [], []
+    for label, h in _tightness_inputs():
+        try:
+            rd = root_decomposition(h)
+            wd = weight_decomposition(h, rd)
+        except (CartanError, InputError):
+            continue
+        if not (rd.split and wd.split):
+            continue
+        split.append(label)
+        a = Analysis(h, rd, wd)
+        generated = weight_inner_sum(h, rd, wd, wd.lam, set(a.js.gamma_notJ))
+        for space in [wd.weights[w] for w in wd.lam] + [generated]:
+            assert all(_nilpotent(h, v) for v in space.basis), label
+        status = {c.claim_id: c.status for c in a.tight_claims}
+        if status["tight.3"] == status["tight.6"] == PASS:
+            assert (h.dimA, h.dimL) == (0, 0), label
+            both.append(label)
+    assert len(split) == 98
+    assert both == ["fix_zero"]
 
 
 def test_simple_core_escape_clause(reports):
