@@ -8,6 +8,7 @@ timing is printed to stderr only.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -473,8 +474,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call to main rather than at import
+    and kept for the rest of the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.monotonic()
     try:
         code = args.func(args)

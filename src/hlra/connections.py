@@ -9,7 +9,9 @@ idea with plain sums and no twist adjustment.
 Witnesses come from one breadth-first walk per source over the signed root
 set.  The walk does not depend on the target, so a single walk answers every
 target at once: the partitions make one walk per item, and roots_connected
-and weights_connected are the same walk with one target.  validate_*_chain
+and weights_connected are the same walk with one target.  The walks run on
+the signed roots and weights numbered in sorted order, and each partition
+shares its steps and twist orbits between its sources.  validate_*_chain
 replay a printed chain witness clause by clause, recomputing every displayed
 partial sum from its exponent pattern.
 """
@@ -55,7 +57,8 @@ def roots_connected(gamma, xi, rd, wd, restrict=None):
     uses the full twist orbit.  Chains are searched shortest first and the
     lexicographically least chain at the winning depth is returned.
     """
-    return _root_witnesses(gamma, [xi], rd, wd, restrict).get(tuple(xi))
+    walks = _RootWalks(rd, wd, restrict, (gamma, xi))
+    return walks.witnesses_from(gamma, [xi]).get(tuple(xi))
 
 
 def weights_connected(alpha, beta, rd, wd):
@@ -65,95 +68,146 @@ def weights_connected(alpha, beta, rd, wd):
     may pass through signed weights and signed roots, and must land on a
     signed copy of beta.
     """
-    return _weight_witnesses(alpha, [beta], rd, wd).get(tuple(beta))
+    walks = _WeightWalks(rd, wd, (alpha, beta))
+    return walks.witnesses_from(alpha, [beta]).get(tuple(beta))
 
 
-def _root_witnesses(gamma, xis, rd, wd, restrict=None):
-    """{xi: witness} for every xi in xis that gamma connects to."""
-    gamma = tuple(gamma)
-    orbit_g = psi_orbit(gamma, rd)
-    direct = {}
-    for i, member in enumerate(orbit_g):
-        direct.setdefault(member, ConnectionWitness(kind="direct", epsilon=1, z=-i))
-        direct.setdefault(vec_neg(member), ConnectionWitness(kind="direct", epsilon=-1, z=-i))
+class _Walks:
+    """Chain walks over the signed roots and weights of one decomposition,
+    with the functionals numbered once in sorted order: number order is
+    functional order, so chains of numbers compare as the chains they stand
+    for, and the walks hash small integers instead of Fraction tuples.
 
-    allowed_roots = set(map(tuple, restrict)) if restrict is not None else set(rd.gamma)
-    sigma_set = _pm(allowed_roots)
-    family_set = _pm(wd.lam) | sigma_set
-    family = sorted(family_set)
-    targets = {}
-    for xi in map(tuple, xis):
-        if xi not in direct:
-            ends = {}
-            for m, member in enumerate(psi_orbit(xi, rd)):
-                ends.setdefault(tuple(member), (1, m))
-                ends.setdefault(vec_neg(member), (-1, m))
-            targets[xi] = ends
-    found = _walk(
-        starts=[o for o in orbit_g if tuple(o) in family_set],
-        family=family,
-        sigma_set=sigma_set,
-        targets=targets,
-        step=lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd),
-    )
-    return found | {xi: direct[xi] for xi in map(tuple, xis) if xi in direct}
-
-
-def _weight_witnesses(alpha, betas, rd, wd):
-    """{beta: witness} for every beta in betas that alpha connects to."""
-    alpha = tuple(alpha)
-    direct = {alpha: ConnectionWitness(kind="direct", epsilon=1)}
-    direct.setdefault(vec_neg(alpha), ConnectionWitness(kind="direct", epsilon=-1))
-    sigma_set = _pm(wd.lam) | _pm(rd.gamma)
-    found = _walk(
-        starts=[alpha],
-        family=sorted(sigma_set),
-        sigma_set=sigma_set,
-        targets={b: {b: (1, 0), vec_neg(b): (-1, 0)} for b in map(tuple, betas) if b not in direct},
-        step=vec_add,
-    )
-    return found | {b: direct[b] for b in map(tuple, betas) if b in direct}
-
-
-def _walk(starts, family, sigma_set, targets, step):
-    """Breadth-first chain walk shared by both relations.
-
-    A chain is a start followed by family members; each step(sum, member)
-    must stay in sigma_set until it lands on an endpoint of some item:
-    targets maps each item to {endpoint: (end_sign, end_power)}.  The
-    frontier never depends on the targets, so one walk serves them all.
-    Returns {item: witness} with, for each item reached, the
-    lexicographically least chain of the least length.
+    family and sigma_set are the chain vocabulary and the allowed partial
+    sums; step(sum, member) is the next partial sum.  Each step from a
+    numbered sum over the whole family, and each twist orbit, is computed
+    once per instance, so one instance serves every source of a partition.
+    Chains go back to functionals only in the witnesses.
     """
-    hits = {}
-    for item, ends in targets.items():
-        for end, signed_power in ends.items():
-            hits.setdefault(end, {})[item] = signed_power
-    found = {}
-    paths = {s: (s,) for s in sorted(set(map(tuple, starts)))}
-    frontier = sorted(paths)
-    depth = 1
-    while len(found) < len(targets) and frontier and depth < len(family) + 2:
-        best = {}
-        next_paths = {}
-        for sigma in frontier:
-            for zeta in family:
-                nxt = step(sigma, zeta)
-                if nxt in hits:
-                    chain = paths[sigma] + (zeta,)
-                    for item, signed_power in hits[nxt].items():
-                        if item not in found and (item not in best or chain < best[item][0]):
-                            best[item] = (chain, signed_power)
-                if nxt in sigma_set and nxt not in paths and nxt not in next_paths:
-                    next_paths[nxt] = paths[sigma] + (zeta,)
-        for item, (chain, (end_sign, end_power)) in best.items():
-            found[item] = ConnectionWitness(
-                kind="chain", elements=chain, end_sign=end_sign, end_power=end_power
-            )
-        paths.update(next_paths)
-        frontier = sorted(next_paths)
-        depth += 1
-    return found
+
+    def __init__(self, rd, wd, family, sigma_set, step, extra):
+        self.rd = rd
+        self.funcs = sorted(_pm(rd.gamma) | _pm(wd.lam) | family | _pm(extra))
+        self.number = {f: i for i, f in enumerate(self.funcs)}
+        # the set is closed under negation, which reverses the order
+        self.neg = range(len(self.funcs) - 1, -1, -1)
+        self.family = sorted(self.number[f] for f in family)
+        self.family_set = set(self.family)
+        self.sigma_set = {self.number[f] for f in sigma_set}
+        self._step = step
+        self._steps = {}
+        self._orbits = {}
+
+    def steps(self, sigma):
+        """(zeta, step(sigma, zeta)) for each family member zeta whose step
+        lands on a numbered functional, in family order."""
+        out = self._steps.get(sigma)
+        if out is None:
+            f, funcs, number = self.funcs[sigma], self.funcs, self.number
+            out = []
+            for zeta in self.family:
+                nxt = number.get(self._step(f, funcs[zeta]))
+                if nxt is not None:
+                    out.append((zeta, nxt))
+            self._steps[sigma] = out
+        return out
+
+    def orbit(self, i):
+        """psi_orbit of functional number i, as numbers."""
+        out = self._orbits.get(i)
+        if out is None:
+            out = self._orbits[i] = [self.number[f] for f in psi_orbit(self.funcs[i], self.rd)]
+        return out
+
+    def witnesses_from(self, f, items):
+        """{g: witness} for every g in items that f connects to."""
+        number, funcs = self.number, self.funcs
+        nums = [number[tuple(g)] for g in items]
+        found = self._from(number[tuple(f)], nums)
+        return {funcs[j]: found[j] for j in nums if j in found}
+
+    def _walk(self, starts, targets):
+        """Breadth-first chain walk shared by both relations.
+
+        A chain is a start followed by family members; each step(sum,
+        member) must stay in sigma_set until it lands on an endpoint of some
+        item: targets maps each item to {endpoint: (end_sign, end_power)}.
+        The frontier never depends on the targets, so one walk serves them
+        all.  Returns {item: witness} with, for each item reached, the
+        lexicographically least chain of the least length.
+        """
+        hits = {}
+        for item, ends in targets.items():
+            for end, signed_power in ends.items():
+                hits.setdefault(end, {})[item] = signed_power
+        sigma_set = self.sigma_set
+        found = {}
+        paths = {s: (s,) for s in sorted(set(starts))}
+        frontier = sorted(paths)
+        depth = 1
+        while len(found) < len(targets) and frontier and depth < len(self.family) + 2:
+            best = {}
+            next_paths = {}
+            for sigma in frontier:
+                for zeta, nxt in self.steps(sigma):
+                    if nxt in hits:
+                        chain = paths[sigma] + (zeta,)
+                        for item, signed_power in hits[nxt].items():
+                            if item not in found and (item not in best or chain < best[item][0]):
+                                best[item] = (chain, signed_power)
+                    if nxt in sigma_set and nxt not in paths and nxt not in next_paths:
+                        next_paths[nxt] = paths[sigma] + (zeta,)
+            for item, (chain, (end_sign, end_power)) in best.items():
+                elements = tuple(self.funcs[k] for k in chain)
+                found[item] = ConnectionWitness(kind="chain", elements=elements, end_sign=end_sign, end_power=end_power)
+            paths.update(next_paths)
+            frontier = sorted(next_paths)
+            depth += 1
+        return found
+
+
+class _RootWalks(_Walks):
+    def __init__(self, rd, wd, restrict=None, extra=()):
+        allowed = _pm(restrict if restrict is not None else rd.gamma)
+        super().__init__(
+            rd, wd, _pm(wd.lam) | allowed, allowed,
+            lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd), extra,
+        )
+
+    def _from(self, g, xis):
+        """{xi: witness} for every number xi in xis that root number g
+        connects to."""
+        neg = self.neg
+        orbit_g = self.orbit(g)
+        direct = {}
+        for i, member in enumerate(orbit_g):
+            direct.setdefault(member, ConnectionWitness(kind="direct", epsilon=1, z=-i))
+            direct.setdefault(neg[member], ConnectionWitness(kind="direct", epsilon=-1, z=-i))
+        targets = {}
+        for xi in xis:
+            if xi not in direct:
+                ends = {}
+                for m, member in enumerate(self.orbit(xi)):
+                    ends.setdefault(member, (1, m))
+                    ends.setdefault(neg[member], (-1, m))
+                targets[xi] = ends
+        found = self._walk([o for o in orbit_g if o in self.family_set], targets)
+        return found | {xi: direct[xi] for xi in xis if xi in direct}
+
+
+class _WeightWalks(_Walks):
+    def __init__(self, rd, wd, extra=()):
+        signed = _pm(wd.lam) | _pm(rd.gamma)
+        super().__init__(rd, wd, signed, signed, vec_add, extra)
+
+    def _from(self, alpha, betas):
+        """{beta: witness} for every number beta in betas that weight
+        number alpha connects to."""
+        neg = self.neg
+        direct = {alpha: ConnectionWitness(kind="direct", epsilon=1)}
+        direct.setdefault(neg[alpha], ConnectionWitness(kind="direct", epsilon=-1))
+        found = self._walk([alpha], {b: {b: (1, 0), neg[b]: (-1, 0)} for b in betas if b not in direct})
+        return found | {b: direct[b] for b in betas if b in direct}
 
 
 # -- literal replay of a chain ----------------------------------------------
@@ -257,10 +311,13 @@ def _partition(items, witnesses_from):
     )
 
 
+# with no items the partition makes no walk, so nothing is numbered
+
+
 def root_partition(rd, wd, restrict=None):
     items = sorted(map(tuple, restrict)) if restrict is not None else rd.gamma
-    return _partition(items, lambda f, items: _root_witnesses(f, items, rd, wd, restrict))
+    return _partition(items, items and _RootWalks(rd, wd, restrict).witnesses_from)
 
 
 def weight_partition(rd, wd):
-    return _partition(wd.lam, lambda f, items: _weight_witnesses(f, items, rd, wd))
+    return _partition(wd.lam, wd.lam and _WeightWalks(rd, wd).witnesses_from)

@@ -371,37 +371,55 @@ def enumerate_ideals(h, rd):
     """
     if not rd.split:
         raise ValueError("root decomposition is not split; ideals are not enumerated")
-    n = h.dimL
+    n, d = h.dimL, rd.H.dim
     gamma = rd.gamma
-    seeds = tuple(ideal_closure(h, rd.space(g)).space for g in gamma)
+    spaces = [rd.space(g) for g in gamma]
+    seeds = tuple(ideal_closure(h, s).space for s in spaces)
     if 2 ** len(gamma) > ENUMERATION_CAP:
         found = {Subspace.zero(n), h.full_L, *seeds}
         note = f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only"
-        return EnumeratedIdeals(tuple(sorted(found, key=lambda s: (s.dim, s.basis))), False, note, seeds)
-    support = [sum(1 << j for j, d in enumerate(gamma) if not c.intersect(rd.space(d)).is_zero) for c in seeds]
-    h_parts = [Subspace(rd.H.dim, [rd.H.coords(v) for v in c.intersect(rd.H).basis]) for c in seeds]
-    complete = all(rd.root_spaces[g].dim == 1 for g in gamma)
+        return EnumeratedIdeals(_sorted_spaces(found), False, note, seeds)
+    support = [sum(1 << j for j, s in enumerate(spaces) if not c.intersect(s).is_zero) for c in seeds]
+    h_parts = [Subspace(d, [rd.H.coords(v) for v in c.intersect(rd.H).basis]) for c in seeds]
+    complete = all(s.dim == 1 for s in spaces)
     note = "" if complete else "a root space has dimension above one; enumeration is heuristic"
     cores = _window_parts(h, rd)
-    lifted = {}  # each distinct window end, from H coordinates into L
+    # many subsets share a join of seed H-parts or a meet of cores, so each
+    # distinct join, meet and lift of a window end into L is made once
+    joins, meets, lifted = {}, {}, {}
     found = set()
     for mask in range(2 ** len(gamma)):
         members = [i for i in range(len(gamma)) if mask >> i & 1]
         if any(support[i] & ~mask for i in members):
             continue
-        w_min = span(rd.H.dim, [h_parts[i] for i in members])
-        w_max = Subspace.full(rd.H.dim)
-        for j, core in enumerate(cores):
-            if not mask >> j & 1:
+        parts = frozenset(h_parts[i] for i in members)
+        if parts not in joins:
+            joins[parts] = span(d, parts)
+        w_min = joins[parts]
+        outside = frozenset(core for j, core in enumerate(cores) if not mask >> j & 1)
+        if outside not in meets:
+            w_max = Subspace.full(d)
+            for core in outside:
                 w_max = w_max.intersect(core)
+            meets[outside] = w_max
+        w_max = meets[outside]
         if w_max.dim > w_min.dim + 1:
             complete = False
             note = "an H-part window spans more than one free dimension; middle layers not enumerated"
-        for w in (w_min, w_max):
+        for w in (w_min,) if w_max == w_min else (w_min, w_max):
             if w not in lifted:
                 lifted[w] = _from_h_coords(rd, w)
-            found.add(span(n, [lifted[w]] + [rd.space(gamma[i]) for i in members]))
-    return EnumeratedIdeals(tuple(sorted(found, key=lambda s: (s.dim, s.basis))), complete, note, seeds)
+            found.add(span(n, [lifted[w]] + [spaces[i] for i in members]))
+    return EnumeratedIdeals(_sorted_spaces(found), complete, note, seeds)
+
+
+def _sorted_spaces(spaces):
+    """The subspaces sorted by (dim, basis).  When every pivot entry is 1
+    the integer rows are the Fraction basis, and sorting by them gives the
+    same order without building the basis."""
+    if all(row[c] == 1 for s in spaces for row, c in zip(s.rows, s.pivots)):
+        return tuple(sorted(spaces, key=lambda s: (s.dim, s.rows)))
+    return tuple(sorted(spaces, key=lambda s: (s.dim, s.basis)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ legitimate input.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -396,18 +396,139 @@ def sum_and_overlap(ambient, spaces):
 
 
 def charpoly(m):
-    """Coefficients of det(tI - M), low degree first, via Faddeev-LeVerrier."""
+    """Coefficients of det(tI - M), low degree first, as Fractions.
+
+    Modular method (Cohen 1993, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9, and Chinese remaindering):
+    1. scale row i by the lcm d_i of its denominators to an integer row
+       N_i; then D det(tI - M) = det(tD - N), with D = prod d_i and
+       tD - N = diag(d_i) (tI - M), has integer coefficients;
+    2. expanding each row t d_i e_i - N_i and bounding each minor of N by
+       Hadamard's inequality bounds every coefficient by
+       B = 2^n prod max(d_i, |N_i|_2);
+    3. modulo each 61-bit prime p dividing no d_i, in descending order from
+       2^61 - 1, reduce M to Hessenberg form by similarity transforms and
+       read det(tI - M) mod p off the recurrence on its leading principal
+       minors, then multiply by D;
+    4. combine the primes by Chinese remaindering until their product
+       exceeds 2B, read each coefficient in the symmetric range and divide
+       it by D.
+    Each prime costs O(n^3) operations on numbers below 2^61, and the
+    number of primes is linear in the bit size of B.
+    """
     n = len(m)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = identity_matrix(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        c = -sum((mk[i][i] for i in range(n)), ZERO) / k
-        coeffs[n - k] = c
-        if k < n:
-            mk = tuple(tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mk))
-    return tuple(coeffs)
+    scales, rows = [], []
+    for row in m:
+        den = lcm(*[x.denominator for x in row])
+        scales.append(den)
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    total = prod(scales)
+    # isqrt(|N_i|^2) + 1 is an integer above |N_i|_2
+    bound = 2**n * prod(max(d, isqrt(sum(x * x for x in row)) + 1) for d, row in zip(scales, rows))
+    residues, modulus = [0] * (n + 1), 1
+    k = 0
+    while modulus <= 2 * bound:
+        p = _prime(k)
+        k += 1
+        if any(d % p == 0 for d in scales):
+            continue
+        inverses = [pow(d, -1, p) for d in scales]
+        image = _charpoly_mod([[x % p * inv % p for x in row] for row, inv in zip(rows, inverses)], p)
+        # the residue mod modulus * p that is r mod modulus and total * c mod p
+        t, lift = total % p, pow(modulus, -1, p)
+        residues = [r + modulus * ((t * c - r % p) * lift % p) for r, c in zip(residues, image)]
+        modulus *= p
+    return tuple(Fraction(r - modulus if 2 * r > modulus else r, total) for r in residues)
+
+
+def _charpoly_mod(a, p):
+    """det(tI - A) over GF(p), low degree first, for a square matrix A of
+    residues mod p given as a list of row lists (consumed).
+
+    Columns 0 .. n-3 are cleared below the subdiagonal by similarity
+    transforms: row i minus u times row m, then column m plus u times
+    column i.  The characteristic polynomial p_k of the leading k x k block
+    of the Hessenberg form H then satisfies p_0 = 1 and
+    p_(m+1) = (t - H[m][m]) p_m
+              - sum over i < m of H[i][m] H[i+1][i] ... H[m][m-1] p_i.
+    """
+    n = len(a)
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if a[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            a[i], a[m] = a[m], a[i]
+            for row in a:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(a[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = a[i][m - 1] * inv % p
+            if u:
+                a[i] = [(x - u * y) % p for x, y in zip(a[i], a[m])]
+                for row in a:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        new = [0, *polys[m]]
+        for j, c in enumerate(polys[m]):
+            new[j] = (new[j] - a[m][m] * c) % p
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * a[i + 1][i] % p
+            if not sub:
+                break
+            u = a[i][m] * sub % p
+            if u:
+                for j, c in enumerate(polys[i]):
+                    new[j] = (new[j] - u * c) % p
+        polys.append(new)
+    return polys[n]
+
+
+# Miller-Rabin bases: the first 12 primes, which decide primality exactly
+# below 3.18 * 10^23 (Sorenson and Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the primes below 2^61 in descending order, found on first need
+_PRIMES = []
+
+
+def _prime(k):
+    """The k-th prime below 2^61 (k = 0 is 2^61 - 1), in descending order."""
+    while len(_PRIMES) <= k:
+        c = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+        while not _is_prime(c):
+            c -= 2
+        _PRIMES.append(c)
+    return _PRIMES[k]
+
+
+def _is_prime(n):
+    """Deterministic primality test for n below 3.18 * 10^23: trial
+    division by the witnesses, which settles n below 37^2, then
+    Miller-Rabin to each witness base."""
+    if n < 2:
+        return False
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    if n < 37 * 37:
+        return True
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _poly_eval(coeffs, x):
@@ -451,10 +572,6 @@ def _square_free_part(f):
     ints = [c.numerator * (den // c.denominator) for c in g]
     content = gcd(*ints)
     return [c // content for c in ints]
-
-
-def _is_prime(p):
-    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def rational_roots(coeffs):

@@ -18,9 +18,11 @@ fraction_rref is Gauss-Jordan elimination over Fractions, the slow path
 that the integer-row elimination of hlra.linalg replaces; the fraction_*
 functions below it rebuild kernels, intersections, preimages, residuals,
 solutions and inverses on top of it, through null spaces and over
-Fractions throughout.  faddeev_leverrier is the characteristic polynomial
-from whole-matrix sums and scalings, the path that adding each coefficient
-on the diagonal in hlra.linalg.charpoly replaces.
+Fractions throughout, and fraction_determinant eliminates over Fractions
+too.  faddeev_leverrier is the characteristic polynomial from whole-matrix
+products and traces over Fractions, the path that the Hessenberg form
+modulo 61-bit primes and Chinese remaindering in hlra.linalg.charpoly
+replace.
 transport rewrites an algebra in other bases of L and A, for the tests
 that a result does not depend on the basis; seeded_transport draws the
 bases with random_basis.
@@ -579,6 +581,25 @@ def fraction_inverse(m):
 
 def fraction_product(a, b):
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)) for row in a)
+
+
+def fraction_determinant(m):
+    """det(M) by Gaussian elimination over Fractions, with row swaps."""
+    work = [[Fraction(x) for x in row] for row in m]
+    det = ONE
+    for c in range(len(work)):
+        r = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if r is None:
+            return ZERO
+        if r != c:
+            work[c], work[r] = work[r], work[c]
+            det = -det
+        det *= work[c][c]
+        for i in range(c + 1, len(work)):
+            u = work[i][c] / work[c][c]
+            if u:
+                work[i] = [x - u * y for x, y in zip(work[i], work[c])]
+    return det
 
 
 def faddeev_leverrier(m):

@@ -532,6 +532,17 @@ def test_enumeration_in_a_dense_basis_scales():
     assert elapsed < 2.5, elapsed
 
 
+def test_enumeration_order_on_non_unit_pivots():
+    """Ideals come sorted by (dim, basis).  In a dense basis some ideal has
+    an integer row whose pivot entry is not 1, so sorting by the rows would
+    give another order, and the sort must fall back to the Fraction basis."""
+    h = seeded_transport(fixtures.fix_s2(), 0)
+    enum = enumerate_ideals(h, root_decomposition(h))
+    assert enum.ideals == tuple(sorted(enum.ideals, key=lambda s: (s.dim, s.basis)))
+    assert any(row[c] != 1 for s in enum.ideals for row, c in zip(s.rows, s.pivots))
+    assert enum.ideals != tuple(sorted(enum.ideals, key=lambda s: (s.dim, s.rows)))
+
+
 # -- basis change -----------------------------------------------------------
 
 

@@ -541,3 +541,32 @@ def test_module_entry_point(data_dir):
     )
     assert r.returncode == 0
     assert "result: valid" in r.stdout
+
+
+def test_the_parser_is_built_once_and_a_bad_call_leaves_it_intact(capsys, data_dir, monkeypatch):
+    """main builds the parser on its first call and keeps it: after a call
+    that argparse rejects, a valid call prints the same bytes as the valid
+    call in a process that has not parsed anything yet."""
+    argv = ("analyze", path(data_dir, "fix_s"), "--format", "json")
+    cli._parser.cache_clear()
+    code, alone, _ = run(capsys, *argv)
+    assert code == 0
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", path(data_dir, "fix_s"), "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, after, _ = run(capsys, *argv)
+    assert (code, after) == (0, alone)
+    assert built == [1]
+
+
+def test_importing_the_cli_builds_no_parser_and_searches_no_prime():
+    """The parser and the charpoly primes are made on first need, so a
+    process that only imports hlra.cli pays for neither."""
+    code = "import hlra.cli, hlra.linalg; print(hlra.cli._parser.cache_info().currsize, len(hlra.linalg._PRIMES))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, check=True)
+    assert done.stdout.split() == ["0", "0"]

@@ -36,6 +36,7 @@ from hlra.model import twist_by_endomorphism
 from oracles import (
     faddeev_leverrier,
     fraction_coords,
+    fraction_determinant,
     fraction_intersect,
     fraction_inverse,
     fraction_kernel,
@@ -43,6 +44,7 @@ from oracles import (
     fraction_reduce,
     fraction_rref,
     fraction_solve,
+    random_basis,
 )
 
 F = Fraction
@@ -333,6 +335,95 @@ def test_charpoly_matches_faddeev_leverrier_on_whole_matrices(case):
     got = charpoly(m)
     assert got == faddeev_leverrier(m)
     assert all(type(c) is Fraction for c in got)
+
+
+# -- charpoly modulo primes ----------------------------------------------------
+
+# denominators mixed within one matrix, from 1 to 12 digits
+DENOMINATORS = (1, 2, 3, 7, 12, 10**6 + 3, 999_999_999_989)
+
+
+def modular_charpoly_cases():
+    """(kind, n, matrix) for sparse, diagonal and ad-h-like matrices up to
+    12 x 12.  An ad-h-like matrix is P (D + N) P^-1 for a diagonal D and a
+    strictly upper triangular N, with P of 1-digit integers, the shape of
+    ad h on a split input written in a dense basis."""
+    rng = random.Random(25)
+
+    def mixed():
+        return F(rng.randint(-20, 20), rng.choice(DENOMINATORS))
+
+    for n in range(13):
+        yield "sparse", n, tuple(tuple(mixed() if rng.random() < 0.25 else 0 for _ in range(n)) for _ in range(n))
+        yield "diagonal", n, tuple(tuple(mixed() if i == j else 0 for j in range(n)) for i in range(n))
+        p = random_basis(rng, n)
+        jordan = tuple(
+            tuple(mixed() if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)) for i in range(n)
+        )
+        yield "ad-h-like", n, mat_mul(mat_mul(p, jordan), fraction_inverse(p))
+
+
+@pytest.mark.parametrize("kind,n,m", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in modular_charpoly_cases()])
+def test_modular_charpoly_matches_faddeev_leverrier(kind, n, m):
+    got = charpoly(m)
+    assert got == faddeev_leverrier(m)
+    assert len(got) == n + 1 and all(type(c) is Fraction for c in got)
+
+
+def primes_used(monkeypatch):
+    """Record the prime of each modular image that charpoly computes."""
+    used = []
+    mod = linalg._charpoly_mod
+    monkeypatch.setattr(linalg, "_charpoly_mod", lambda a, p: used.append(p) or mod(a, p))
+    return used
+
+
+def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    m = ((F(1, 2**61 - 1), 1, 0), (2, F(-3, 4), 5), (0, 1, 7))
+    used = primes_used(monkeypatch)
+    assert charpoly(m) == faddeev_leverrier(m)
+    assert used and 2**61 - 1 not in used
+    assert used[0] == linalg._prime(1)
+
+
+def test_a_large_bound_takes_several_primes(monkeypatch):
+    """Entries of 40 digits bound the coefficients near 10^121, past the
+    product of any two 61-bit primes."""
+    big = 10**40
+    m = ((big + 1, -3 * big, 7), (F(big, 3), 2, -big + 9), (5, big - 1, F(-big, 7)))
+    used = primes_used(monkeypatch)
+    assert charpoly(m) == faddeev_leverrier(m)
+    assert len(used) >= 3
+    assert used == [linalg._prime(k) for k in range(len(used))]
+
+
+def test_dense_charpoly_of_twelve_digit_fractions_is_fast():
+    """Faddeev-LeVerrier took about 10 s on this matrix on a 2-vCPU Xeon VM,
+    the modular charpoly 0.3 to 0.5 s."""
+    rng = random.Random(16)
+    m = tuple(
+        tuple(F(rng.randint(-(10**12), 10**12), rng.randint(10**11, 10**12)) for _ in range(16)) for _ in range(16)
+    )
+    start = time.perf_counter()
+    coeffs = charpoly(m)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, elapsed
+    assert coeffs[16] == 1
+    assert -coeffs[15] == sum(m[i][i] for i in range(16))
+    assert coeffs[0] == fraction_determinant(m)
+
+
+def test_the_primes_are_the_largest_below_2_61():
+    """The first primes below 2^61 (checked independently of this code),
+    and the primality test against trial division and on strong
+    pseudoprimes to several of its bases."""
+    assert [2**61 - linalg._prime(k) for k in range(6)] == [1, 31, 45, 229, 259, 283]
+    assert [n for n in range(3000) if linalg._is_prime(n)] == [
+        n for n in range(3000) if n > 1 and all(n % d for d in range(2, n))
+    ]
+    for n in (561, 41041, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+        assert not linalg._is_prime(n), n
+    assert linalg._is_prime(2**61 - 1) and not linalg._is_prime((2**31 - 1) * 65537)
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,5 +1,6 @@
 """Root and weight decompositions, twist covariance, closure lemmas."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,17 @@ def test_nilpotent_cartan_choice_leaves_a_remainder(bundled):
     assert rd.zero_space == rd.H
     assert rd.remainder.dim == 1
     assert "remainder" in rd.diagnosis
+
+
+def test_root_decomposition_on_six_blocks_is_fast():
+    """dimL 30 and six 30 x 30 ad h: with Faddeev-LeVerrier charpoly it took
+    about 1 s on a 2-vCPU Xeon VM, modulo primes about 0.04 s."""
+    h = fixtures.product_sum([fixtures._s_like(i) for i in range(1, 7)])
+    start = time.perf_counter()
+    rd = root_decomposition(h)
+    elapsed = time.perf_counter() - start
+    assert rd.split and len(rd.gamma) == 24
+    assert elapsed < 0.2, elapsed
 
 
 # (source, index i of the basis vector spanning H): choices with a nonzero
