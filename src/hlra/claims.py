@@ -68,5 +68,25 @@ CLAIM_TITLES = {
 }
 
 
+# claims that describe which structural profile an instance has, as opposed
+# to claims asserting a statement that must hold once its hypotheses do
+DESCRIPTIVE_CLAIMS = frozenset(
+    {
+        "def5.3.1",
+        "def5.3.2",
+        "def5.3.3",
+        "def5.3.4",
+        "def5.4",
+        "def5.6",
+        "tight.1",
+        "tight.2",
+        "tight.3",
+        "tight.4",
+        "tight.5",
+        "tight.6",
+    }
+)
+
+
 def title(claim_id):
     return CLAIM_TITLES.get(claim_id, "")

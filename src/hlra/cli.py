@@ -1,20 +1,23 @@
 """Command line surface.
 
-One subcommand per library entry point.  Exit codes: 0 when everything
-checked passes, 1 when a mathematical claim or identity fails, 2 when the
-input cannot be read or parsed.  Stdout is deterministic byte for byte;
-timing is printed to stderr only.
+One subcommand per library entry point.  Each report command builds one
+`reporting.Report`, adding every datum once with its JSON value and the text
+lines that show it, and hands it to `_finish`, which adds the `ok` field and
+the `result:` line, prints the record through `reporting.render` in the
+chosen `--format` and returns the exit code: 0 when everything checked
+passes, 1 when a mathematical claim or identity fails.  Input that cannot be
+read or parsed exits 2 with an error on stderr.  Stdout is deterministic
+byte for byte; timing is printed to stderr only.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 import time
 
 from . import reporting
-from .claims import ClaimResult, FAIL, PASS
+from .claims import DESCRIPTIVE_CLAIMS, ClaimResult, FAIL, PASS
 from .decomposition import run_decomposition
 from .fileio import dumps_algebra, loads_algebra
 from .model import (
@@ -42,25 +45,6 @@ from .structure import Analysis, run_structure
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
-
-# claims that describe which structural profile an instance has, as opposed
-# to claims asserting a statement that must hold once its hypotheses do
-DESCRIPTIVE_CLAIMS = frozenset(
-    {
-        "def5.3.1",
-        "def5.3.2",
-        "def5.3.3",
-        "def5.3.4",
-        "def5.4",
-        "def5.6",
-        "tight.1",
-        "tight.2",
-        "tight.3",
-        "tight.4",
-        "tight.5",
-        "tight.6",
-    }
-)
 
 
 def _read_text(path):
@@ -100,64 +84,43 @@ def _matrix_arg(text, flag, shape=None):
         raise InputError(f"{flag}: {exc}")
 
 
-def _header(path, text):
-    digest = reporting.input_digest(text)
-    return digest, [f"input: {path}", f"sha256: {digest}"]
-
-
-def _emit(args, doc, lines):
-    sys.stdout.write(reporting.render(doc, lines, args.format))
-
-
 def _open_split(args):
     """Shared opening of the decomposition commands: load, header, relaxed
     validation, H, both eigen-decompositions and the split status.
 
-    Returns (Analysis, doc, lines) when the instance splits; otherwise the
-    report already says why, has been emitted, and the exit code comes back.
+    Returns (Analysis, report) when the instance splits, else (None, report)
+    with the report saying why.
     """
     h, text = _load(args.file)
     # a malformed flag is bad input even when the file fails validation
     H = _matrix_arg(args.cartan, "--cartan") if args.cartan is not None else None
-    digest, lines = _header(args.file, text)
-    doc = {"command": args.command, "input": args.file, "sha256": digest}
+    r = reporting.Report(args.command).source("input", args.file, text)
     rep = validate_hlr(h, strictness=RELAXED)
-    doc["validation_ok"] = rep.ok
     if not rep.ok:
-        lines.append("validation failed; decomposition not attempted")
-        for c in rep.failures():
-            lines.append(reporting.check_line(c))
-        doc["validation_failures"] = [reporting.check_json(c) for c in rep.failures()]
-        return _finish(args, doc, lines, failed=True)
+        r.add("validation_ok", False, "validation failed; decomposition not attempted")
+        return None, r.checks("validation_failures", rep.failures())
+    r.add("validation_ok", True)
     rd = root_decomposition(h, H)
     wd = weight_decomposition(h, rd)
-    doc["cartan"] = reporting.space_json(rd.H)
-    lines.append(f"cartan subalgebra: {reporting.space_text(rd.H)}")
+    r.space("cartan", "cartan subalgebra", rd.H)
     for name, items, space, zero in (
         ("root", rd.gamma, rd.space, rd.zero_space),
         ("weight", wd.lam, wd.space, wd.A0),
     ):
-        doc[f"{name}s"] = [{name: format_root(f), "dim": space(f).dim} for f in items]
-        lines.append(
-            f"{name}s ({len(items)}): "
-            + ("; ".join(f"{format_root(f)} dim {space(f).dim}" for f in items) or "none")
+        r.add(
+            f"{name}s",
+            [{name: format_root(f), "dim": space(f).dim} for f in items],
+            f"{name}s ({len(items)}): " + ("; ".join(f"{format_root(f)} dim {space(f).dim}" for f in items) or "none"),
+            f"zero {name} space: dim {zero.dim}",
         )
-        lines.append(f"zero {name} space: dim {zero.dim}")
-    doc["split"] = rd.split and wd.split
-    if not rd.split or not wd.split:
-        side = "bracket side" if not rd.split else "scalar side"
-        diag = rd.diagnosis if not rd.split else wd.diagnosis
-        lines.append(f"split: no ({side}): {diag}")
-        doc["diagnosis"] = diag
-        return _finish(args, doc, lines, failed=True)
-    lines.append("split: yes")
-    return Analysis(h, rd, wd), doc, lines
+    if rd.split and wd.split:
+        return Analysis(h, rd, wd), r.add("split", True, "split: yes")
+    side, diag = ("bracket side", rd.diagnosis) if not rd.split else ("scalar side", wd.diagnosis)
+    return None, r.add("split", False, f"split: no ({side}): {diag}").add("diagnosis", diag)
 
 
-def _append_claims(claims, doc, lines):
-    doc["claims"] = [reporting.claim_json(c) for c in claims]
-    for c in claims:
-        lines.append(reporting.claim_line(c))
+def _enumeration(enum):
+    return {"count": len(enum.ideals), "complete": enum.complete, "note": enum.note}
 
 
 def _rejected(h, noun):
@@ -168,10 +131,11 @@ def _rejected(h, noun):
     return bool(failures)
 
 
-def _finish(args, doc, lines, failed):
-    doc["ok"] = not failed
-    lines.append(f"result: {'pass' if not failed else 'fail'}")
-    _emit(args, doc, lines)
+def _finish(args, r, failed, result=None):
+    """Close the report with its ok field and result line, print it in the
+    chosen format, and return the exit code."""
+    r.add("ok", not failed, f"result: {result or ('fail' if failed else 'pass')}")
+    sys.stdout.write(reporting.render(r, args.format))
     return EXIT_MATH if failed else EXIT_OK
 
 
@@ -180,145 +144,97 @@ def _finish(args, doc, lines, failed):
 
 def cmd_validate(args):
     h, text = _load(args.file)
-    digest, lines = _header(args.file, text)
-    strictness = STRICT if args.strict else RELAXED
-    rep = validate_hlr(h, strictness=strictness)
-    lines.append(f"strictness: {rep.strictness}")
-    for c in rep.checks:
-        lines.append(reporting.check_line(c))
+    rep = validate_hlr(h, strictness=STRICT if args.strict else RELAXED)
+    r = reporting.Report(args.command).source("input", args.file, text)
+    r.add("strictness", rep.strictness, f"strictness: {rep.strictness}").checks("checks", rep.checks)
     warns = sum(1 for c in rep.checks if c.status == "warn")
-    fails = len(rep.failures())
-    lines.append(f"result: {'valid' if rep.ok else 'invalid'} ({fails} failures, {warns} warnings)")
-    doc = {
-        "command": "validate",
-        "input": args.file,
-        "sha256": digest,
-        "strictness": rep.strictness,
-        "checks": [reporting.check_json(c) for c in rep.checks],
-        "ok": rep.ok,
-    }
-    _emit(args, doc, lines)
-    return EXIT_OK if rep.ok else EXIT_MATH
+    verdict = "valid" if rep.ok else "invalid"
+    return _finish(args, r, not rep.ok, f"{verdict} ({len(rep.failures())} failures, {warns} warnings)")
 
 
 def cmd_decompose(args):
-    opened = _open_split(args)
-    if isinstance(opened, int):
-        return opened
-    a, doc, lines = opened
+    a, r = _open_split(args)
+    if a is None:
+        return _finish(args, r, failed=True)
     h, rd = a.h, a.rd
     dec = run_decomposition(a)
     if not rd.gamma and dec.U == rd.H and rd.H.dim == h.dimL:
-        lines.append("no roots; L = U = H")
-    doc["root_classes"] = [[format_root(f) for f in c] for c in a.root_part.classes]
-    doc["weight_classes"] = [[format_root(f) for f in c] for c in a.weight_part.classes]
-    for side, ideals in (("root", a.root_ideals), ("weight", a.weight_ideals)):
-        doc[f"{side}_class_ideals"] = []
-        for ideal in ideals:
-            lines.append(f"{side} class {format_class(ideal.cls)} ideal: dim {ideal.space.dim}")
-            doc[f"{side}_class_ideals"].append(
-                {"class": [format_root(f) for f in ideal.cls], **reporting.space_json(ideal.space)}
-            )
+        r.add(None, None, "no roots; L = U = H")
+    for side, part, ideals in (("root", a.root_part, a.root_ideals), ("weight", a.weight_part, a.weight_ideals)):
+        r.add(f"{side}_classes", [[format_root(f) for f in c] for c in part.classes])
+        r.add(
+            f"{side}_class_ideals",
+            [{"class": [format_root(f) for f in i.cls], **reporting.space_json(i.space)} for i in ideals],
+            *(f"{side} class {format_class(i.cls)} ideal: dim {i.space.dim}" for i in ideals),
+        )
     # a sum identity that fails by escape leaves no complement
-    for name, side, comp in (("U", "bracket", dec.U), ("V", "scalar", dec.V)):
-        lines.append(f"{side}-side complement {name}: {'none' if comp is None else reporting.space_text(comp)}")
-        doc[name] = None if comp is None else reporting.space_json(comp)
+    r.space("U", "bracket-side complement U", dec.U).space("V", "scalar-side complement V", dec.V)
     enum = a.enum
-    lines.append(
-        f"ideal enumeration: {len(enum.ideals)} found, "
-        f"{'complete' if enum.complete else 'incomplete'}"
-        + (f" ({enum.note})" if enum.note else "")
+    r.add(
+        "ideal_enumeration",
+        _enumeration(enum),
+        f"ideal enumeration: {len(enum.ideals)} found, {'complete' if enum.complete else 'incomplete'}"
+        + (f" ({enum.note})" if enum.note else ""),
     )
-    doc["ideal_enumeration"] = {"count": len(enum.ideals), "complete": enum.complete, "note": enum.note}
-    _append_claims(dec.claims, doc, lines)
-    return _finish(args, doc, lines, failed=any(c.failed for c in dec.claims))
+    return _finish(args, r.claims(dec.claims), any(c.failed for c in dec.claims))
 
 
 def cmd_analyze(args):
-    opened = _open_split(args)
-    if isinstance(opened, int):
-        return opened
-    a, doc, lines = opened
+    a, r = _open_split(args)
+    if a is None:
+        return _finish(args, r, failed=True)
     st = run_structure(a)
-    js, prof, enum = a.js, a.profile, a.enum
-
-    lines.append(f"ideal J: {reporting.space_text(js.J)}")
-    lines.append(
-        "root classes inside J: "
-        + (", ".join(format_root(f) for f in js.gamma_J) or "none")
+    js, prof, flags = a.js, a.profile, reporting.flags
+    r.space("J", "ideal J", js.J)
+    for key, where, fs in (("gamma_J", "inside", js.gamma_J), ("gamma_notJ", "outside", js.gamma_notJ)):
+        r.add(key, [format_root(f) for f in fs], f"root classes {where} J: {reporting.roots(fs)}")
+    r.add(
+        "j_split",
+        {"clean": js.clean, "graded": js.graded, "notes": list(js.notes)},
+        f"j-split clean: {flags(js.clean)}; graded: {flags(js.graded)}",
     )
-    lines.append(
-        "root classes outside J: "
-        + (", ".join(format_root(f) for f in js.gamma_notJ) or "none")
+    r.add(
+        "profile",
+        {**vars(prof), "Z_Lie": reporting.space_json(prof.Z_Lie)},
+        f"maximal length: {flags(prof.maximal_length)}",
+        f"root multiplicativity clauses: {flags(*prof.root_multiplicative)}",
+        f"tightness clauses: {flags(*prof.tight)}",
+        f"Lie annihilator: {reporting.space_text(prof.Z_Lie)}",
+        f"symmetric weight set: {flags(prof.symmetric_Lambda)}; symmetric J roots: {flags(prof.symmetric_gamma_J)}; "
+        f"symmetric non-J roots: {flags(prof.symmetric_gamma_notJ)}",
     )
-    lines.append(f"j-split clean: {'yes' if js.clean else 'no'}; graded: {'yes' if js.graded else 'no'}")
-    doc["J"] = reporting.space_json(js.J)
-    doc["gamma_J"] = [format_root(f) for f in js.gamma_J]
-    doc["gamma_notJ"] = [format_root(f) for f in js.gamma_notJ]
-    doc["j_split"] = {"clean": js.clean, "graded": js.graded, "notes": list(js.notes)}
-
-    def flags(t):
-        return " ".join("yes" if b else "no" for b in t)
-
-    lines.append(f"maximal length: {'yes' if prof.maximal_length else 'no'}")
-    lines.append(f"root multiplicativity clauses: {flags(prof.root_multiplicative)}")
-    lines.append(f"tightness clauses: {flags(prof.tight)}")
-    lines.append(f"Lie annihilator: {reporting.space_text(prof.Z_Lie)}")
-    lines.append(
-        "symmetric weight set: "
-        + ("yes" if prof.symmetric_Lambda else "no")
-        + "; symmetric J roots: "
-        + ("yes" if prof.symmetric_gamma_J else "no")
-        + "; symmetric non-J roots: "
-        + ("yes" if prof.symmetric_gamma_notJ else "no")
-    )
-    doc["profile"] = {f.name: getattr(prof, f.name) for f in dataclasses.fields(prof)}
-    doc["profile"]["Z_Lie"] = reporting.space_json(prof.Z_Lie)
-
-    doc["thm512_runs"] = []
-    for run in st.thm512_runs:
-        lines.append(
+    runs, comps = st.thm512_runs, st.cor513.components
+    r.add(
+        "thm512_runs",
+        [{"seed_dim": run.seed_dim, "branch": run.branch, "ok": run.ok, "detail": run.detail} for run in runs],
+        *(
             f"two-ideal split run: seed dim {run.seed_dim}, branch {run.branch}, "
             f"{'ok' if run.ok else 'FAILED'}: {run.detail}"
-        )
-        doc["thm512_runs"].append(
-            {"seed_dim": run.seed_dim, "branch": run.branch, "ok": run.ok, "detail": run.detail}
-        )
-    doc["components"] = []
-    for comp in st.cor513.components:
-        lines.append(
-            f"component {format_class(comp.cls)}: dim {comp.dim}, "
-            f"verdict {comp.simple_verdict}, paired weight class {comp.paired}"
-        )
-        doc["components"].append(
-            {
-                "class": [format_root(f) for f in comp.cls],
-                "dim": comp.dim,
-                "verdict": comp.simple_verdict,
-                "paired": comp.paired,
-            }
-        )
-    doc["weight_component_dims"] = list(st.cor513.weight_dims)
-    doc["pairing"] = [
-        {
-            "root_class": [format_root(f) for f in r.root_class],
-            "zero_classes": r.zero_classes,
-            "nonzero_classes": r.nonzero_classes,
-        }
-        for r in st.pairing.rows
-    ]
-    doc["ideal_enumeration"] = {"count": len(enum.ideals), "complete": enum.complete, "note": enum.note}
-    _append_claims(st.claims, doc, lines)
+            for run in runs
+        ),
+    )
+    r.add(
+        "components",
+        [
+            {"class": [format_root(f) for f in c.cls], "dim": c.dim, "verdict": c.simple_verdict, "paired": c.paired}
+            for c in comps
+        ],
+        *(
+            f"component {format_class(c.cls)}: dim {c.dim}, verdict {c.simple_verdict}, paired weight class {c.paired}"
+            for c in comps
+        ),
+    )
+    r.add("weight_component_dims", list(st.cor513.weight_dims))
+    r.add("pairing", [{**vars(p), "root_class": [format_root(f) for f in p.root_class]} for p in st.pairing.rows])
+    r.add("ideal_enumeration", _enumeration(a.enum)).claims(st.claims)
     # descriptive clauses measure the instance; only verified statements
     # about it count as mathematical failures for the exit code
-    math_failed = [c.claim_id for c in st.claims if c.failed and c.claim_id not in DESCRIPTIVE_CLAIMS]
-    desc_failed = [c.claim_id for c in st.claims if c.failed and c.claim_id in DESCRIPTIVE_CLAIMS]
-    doc["descriptive_failures"] = desc_failed
-    doc["ok"] = not math_failed
-    tail = f" (descriptive clauses failing: {', '.join(desc_failed)})" if desc_failed else ""
-    lines.append(f"result: {'pass' if not math_failed else 'fail'}{tail}")
-    _emit(args, doc, lines)
-    return EXIT_MATH if math_failed else EXIT_OK
+    failing = [c.claim_id for c in st.claims if c.failed]
+    descriptive = [cid for cid in failing if cid in DESCRIPTIVE_CLAIMS]
+    failed = len(failing) > len(descriptive)
+    r.add("descriptive_failures", descriptive)
+    tail = f" (descriptive clauses failing: {', '.join(descriptive)})" if descriptive else ""
+    return _finish(args, r, failed, ("fail" if failed else "pass") + tail)
 
 
 def cmd_twist(args):
@@ -348,67 +264,33 @@ def cmd_morphism(args):
     g = _matrix_arg(args.g, "--g", (dst.dimA, src.dimA))
     f = _matrix_arg(args.f, "--f", (dst.dimL, src.dimL))
     checks = check_morphism(g, f, src, dst)
-    lines = [
-        f"source: {args.file1}",
-        f"sha256: {reporting.input_digest(t1)}",
-        f"target: {args.file2}",
-        f"sha256: {reporting.input_digest(t2)}",
-    ]
-    for c in checks:
-        lines.append(reporting.check_line(c))
+    r = reporting.Report(args.command).source("source", args.file1, t1, "source_sha256")
+    r.source("target", args.file2, t2, "target_sha256").checks("checks", checks)
     ok = all(c.status == "pass" for c in checks)
-    lines.append(f"result: {'morphism' if ok else 'not a morphism'}")
-    doc = {
-        "command": "morphism",
-        "source": args.file1,
-        "source_sha256": reporting.input_digest(t1),
-        "target": args.file2,
-        "target_sha256": reporting.input_digest(t2),
-        "checks": [reporting.check_json(c) for c in checks],
-        "ok": ok,
-    }
-    _emit(args, doc, lines)
-    return EXIT_OK if ok else EXIT_MATH
+    return _finish(args, r, not ok, "morphism" if ok else "not a morphism")
 
 
 def cmd_connect(args):
-    opened = _open_split(args)
-    if isinstance(opened, int):
-        return opened
-    a, doc, lines = opened
+    a, r = _open_split(args)
+    if a is None:
+        return _finish(args, r, failed=True)
     rp, wp = a.root_part, a.weight_part
-    reporting.partition_lines("root", rp, lines)
-    reporting.partition_lines("weight", wp, lines)
-    doc["root_partition"] = reporting.partition_json(rp)
-    doc["weight_partition"] = reporting.partition_json(wp)
-    failed = not (rp.reflexive_ok and wp.reflexive_ok)
-    return _finish(args, doc, lines, failed=failed)
+    r.partition("root", rp).partition("weight", wp)
+    return _finish(args, r, not (rp.reflexive_ok and wp.reflexive_ok))
 
 
 def cmd_j(args):
     h, text = _load(args.file)
-    digest, lines = _header(args.file, text)
     jrep = compute_J(h)
-    lines.append(f"symmetrized-square ideal J: {reporting.space_text(jrep.J)}")
-    lines.append(f"closure rules fired: {', '.join(jrep.closure.fired) or 'none'}")
-    lines.append(f"brackets [J, L] all zero: {'yes' if jrep.J_bracket_L_zero else 'no'}")
-    claim = ClaimResult(
-        "eq2.1",
-        PASS if jrep.L_bracket_J_zero else FAIL,
-        "" if jrep.L_bracket_J_zero else jrep.witness,
-    )
-    doc = {
-        "command": "j",
-        "input": args.file,
-        "sha256": digest,
-        "J": reporting.space_json(jrep.J),
-        "closure_rules_fired": list(jrep.closure.fired),
-        "bracket_J_L_zero": jrep.J_bracket_L_zero,
-        "bracket_L_J_zero": jrep.L_bracket_J_zero,
-        "witness": jrep.witness,
-    }
-    _append_claims([claim], doc, lines)
-    return _finish(args, doc, lines, failed=claim.failed)
+    r = reporting.Report(args.command).source("input", args.file, text)
+    r.space("J", "symmetrized-square ideal J", jrep.J)
+    fired, zero = jrep.closure.fired, jrep.J_bracket_L_zero
+    r.add("closure_rules_fired", list(fired), f"closure rules fired: {', '.join(fired) or 'none'}")
+    r.add("bracket_J_L_zero", zero, f"brackets [J, L] all zero: {reporting.flags(zero)}")
+    r.add("bracket_L_J_zero", jrep.L_bracket_J_zero).add("witness", jrep.witness)
+    ok = jrep.L_bracket_J_zero
+    claim = ClaimResult("eq2.1", PASS if ok else FAIL, "" if ok else jrep.witness)
+    return _finish(args, r.claims([claim]), claim.failed)
 
 
 # -- parser -----------------------------------------------------------------

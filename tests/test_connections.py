@@ -250,12 +250,11 @@ def test_an_asymmetric_raw_relation_is_reported(bundled):
     f, g = next(iter(part.witnesses))
     witnesses = {pair: w for pair, w in part.witnesses.items() if pair != (g, f)}
     asym = replace(part, witnesses=witnesses, raw_symmetric=False)
-    lines = []
-    reporting.partition_lines("root", asym, lines)
-    text = reporting.render({}, lines, "text")
+    report = reporting.Report("connect").partition("root", asym)
+    text = reporting.render(report, "text")
     assert "root raw relation symmetric: no\n" in text
     assert f"  {format_root(g)} ~ {format_root(f)}:" not in text
-    out = reporting.render({"root_partition": reporting.partition_json(asym)}, [], "json")
+    out = reporting.render(report, "json")
     assert '"raw_symmetric": false' in out
     assert len(json.loads(out)["root_partition"]["witnesses"]) == len(part.witnesses) - 1
 
@@ -274,8 +273,7 @@ def test_a_one_way_relation_is_closed_into_one_class():
     assert part.raw_symmetric is False
     assert part.classes == ((f, g),)
     assert list(part.witnesses) == [(f, g)]
-    lines = []
-    reporting.partition_lines("root", part, lines)
+    lines = reporting.render(reporting.Report("connect").partition("root", part), "text").splitlines()
     assert "root raw relation symmetric: no" in lines
 
 

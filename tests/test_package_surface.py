@@ -5,7 +5,8 @@ itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
 Oracles and helpers that only tests need live under tests/.  Structure
 tensors are read by their (i, j, k) entries, never as dense t[i][j][k].
 Importing the command line loads nothing but the standard library and hlra.
-Every function the benchmark tracer wraps by name still exists.  Every name a
+Every function the benchmark tracer wraps by name still exists.  Every
+report is rendered from one function of the command line.  Every name a
 module imports is read in that module.
 """
 
@@ -130,6 +131,37 @@ def test_every_name_the_benchmark_tracer_wraps_is_a_package_callable():
     subspace = importlib.import_module("hlra.linalg").Subspace
     missing += [f"linalg.Subspace.{name}" for name in traced["METHODS"] if not callable(subspace.__dict__.get(name))]
     assert layers and traced["METHODS"] and missing == []
+
+
+def test_every_report_is_printed_by_one_function():
+    """cli.py calls reporting.render from _finish alone and writes no
+    doc[...] entry or lines.append, so every report's stdout and exit code
+    come from one place and each datum goes in through one Report call."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    renderers = sorted(
+        {
+            fn.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "render"
+            and getattr(node.func.value, "id", None) == "reporting"
+        }
+    )
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "doc"
+        or isinstance(node, ast.Attribute)
+        and node.attr == "append"
+        and getattr(node.value, "id", None) == "lines"
+    ]
+    assert renderers == ["_finish"]
+    assert writes == []
 
 
 def _unread_imports(tree):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hlra import fixtures, structure
-from hlra.claims import FAIL, PASS, ClaimResult
+from hlra.claims import CLAIM_TITLES, DESCRIPTIVE_CLAIMS, FAIL, PASS, ClaimResult
 from hlra.decomposition import weight_inner_sum
 from hlra.linalg import Subspace
 from hlra.model import InputError, annihilator_Z, compute_J, twist_by_endomorphism
@@ -121,6 +121,12 @@ def test_descriptive_failures_on_the_action_gap_fixture(reports):
     assert got["def5.3.3"].detail == "weight (1) acts as zero on root (-2)"
     assert got["tight.2"].status == "FAIL"
     assert got["tight.1"].status == "PASS"
+
+
+def test_every_descriptive_claim_id_is_in_the_catalog():
+    """analyze exits 0 on a failing descriptive clause, so a misspelt id here
+    would silently turn that clause into a failed statement."""
+    assert DESCRIPTIVE_CLAIMS and DESCRIPTIVE_CLAIMS <= CLAIM_TITLES.keys()
 
 
 def test_zero_algebra_satisfies_everything_vacuously(reports, analyses):
