@@ -17,10 +17,13 @@ Every map is evaluated through one `_Map` table per map, `HLRAlgebra.maps`.
 The defining identities, the morphism conditions, the ideal rules and the
 builders (twist, sub-algebra, fiber product) are all rows of terms over these
 maps; `_contract` evaluates a term on every tuple of rows of its argument
-spaces at once, and the subspace products take the span.  `_bilinear` is the
-one per-vector evaluator left: `compute_J` reports the first nonzero bracket
-of a basis vector of L with one of J, in basis order, and the benchmark
-tracer counts `_bilinear` by name.
+spaces at once, and the subspace products take the span.  Every matrix of a
+structure map with one argument fixed (the root and weight operators of H,
+the annihilators, the unit equations and action, the fiber equalizer) is
+read off one such evaluation by `operators`.  `_bilinear` is the one
+per-vector evaluator: `compute_J` reports the first nonzero bracket of a
+basis vector of L with one of J, in basis order, and the benchmark tracer
+counts `_bilinear` by name.
 """
 
 from collections.abc import Mapping
@@ -31,7 +34,6 @@ from math import lcm, prod
 from types import MappingProxyType, SimpleNamespace
 
 from .linalg import (
-    ONE,
     ZERO,
     Subspace,
     frac,
@@ -41,6 +43,7 @@ from .linalg import (
     mat_inverse,
     solve,
     stack_rows,
+    vec_neg,
 )
 from .scalars import format_vector
 
@@ -118,20 +121,6 @@ class HLRAlgebra:
                     raise InputError("declared_H row length does not match dimL")
             object.__setattr__(self, "declared_H", rows)
 
-    # -- operators as matrices --------------------------------------------
-
-    def ad_left(self, h):
-        """Matrix of v -> [h, v]."""
-        return _operator(self.maps.bracket, h, 0, self.dimL)
-
-    def ad_right(self, h):
-        """Matrix of v -> [v, h]."""
-        return _operator(self.maps.bracket, h, 1, self.dimL)
-
-    def anchor_matrix(self, x):
-        """Matrix of a -> rho(x)(a)."""
-        return _operator(self.maps.anchor, x, 0, self.dimA)
-
     # -- subspace products -------------------------------------------------
 
     def bracket_space(self, s, t):
@@ -192,18 +181,6 @@ def _integers(vec):
     """(d, integers) with vec = integers / d."""
     d = lcm(*(x.denominator for x in vec))
     return d, [x.numerator * (d // x.denominator) for x in vec]
-
-
-def _operator(m, x, slot, n):
-    """Matrix of v -> m(x, v) on Q^n when slot is 0, of v -> m(v, x) when
-    slot is 1, for a bilinear _Map m."""
-    out = [[ZERO] * n for _ in range(m.out)]
-    for i, entries in m.rows.items():
-        for j, k, c in entries:
-            a, col = (x[i], j) if slot == 0 else (x[j], i)
-            if a:
-                out[k][col] += a * c
-    return tuple(tuple(y / m.den if y else y for y in row) for row in out)
 
 
 # -- validation -------------------------------------------------------------
@@ -357,6 +334,22 @@ def _span(side, spaces):
     return Subspace(out, [tuple(vec.get(k, 0) for k in range(out)) for vec in values.values()])
 
 
+def operators(side, space, full):
+    """For each RREF basis vector b of space, the matrix of x -> side(b, x)
+    on full, h.full_L or h.full_A, whose rows are the unit vectors.
+
+    side, a function of two argument positions, is evaluated once on the
+    integer rows of space; as in _restricted, dividing a value by den and
+    by its row's pivot entry gives the value on the RREF basis."""
+    terms = _terms(side, 2)
+    (values,), den = _evaluate([terms], [space, full])
+    out, mats = terms[0].fn.out, []
+    for r, (row, p) in enumerate(zip(space.rows, space.pivots)):
+        scale, images = den * row[p], [values.get((r, j), {}) for j in range(full.dim)]
+        mats.append(tuple(tuple(Fraction(v[k], scale) if k in v else ZERO for v in images) for k in range(out)))
+    return mats
+
+
 def _full(h, kinds):
     """The whole of L or A for each kind, "L" or "A"."""
     return [h.full_L if kind == "L" else h.full_A for kind in kinds]
@@ -467,7 +460,12 @@ def validate_hlr(h, strictness=RELAXED):
             checks.append(CheckResult("A.unital", "fail", "flagged unital but no unit solves e*a=a"))
         else:
             checks.append(CheckResult("A.unital", "pass", f"unit {format_vector(unit)}"))
-            identically = _operator(h.maps.action, unit, 0, h.dimL) == identity_matrix(h.dimL)
+            line = Subspace(h.dimA, [unit])
+            # the matrix of the unit over its pivot entry: the identity over
+            # that entry when the unit acts as the identity
+            (acting,) = operators(h.maps.action, line, h.full_L)
+            d = 1 / unit[line.pivots[0]]
+            identically = all(x == (d if j == k else 0) for k, row in enumerate(acting) for j, x in enumerate(row))
             checks.append(
                 CheckResult(
                     "module.unit_action",
@@ -488,13 +486,14 @@ def find_unit(h):
     """Solve e * a_j = a_j for all j; None when A has no left unit."""
     if h.dimA == 0:
         return None
-    rows = []
-    rhs = []
-    for j in range(h.dimA):
-        for k in range(h.dimA):
-            rows.append(tuple(h.mul.get((i, j, k), ZERO) for i in range(h.dimA)))
-            rhs.append(ONE if j == k else ZERO)
-    return solve(tuple(rows), tuple(rhs))
+    rhs = tuple(c for row in identity_matrix(h.dimA) for c in row)
+    return solve(stack_rows(*_right_products(h)), rhs)
+
+
+def _right_products(h):
+    """The matrix of e -> e * a for each basis vector a of A."""
+    mul = h.maps.mul
+    return operators(lambda a, e: mul(e, a), h.full_A, h.full_A)
 
 
 # -- morphisms and twisting --------------------------------------------------
@@ -656,10 +655,15 @@ def annihilator(h, space):
     """Vectors with zero anchor that bracket to zero, on both sides, with
     every vector of space.  Over all of L this is Z(L); over the zero space
     it is the kernel of the anchor."""
-    blocks = [m for s in space.basis for m in (h.ad_right(s), h.ad_left(s))]
-    # v -> rho(v)(a) for each basis vector a of A
-    blocks += [_operator(h.maps.anchor, a, 1, h.dimL) for a in identity_matrix(h.dimA)]
-    return kernel(stack_rows(*blocks), ncols=h.dimL)
+    br = h.maps.bracket
+    blocks = operators(lambda s, v: br(v, s), space, h.full_L) + operators(br, space, h.full_L)
+    return kernel(stack_rows(*blocks, *_anchor_operators(h)), ncols=h.dimL)
+
+
+def _anchor_operators(h):
+    """The matrix of v -> rho(v)(a) for each basis vector a of A."""
+    anc = h.maps.anchor
+    return operators(lambda a, v: anc(v, a), h.full_A, h.full_L)
 
 
 def annihilator_Z(h):
@@ -669,8 +673,7 @@ def annihilator_Z(h):
 
 def center_ZA(h):
     """Z(A): scalars multiplying everything to zero."""
-    blocks = [_operator(h.maps.mul, a, 1, h.dimA) for a in identity_matrix(h.dimA)]
-    return kernel(stack_rows(*blocks), ncols=h.dimA)
+    return kernel(stack_rows(*_right_products(h)), ncols=h.dimA)
 
 
 # -- subalgebra extraction ---------------------------------------------------
@@ -800,14 +803,9 @@ def fiber_product(h1, h2):
         raise InputError("fiber product needs an identical scalar algebra on both sides")
     n1, n2, na = h1.dimL, h2.dimL, h1.dimA
     n = n1 + n2
-    rows = []
-    for j in range(na):
-        for k in range(na):
-            rows.append(
-                tuple(h1.anchor.get((i, j, k), ZERO) for i in range(n1))
-                + tuple(-h2.anchor.get((i, j, k), ZERO) for i in range(n2))
-            )
-    w = kernel(tuple(rows), ncols=n) if rows else Subspace.full(n)
+    # x in L1 and y in L2 pair up when rho(x)(a) = rho(y)(a) for every a
+    legs = zip(_anchor_operators(h1), _anchor_operators(h2))
+    w = kernel(tuple(r1 + vec_neg(r2) for m1, m2 in legs for r1, r2 in zip(m1, m2)), ncols=n)
     # L1 x L2 with the second leg at offset n1; on the carrier both anchors
     # agree, so the first leg's serves
     bracket, action = {}, {}

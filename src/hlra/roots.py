@@ -35,7 +35,7 @@ from .linalg import (
     vec_add,
     zero_vector,
 )
-from .model import InputError
+from .model import InputError, operators
 from .scalars import format_scalar
 
 
@@ -154,8 +154,7 @@ def root_decomposition(h, H=None):
     # psi restricted to an invariant subspace of an invertible map is invertible
     psi_h_inv = mat_inverse(psi_h)
 
-    ops = [h.ad_left(b) for b in H.basis]
-    classes, w_rem = joint_eigenspaces(ops, Subspace.full(n))
+    classes, w_rem = joint_eigenspaces(operators(h.maps.bracket, H, h.full_L), h.full_L)
     zero_tup = zero_vector(H.dim)
     root_spaces = {}
     zero_space = Subspace.zero(n)
@@ -200,8 +199,8 @@ def weight_decomposition(h, rd):
     phi_inv = h.phi_inv
     if phi_inv is None:
         raise CartanError("phi_singular", "the twist on A is singular; no regular decomposition")
-    ops = [mat_mul(phi_inv, h.anchor_matrix(b)) for b in rd.H.basis]
-    classes, remainder = joint_eigenspaces(ops, Subspace.full(na))
+    ops = [mat_mul(phi_inv, m) for m in operators(h.maps.anchor, rd.H, h.full_A)]
+    classes, remainder = joint_eigenspaces(ops, h.full_A)
     zero_tup = zero_vector(rd.H.dim)
     weights = {}
     a0 = Subspace.zero(na)

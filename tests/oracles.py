@@ -9,6 +9,9 @@ that one walk per source replaces), through pairwise_roots_connected,
 pairwise_weights_connected and shortest_chain.
 dense_bilinear evaluates a structure tensor on its full dense grid, the
 slow path that the grouped sparse rows of HLRAlgebra replace.
+fraction_operator builds the matrix of one structure tensor with one
+argument fixed, one vector at a time over Fractions: the path that
+hlra.model.operators, read off one evaluation on integer rows, replaces.
 fraction_rules applies the ideal rules to one vector at a time, as
 Fraction vectors summed over the tensor entries, and fraction_products,
 fraction_closure and fraction_is_ideal build the products of subspaces,
@@ -301,6 +304,17 @@ def dense_bilinear(tensor, u, v, out_dim):
             for k in range(out_dim):
                 out[k] += ci * cj * grid[i][j][k]
     return tuple(out)
+
+
+def fraction_operator(tensor, x, slot, n, out_dim):
+    """Matrix of v -> t(x, v) on Q^n when slot is 0, of v -> t(v, x) when
+    slot is 1, summed as Fractions over the nonzero entries of the tensor t."""
+    out = [[Fraction(0)] * n for _ in range(out_dim)]
+    for (i, j, k), c in tensor.items():
+        a, col = (x[i], j) if slot == 0 else (x[j], i)
+        if a:
+            out[k][col] += a * c
+    return tuple(map(tuple, out))
 
 
 # -- ideal rules one vector at a time ------------------------------------------

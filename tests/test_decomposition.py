@@ -18,7 +18,7 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import InputError, ideal_closure, is_ideal, twist_by_endomorphism
+from hlra.model import InputError, ideal_closure, is_ideal, twist_by_endomorphism, validate_hlr
 from hlra.roots import CartanError, root_decomposition, weight_decomposition
 from hlra.structure import Analysis, run_structure
 
@@ -597,3 +597,36 @@ def test_reports_do_not_depend_on_the_basis(source, seed):
     h = _small_source(source)
     assume(h is not None)
     assert _basis_free_summary(seeded_transport(h, seed)) == _basis_free_summary(h)
+
+
+def _connect_summary(h):
+    """What `connect` reports that no basis can change: whether relaxed
+    validation passes and, on a split input, the class count, the sorted
+    class sizes and the raw_symmetric and reflexive_ok flags of the root
+    and the weight partition."""
+    if not validate_hlr(h).ok:
+        return "invalid"
+    try:
+        rd = root_decomposition(h)
+    except (CartanError, InputError) as exc:
+        return type(exc).__name__
+    wd = weight_decomposition(h, rd)
+    if not (rd.split and wd.split):
+        return "not split"
+    a = Analysis(h, rd, wd)
+    parts = (a.root_part, a.weight_part)
+    return [(len(p.classes), sorted(map(len, p.classes)), p.raw_symmetric, p.reflexive_ok) for p in parts]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.one_of(st.sampled_from(sorted(fixtures.BUNDLED)), st.tuples(st.integers(0, 10**6), st.booleans())),
+    st.integers(0, 10**6),
+)
+def test_connections_do_not_depend_on_the_basis(source, seed):
+    """`connect` on the same algebra in a seeded dense basis, where the
+    pivot entries of H are in general not 1, finds the same partitions up
+    to the coordinates of the roots."""
+    h = _small_source(source)
+    assume(h is not None)
+    assert _connect_summary(seeded_transport(h, seed)) == _connect_summary(h)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from hlra import fixtures, linalg
 from hlra.linalg import (
     Subspace,
-    basis_vector,
     charpoly,
     complement,
     eigenvalues,
@@ -32,7 +31,7 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import twist_by_endomorphism
+from hlra.model import operators, twist_by_endomorphism
 from oracles import (
     faddeev_leverrier,
     fraction_coords,
@@ -638,8 +637,8 @@ def test_eigenvalues_match_the_divisor_method_on_random_instances(seed, twisted)
     if twisted:
         h = twist_by_endomorphism(h, g, f)
     ops = [h.psi, h.phi]
-    ops += [h.ad_left(basis_vector(h.dimL, i)) for i in range(h.dimL)]
-    ops += [h.anchor_matrix(basis_vector(h.dimL, i)) for i in range(h.dimL)]
+    ops += operators(h.maps.bracket, h.full_L, h.full_L)
+    ops += operators(h.maps.anchor, h.full_L, h.full_A)
     for op in ops:
         if op:
             assert eigenvalues(op) == divisor_rational_roots(charpoly(op))

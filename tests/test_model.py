@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hlra import fixtures
 from hlra.decomposition import ClassIdeal, verify_prop_3_3
 from hlra.fileio import dumps_algebra
-from hlra.linalg import Subspace, basis_vector, identity_matrix, kernel, mat_from_columns, mat_inverse, mat_vec
+from hlra.linalg import Subspace, basis_vector, identity_matrix, kernel, mat_from_columns, mat_inverse, mat_vec, span
 from hlra.model import (
     ClosureError,
     FiberClosureError,
@@ -24,6 +24,7 @@ from hlra.model import (
     STRICT,
     TwistError,
     _bilinear,
+    annihilator,
     annihilator_Z,
     center_ZA,
     check_morphism,
@@ -33,23 +34,30 @@ from hlra.model import (
     ideal_closure,
     ideal_rules,
     is_ideal,
+    operators,
     rule_image,
     sub_algebra,
     tensor_shapes,
     twist_by_endomorphism,
     validate_hlr,
 )
+from hlra.roots import root_decomposition
 from hlra.scalars import format_vector
+from hlra.structure import j_split
 
 from oracles import (
+    TENSOR_KINDS,
     absorbs,
     dense_bilinear,
     fraction_closure,
     fraction_inverse,
     fraction_is_ideal,
+    fraction_kernel,
+    fraction_operator,
     fraction_product,
     fraction_products,
     fraction_rules,
+    fraction_solve,
     per_vector_sub_algebra,
     per_vector_twist,
     random_basis,
@@ -623,6 +631,71 @@ def test_rules_and_products_match_the_per_vector_oracle(h, data):
     for claim_id, name in (("prop3.3.3", "action"), ("prop3.3.4", "anchor")):
         images = dict(oracle)[name]
         assert claims[claim_id] == ("PASS" if all(absorbs(ci.space, images) for ci in ideals) else "FAIL"), claim_id
+
+
+# -- structure-map matrices against the Fraction operators ----------------------
+
+
+def _oracle_kernel(blocks, n):
+    """The null space in Q^n of the stacked Fraction matrices."""
+    return Subspace(n, fraction_kernel([row for m in blocks for row in m], n)[0])
+
+
+def _lie_space(h, H):
+    """H plus the root spaces outside J: the space Z_Lie annihilates."""
+    rd = root_decomposition(h, H.basis)
+    return span(h.dimL, [rd.H] + [rd.space(g) for g in j_split(rd, compute_J(h)).gamma_notJ])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    h=(st.sampled_from(sorted(fixtures.BUNDLED)) | st.tuples(st.integers(0, 39), st.booleans())).map(_oracle_algebra)
+    | st.builds(_transported, st.sampled_from(TRANSPORTED), st.integers(0, 9)),
+    data=st.data(),
+)
+def test_structure_map_matrices_match_the_fraction_operators(h, data):
+    """operators agrees with fraction_operator on every tensor, with either
+    argument fixed to each basis vector of H or of a drawn subspace, whose
+    pivot entries need not be 1.  annihilator (over 0, H, L and the space
+    of Z_Lie), center_ZA, find_unit, the unit-action check and the fiber
+    equalizer with h rewritten in a seeded basis of L agree with the same
+    built from fraction_operator."""
+    n, na = h.dimL, h.dimA
+    full, dims = {"L": h.full_L, "A": h.full_A}, {"L": n, "A": na}
+    H = Subspace(n, h.declared_H or ())
+    spaces = {"L": (H, data.draw(_subspaces(n))), "A": (data.draw(_subspaces(na)),)}
+    for name, (first, second, value) in TENSOR_KINDS.items():
+        tensor, m = getattr(h, name), getattr(h.maps, name)
+        for slot, side in enumerate((m, lambda s, x: m(x, s))):
+            fixed, free = (first, second) if slot == 0 else (second, first)
+            for space in spaces[fixed]:
+                want = [fraction_operator(tensor, b, slot, dims[free], dims[value]) for b in space.basis]
+                assert operators(side, space, full[free]) == want, (name, slot)
+
+    anchors = [fraction_operator(h.anchor, a, 1, n, na) for a in identity_matrix(na)]
+    for space in (Subspace.zero(n), H, h.full_L, _lie_space(h, H)):
+        brackets = [fraction_operator(h.bracket, s, slot, n, n) for s in space.basis for slot in (0, 1)]
+        assert annihilator(h, space) == _oracle_kernel(brackets + anchors, n)
+
+    products = [fraction_operator(h.mul, a, 1, na, na) for a in identity_matrix(na)]
+    assert center_ZA(h) == _oracle_kernel(products, na)
+    unit = fraction_solve([row for m in products for row in m], [c for row in identity_matrix(na) for c in row])
+    assert find_unit(h) == unit
+    if unit is not None:
+        acts = fraction_operator(h.action, unit, 0, n, n) == identity_matrix(n)
+        check = next(c for c in validate_hlr(replace(h, unital=True)).checks if c.key == "module.unit_action")
+        assert check.detail == f"unit {'acts' if acts else 'does not act'} as the identity on L"
+
+    moved = transport(h, random_basis(Random(data.draw(st.integers(0, 99))), n), identity_matrix(na))
+    try:
+        equalizer = fiber_product(h, moved).space
+    except FiberClosureError:
+        return
+    legs = [
+        tuple(r1 + tuple(-c for c in r2) for r1, r2 in zip(m1, m2))
+        for m1, m2 in zip(anchors, (fraction_operator(moved.anchor, a, 1, n, na) for a in identity_matrix(na)))
+    ]
+    assert equalizer == _oracle_kernel(legs, 2 * n)
 
 
 # -- builders against the per-vector oracles ------------------------------------

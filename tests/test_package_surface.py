@@ -3,7 +3,8 @@
 Every top-level function or class in src/hlra must be used by the package
 itself, exported in hlra.__all__, or be a public builder of hlra.fixtures.
 Oracles and helpers that only tests need live under tests/.  Structure
-tensors are read by their (i, j, k) entries, never as dense t[i][j][k].
+tensors are read by their (i, j, k) entries, never as dense t[i][j][k], and
+only where they are frozen, made into maps or tested for skew symmetry.
 Importing the command line loads nothing but the standard library and hlra.
 Every function the benchmark tracer wraps by name still exists.  Every
 report is rendered from one function of the command line.  Every name a
@@ -87,6 +88,40 @@ def _dense_tensor_reads(tree):
 def test_no_module_reads_a_structure_tensor_as_a_dense_grid():
     modules = sorted(PACKAGE.glob("*.py"))
     reads = [f"{p.name}:{line}" for p in modules for line in _dense_tensor_reads(ast.parse(p.read_text()))]
+    assert reads == []
+
+
+TENSORS = ("bracket", "mul", "action", "anchor")
+# where a tensor's entries may be read: where it is frozen, where
+# HLRAlgebra.maps turns it into _Map rows, and the skew-symmetry test
+ENTRY_READERS = {"model._freeze_tensor", "model.HLRAlgebra.maps", "model.validate_hlr"}
+
+
+def _entry_reads(tree, scope):
+    """(qualified name of the enclosing definition, line) of every .get,
+    .items or [...] on a .bracket, .mul, .action or .anchor under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _entry_reads(node, f"{scope}.{node.name}")
+            continue
+        outer = node.value if isinstance(node, (ast.Subscript, ast.Attribute)) else None
+        read = isinstance(node, ast.Subscript) or isinstance(node, ast.Attribute) and node.attr in ("get", "items")
+        if read and isinstance(outer, ast.Attribute) and outer.attr in TENSORS:
+            yield scope, node.lineno
+        yield from _entry_reads(node, scope)
+
+
+def test_structure_tensors_are_read_only_through_their_maps():
+    """Every structure-map matrix comes from model.operators, which reads
+    the integer rows of HLRAlgebra.maps, so no other definition looks up
+    an entry of h.bracket, h.mul, h.action or h.anchor.  Copying a whole
+    tensor, as the direct sums and the file writer do, is not a lookup."""
+    reads = [
+        f"{scope}:{line}"
+        for p in MODULES
+        for scope, line in _entry_reads(ast.parse(p.read_text()), p.stem)
+        if scope not in ENTRY_READERS
+    ]
     assert reads == []
 
 
