@@ -4,16 +4,17 @@ Two roots are connected either directly, when one is a sign times a twist
 power of the other, or through a finite family of roots and weights whose
 twist-adjusted partial sums stay inside the signed root set and finally
 reach a signed twist power of the target.  Weight connectivity is the same
-idea with plain sums and no twist adjustment.
+idea with plain sums, that is with the identity in place of the twist.
 
 Witnesses come from one breadth-first walk per source over the signed root
 set.  The walk does not depend on the target, so a single walk answers every
 target at once: the partitions make one walk per item, and roots_connected
 and weights_connected are the same walk with one target.  The walks run on
-the signed roots and weights numbered in sorted order, and each partition
-shares its steps and twist orbits between its sources.  validate_*_chain
-replay a printed chain witness clause by clause, recomputing every displayed
-partial sum from its exponent pattern.
+the signed roots and weights numbered in sorted order, with the twist image
+of each numbered functional computed once, and each partition shares its
+steps and twist orbits between its sources.  validate_*_chain replay a
+printed chain witness clause by clause, recomputing every displayed partial
+sum from its exponent pattern.
 """
 
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ def roots_connected(gamma, xi, rd, wd, restrict=None):
     uses the full twist orbit.  Chains are searched shortest first and the
     lexicographically least chain at the winning depth is returned.
     """
-    walks = _RootWalks(rd, wd, restrict, (gamma, xi))
+    walks = _Walks.of_roots(rd, wd, restrict, (gamma, xi))
     return walks.witnesses_from(gamma, [xi]).get(tuple(xi))
 
 
@@ -68,7 +69,7 @@ def weights_connected(alpha, beta, rd, wd):
     may pass through signed weights and signed roots, and must land on a
     signed copy of beta.
     """
-    walks = _WeightWalks(rd, wd, (alpha, beta))
+    walks = _Walks.of_weights(rd, wd, (alpha, beta))
     return walks.witnesses_from(alpha, [beta]).get(tuple(beta))
 
 
@@ -79,58 +80,90 @@ class _Walks:
     for, and the walks hash small integers instead of Fraction tuples.
 
     family and sigma_set are the chain vocabulary and the allowed partial
-    sums; step(sum, member) is the next partial sum.  Each step from a
-    numbered sum over the whole family, and each twist orbit, is computed
-    once per instance, so one instance serves every source of a partition.
-    Chains go back to functionals only in the witnesses.
+    sums.  The next partial sum after sum and member is the twist image of
+    their sum; the twist acts linearly, so that is the sum of the two
+    images, and image[i] is computed once per numbered functional.  Roots
+    walk under composition with psi^-1; weights walk under the identity
+    twist, so their images are the functionals themselves and their orbits
+    single members.  Each step from a numbered sum over the whole family,
+    and each orbit, is computed once per instance, so one instance serves
+    every source of a partition.  Chains go back to functionals only in
+    the witnesses.
     """
 
-    def __init__(self, rd, wd, family, sigma_set, step, extra):
+    def __init__(self, rd, wd, family, sigma_set, twisted, extra):
         self.rd = rd
+        self.twisted = twisted
         self.funcs = sorted(_pm(rd.gamma) | _pm(wd.lam) | family | _pm(extra))
         self.number = {f: i for i, f in enumerate(self.funcs)}
+        self.image = [compose_psi_power(f, -1, rd) for f in self.funcs] if twisted else self.funcs
         # the set is closed under negation, which reverses the order
         self.neg = range(len(self.funcs) - 1, -1, -1)
         self.family = sorted(self.number[f] for f in family)
         self.family_set = set(self.family)
         self.sigma_set = {self.number[f] for f in sigma_set}
-        self._step = step
         self._steps = {}
         self._orbits = {}
 
+    @classmethod
+    def of_roots(cls, rd, wd, restrict=None, extra=()):
+        allowed = _pm(restrict if restrict is not None else rd.gamma)
+        return cls(rd, wd, _pm(wd.lam) | allowed, allowed, twisted=True, extra=extra)
+
+    @classmethod
+    def of_weights(cls, rd, wd, extra=()):
+        signed = _pm(wd.lam) | _pm(rd.gamma)
+        return cls(rd, wd, signed, signed, twisted=False, extra=extra)
+
     def steps(self, sigma):
-        """(zeta, step(sigma, zeta)) for each family member zeta whose step
-        lands on a numbered functional, in family order."""
+        """(zeta, next) for each family member zeta whose next partial sum
+        after sigma is a numbered functional, in family order."""
         out = self._steps.get(sigma)
         if out is None:
-            f, funcs, number = self.funcs[sigma], self.funcs, self.number
+            image, number = self.image, self.number
             out = []
             for zeta in self.family:
-                nxt = number.get(self._step(f, funcs[zeta]))
+                nxt = number.get(vec_add(image[sigma], image[zeta]))
                 if nxt is not None:
                     out.append((zeta, nxt))
             self._steps[sigma] = out
         return out
 
     def orbit(self, i):
-        """psi_orbit of functional number i, as numbers."""
+        """Twist orbit of functional number i, as numbers."""
         out = self._orbits.get(i)
         if out is None:
-            out = self._orbits[i] = [self.number[f] for f in psi_orbit(self.funcs[i], self.rd)]
+            orbit = psi_orbit(self.funcs[i], self.rd) if self.twisted else [self.funcs[i]]
+            out = self._orbits[i] = [self.number[f] for f in orbit]
         return out
 
     def witnesses_from(self, f, items):
-        """{g: witness} for every g in items that f connects to."""
-        number, funcs = self.number, self.funcs
+        """{g: witness} for every g in items that f connects to: directly
+        when g is a signed member of f's orbit, else by the least chain
+        from a member of that orbit to a signed member of g's orbit."""
+        number, funcs, neg = self.number, self.funcs, self.neg
         nums = [number[tuple(g)] for g in items]
-        found = self._from(number[tuple(f)], nums)
+        orbit_f = self.orbit(number[tuple(f)])
+        direct = {}
+        for i, member in enumerate(orbit_f):
+            direct.setdefault(member, ConnectionWitness(kind="direct", epsilon=1, z=-i))
+            direct.setdefault(neg[member], ConnectionWitness(kind="direct", epsilon=-1, z=-i))
+        targets = {}
+        for g in nums:
+            if g not in direct:
+                ends = {}
+                for m, member in enumerate(self.orbit(g)):
+                    ends.setdefault(member, (1, m))
+                    ends.setdefault(neg[member], (-1, m))
+                targets[g] = ends
+        found = self._walk([o for o in orbit_f if o in self.family_set], targets) | direct
         return {funcs[j]: found[j] for j in nums if j in found}
 
     def _walk(self, starts, targets):
         """Breadth-first chain walk shared by both relations.
 
-        A chain is a start followed by family members; each step(sum,
-        member) must stay in sigma_set until it lands on an endpoint of some
+        A chain is a start followed by family members; each next partial
+        sum must stay in sigma_set until it lands on an endpoint of some
         item: targets maps each item to {endpoint: (end_sign, end_power)}.
         The frontier never depends on the targets, so one walk serves them
         all.  Returns {item: witness} with, for each item reached, the
@@ -165,49 +198,6 @@ class _Walks:
             depth += 1
         return found
 
-
-class _RootWalks(_Walks):
-    def __init__(self, rd, wd, restrict=None, extra=()):
-        allowed = _pm(restrict if restrict is not None else rd.gamma)
-        super().__init__(
-            rd, wd, _pm(wd.lam) | allowed, allowed,
-            lambda sigma, zeta: compose_psi_power(vec_add(sigma, zeta), -1, rd), extra,
-        )
-
-    def _from(self, g, xis):
-        """{xi: witness} for every number xi in xis that root number g
-        connects to."""
-        neg = self.neg
-        orbit_g = self.orbit(g)
-        direct = {}
-        for i, member in enumerate(orbit_g):
-            direct.setdefault(member, ConnectionWitness(kind="direct", epsilon=1, z=-i))
-            direct.setdefault(neg[member], ConnectionWitness(kind="direct", epsilon=-1, z=-i))
-        targets = {}
-        for xi in xis:
-            if xi not in direct:
-                ends = {}
-                for m, member in enumerate(self.orbit(xi)):
-                    ends.setdefault(member, (1, m))
-                    ends.setdefault(neg[member], (-1, m))
-                targets[xi] = ends
-        found = self._walk([o for o in orbit_g if o in self.family_set], targets)
-        return found | {xi: direct[xi] for xi in xis if xi in direct}
-
-
-class _WeightWalks(_Walks):
-    def __init__(self, rd, wd, extra=()):
-        signed = _pm(wd.lam) | _pm(rd.gamma)
-        super().__init__(rd, wd, signed, signed, vec_add, extra)
-
-    def _from(self, alpha, betas):
-        """{beta: witness} for every number beta in betas that weight
-        number alpha connects to."""
-        neg = self.neg
-        direct = {alpha: ConnectionWitness(kind="direct", epsilon=1)}
-        direct.setdefault(neg[alpha], ConnectionWitness(kind="direct", epsilon=-1))
-        found = self._walk([alpha], {b: {b: (1, 0), neg[b]: (-1, 0)} for b in betas if b not in direct})
-        return found | {b: direct[b] for b in betas if b in direct}
 
 
 # -- literal replay of a chain ----------------------------------------------
@@ -316,8 +306,8 @@ def _partition(items, witnesses_from):
 
 def root_partition(rd, wd, restrict=None):
     items = sorted(map(tuple, restrict)) if restrict is not None else rd.gamma
-    return _partition(items, items and _RootWalks(rd, wd, restrict).witnesses_from)
+    return _partition(items, items and _Walks.of_roots(rd, wd, restrict).witnesses_from)
 
 
 def weight_partition(rd, wd):
-    return _partition(wd.lam, wd.lam and _WeightWalks(rd, wd).witnesses_from)
+    return _partition(wd.lam, wd.lam and _Walks.of_weights(rd, wd).witnesses_from)

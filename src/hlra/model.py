@@ -30,6 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import cycle
 from math import lcm, prod
 from types import MappingProxyType, SimpleNamespace
 
@@ -596,21 +597,22 @@ class IdealClosure:
 
 def ideal_closure(h, seed):
     """Smallest subspace containing the Subspace seed that is closed under
-    all ideal rules, grown one rule at a time."""
+    all ideal rules, grown one rule at a time in cyclic order.  It stops
+    once every rule in turn has added nothing to the same space."""
     current = seed
     fired = []
     rules = ideal_rules(h)
-    while True:
-        added = False
-        for rule in rules:
-            grown = current.add(rule_image(h, rule, current))
-            if grown.dim > current.dim:
-                current = grown
-                added = True
-                if rule[0] not in fired:
-                    fired.append(rule[0])
-        if not added:
-            return IdealClosure(space=current, fired=tuple(fired))
+    idle = 0
+    for rule in cycle(rules):
+        if idle == len(rules):
+            break
+        grown = current.add(rule_image(h, rule, current))
+        idle += 1
+        if grown.dim > current.dim:
+            current, idle = grown, 0
+            if rule[0] not in fired:
+                fired.append(rule[0])
+    return IdealClosure(space=current, fired=tuple(fired))
 
 
 def is_ideal(h, sub):

@@ -20,7 +20,7 @@ FAILs on some twisted inputs that validate strictly, for example
 the root of e to -lambda while the weight of t stays lambda.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .claims import FAIL, PASS, ClaimResult
@@ -69,10 +69,6 @@ class RootDecomposition:
     remainder: Subspace
     split: bool
     diagnosis: str = ""
-    # (functional, z) -> the functional composed with psi^z; filled by
-    # compose_psi_power, which the connection walkers call many times on
-    # the same few functionals
-    psi_images: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def psi_columns(self):
@@ -141,7 +137,6 @@ def root_decomposition(h, H=None):
     diagnosis instead.
     """
     H = _resolve_h(h, H)
-    n = h.dimL
     if not h.bracket_space(H, H).is_zero:
         raise CartanError("not_abelian", "the chosen subalgebra is not abelian")
     psi_inv = h.psi_inv
@@ -155,15 +150,8 @@ def root_decomposition(h, H=None):
     psi_h_inv = mat_inverse(psi_h)
 
     classes, w_rem = joint_eigenspaces(operators(h.maps.bracket, H, h.full_L), h.full_L)
-    zero_tup = zero_vector(H.dim)
-    root_spaces = {}
-    zero_space = Subspace.zero(n)
-    for tup, w_sub in classes:
-        pulled = w_sub.image(psi_inv)
-        if tup == zero_tup:
-            zero_space = pulled
-        else:
-            root_spaces[tup] = pulled
+    root_spaces = {tup: w_sub.image(psi_inv) for tup, w_sub in classes}
+    zero_space = root_spaces.pop(zero_vector(H.dim), Subspace.zero(h.dimL))
     # psi_inv is a bijection, so it maps a complement of the classes to a
     # complement of their images
     remainder = w_rem.image(psi_inv)
@@ -195,20 +183,13 @@ def root_decomposition(h, H=None):
 
 def weight_decomposition(h, rd):
     """Split A into joint eigenspaces of the inverse-twisted anchors of H."""
-    na = h.dimA
     phi_inv = h.phi_inv
     if phi_inv is None:
         raise CartanError("phi_singular", "the twist on A is singular; no regular decomposition")
     ops = [mat_mul(phi_inv, m) for m in operators(h.maps.anchor, rd.H, h.full_A)]
     classes, remainder = joint_eigenspaces(ops, h.full_A)
-    zero_tup = zero_vector(rd.H.dim)
-    weights = {}
-    a0 = Subspace.zero(na)
-    for tup, sub in classes:
-        if tup == zero_tup:
-            a0 = sub
-        else:
-            weights[tup] = sub
+    weights = dict(classes)
+    a0 = weights.pop(zero_vector(rd.H.dim), Subspace.zero(h.dimA))
     diagnosis = next(
         (
             f"phi does not preserve the weight space at {format_root(tup)}"
@@ -235,23 +216,12 @@ def weight_decomposition(h, rd):
 
 
 def compose_psi_power(f, z, rd):
-    """The functional f composed with the z-th power of the twist on H.
-
-    Each image is computed once per decomposition and kept in
-    rd.psi_images.
-    """
+    """The functional f composed with the z-th power of the twist on H."""
+    m = rd.psi_columns[1 if z > 0 else -1]
     f = tuple(f)
-    if z == 0:
-        return f
-    key = (f, z)
-    image = rd.psi_images.get(key)
-    if image is None:
-        m = rd.psi_columns[1 if z > 0 else -1]
-        image = f
-        for _ in range(abs(z)):
-            image = mat_vec(m, image)
-        rd.psi_images[key] = image
-    return image
+    for _ in range(abs(z)):
+        f = mat_vec(m, f)
+    return f
 
 
 def psi_orbit(f, rd):

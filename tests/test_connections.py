@@ -31,6 +31,7 @@ from oracles import (
     pairwise_weight_partition,
     pairwise_weights_connected,
     same_class,
+    seeded_transport,
 )
 
 F = Fraction
@@ -313,13 +314,18 @@ def _differential_input(source):
         return three_root_line()
     if isinstance(source, str):
         return fixtures.BUNDLED[source]()
+    if source[0] == "transported":
+        return seeded_transport(twist_by_endomorphism(*fixtures.random_instance(source[1])), source[1])
     h, g, f = fixtures.random_instance(source[0])
     return twist_by_endomorphism(h, g, f) if source[1] else h
 
 
+# the transported twisted seeds put dense coordinates on H; on seeds 0, 2, 6
+# and 10 psi on H is not even diagonal, though it fixes every root and weight
 DIFFERENTIAL_SOURCES = (
     list(SPLIT_NAMES)
     + [(seed, twisted) for seed in range(20) for twisted in (False, True)]
+    + [("transported", seed) for seed in range(12)]
     + ["blocks3", "three_root_line"]
 )
 

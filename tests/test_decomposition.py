@@ -18,7 +18,7 @@ from hlra.linalg import (
     stack_rows,
     vec_add,
 )
-from hlra.model import InputError, ideal_closure, is_ideal, twist_by_endomorphism, validate_hlr
+from hlra.model import STRICT, InputError, compute_J, ideal_closure, is_ideal, twist_by_endomorphism, validate_hlr
 from hlra.roots import CartanError, root_decomposition, weight_decomposition
 from hlra.structure import Analysis, run_structure
 
@@ -572,15 +572,15 @@ def _basis_free_summary(h):
     return dims, claims, sizes, len(a.enum.ideals), a.enum.complete, dec.simplicity.verdict
 
 
-def _small_source(source):
+def _small_source(source, max_dim=10):
     """The bundled file or (random_instance seed, twisted) pair, or None
-    when its dimL exceeds 10."""
+    when its dimL exceeds max_dim."""
     if isinstance(source, str):
         h = fixtures.BUNDLED[source]()
     else:
         h, g, f = fixtures.random_instance(source[0])
         h = twist_by_endomorphism(h, g, f) if source[1] else h
-    return h if h.dimL <= 10 else None
+    return h if h.dimL <= max_dim else None
 
 
 @settings(deadline=None, max_examples=25)
@@ -630,3 +630,27 @@ def test_connections_do_not_depend_on_the_basis(source, seed):
     h = _small_source(source)
     assume(h is not None)
     assert _connect_summary(seeded_transport(h, seed)) == _connect_summary(h)
+
+
+def _validate_and_j_summary(h):
+    """What `validate --strict` and `j` report that no basis can change:
+    the (key, status) pair of every strict check, the dimension of J, the
+    closure rules that fired and both annihilation flags."""
+    checks = [(c.key, c.status) for c in validate_hlr(h, STRICT).checks]
+    jrep = compute_J(h)
+    return checks, jrep.J.dim, jrep.closure.fired, jrep.J_bracket_L_zero, jrep.L_bracket_J_zero
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.one_of(st.sampled_from(sorted(fixtures.BUNDLED)), st.tuples(st.integers(0, 10**6), st.booleans())),
+    st.integers(0, 10**6),
+)
+def test_validation_and_j_do_not_depend_on_the_basis(source, seed):
+    """`validate --strict` and `j` on the same algebra in a seeded dense
+    basis give the same statuses, J of the same dimension grown by the same
+    rules, and the same annihilation flags.  Dense validation at dimL 10
+    takes up to 2 s, hence the smaller bound."""
+    h = _small_source(source, max_dim=6)
+    assume(h is not None)
+    assert _validate_and_j_summary(seeded_transport(h, seed)) == _validate_and_j_summary(h)

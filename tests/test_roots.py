@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hlra import fixtures, model, roots
-from hlra.linalg import Subspace, basis_vector, complement, mat_columns, mat_vec, span
+from hlra.linalg import Subspace, basis_vector, complement, mat_columns, mat_vec, span, vec_add
 from hlra.model import InputError, twist_by_endomorphism, validate_hlr
 from hlra.roots import (
     CartanError,
@@ -218,7 +218,10 @@ def uncached_psi_power(f, z, rd):
     return f
 
 
-def test_cached_psi_powers_match_the_mat_vec_loop(bundled):
+def test_psi_powers_match_the_mat_vec_loop_and_compose(bundled):
+    """compose_psi_power is the z-fold mat_vec loop; it is linear in the
+    functional and powers add, which the connection walker relies on when
+    it takes the image of a partial sum as the sum of the images."""
     cases = [(name, bundled[name]) for name in TABLE]
     for seed in range(12):
         h, g, f = fixtures.random_instance(seed)
@@ -226,15 +229,19 @@ def test_cached_psi_powers_match_the_mat_vec_loop(bundled):
     for name, h in cases:
         rd = root_decomposition(h)
         dim = rd.H.dim
-        sums = [tuple(a + b for a, b in zip(x, y)) for x in rd.gamma for y in rd.gamma]
+        sums = [vec_add(x, y) for x in rd.gamma for y in rd.gamma]
         extra = [tuple(F(k + 1, j + 2) for j in range(dim)) for k in range(2)]
         for fun in rd.gamma + sums + extra:
             for z in range(-4, 5):
                 want = uncached_psi_power(fun, z, rd)
-                # the second call reads the memo
                 assert compose_psi_power(fun, z, rd) == want, (name, fun, z)
                 assert compose_psi_power(list(fun), z, rd) == want, (name, fun, z)
-        assert len(rd.psi_images) <= 8 * len(rd.gamma + sums + extra)
+                assert compose_psi_power(want, -z, rd) == fun, (name, fun, z)
+        for fun in rd.gamma + extra:
+            for other in rd.gamma + extra:
+                for z in (-2, -1, 1, 2):
+                    want = vec_add(compose_psi_power(fun, z, rd), compose_psi_power(other, z, rd))
+                    assert compose_psi_power(vec_add(fun, other), z, rd) == want, (name, fun, other, z)
 
 
 # -- closure lemmas ---------------------------------------------------------
