@@ -11,10 +11,11 @@ algebra `h`, its decompositions `rd` and `wd`, and every derived object
 """
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .claims import FAIL, INFO, PASS, REFUSED, ClaimResult
 from .linalg import (
-    ZERO,
     Subspace,
     basis_vector,
     complement,
@@ -25,7 +26,7 @@ from .linalg import (
     sum_and_overlap,
     vec_neg,
 )
-from .model import annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal, rule_image, rule_values
+from .model import annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal, rule_image, rule_images
 from .roots import format_class, verify_lemma_closures
 
 # root subset count above which enumeration keeps only the closure seeds
@@ -283,20 +284,25 @@ def _window_parts(h, rd):
     d x d map T_m per rule map m, with d = dim H; K_j holds the x in Q^d
     whose images all have a zero component in the root space of gamma[j].
     Rule maps that vanish on H are dropped.  The window tops of
-    `enumerate_ideals` are meets of these cores.
+    `enumerate_ideals` are meets of these cores.  The maps are integer: the
+    change of basis is cleared to one denominator and the image of row i of
+    H, its RREF basis vector i times scale[i], is multiplied by lcm(scale) /
+    scale[i], so every column of a map carries one factor and no preimage
+    changes.
     """
     d = rd.H.dim
     spaces = [rd.space(g) for g in rd.gamma]
     adapted = [*rd.H.basis, *(b for s in spaces for b in s.basis)]
     to_adapted = mat_inverse(mat_from_columns(adapted, nrows=h.dimL))
-    # row i of H is its RREF basis vector i times its pivot entry
+    den = lcm(*(x.denominator for row in to_adapted for x in row))
+    to_adapted = [[x.numerator * (den // x.denominator) for x in row] for row in to_adapted]
     scale = [row[p] for row, p in zip(rd.H.rows, rd.H.pivots)]
+    factors = [lcm(*scale) // c for c in scale]
     by_map = {}  # (rule, its further arguments), one linear map -> its columns
     for r, rule in enumerate(ideal_rules(h)):
-        values, den = rule_values(h, rule, rd.H)
-        for (i, *rest), vec in values.items():
-            image = mat_vec(to_adapted, [vec.get(k, 0) for k in range(h.dimL)])
-            by_map.setdefault((r, *rest), [(ZERO,) * h.dimL] * d)[i] = tuple(x / (den * scale[i]) for x in image)
+        for (i, rest), vec in rule_images(h, rule, rd.H.rows).items():
+            image = tuple(factors[i] * sum(map(mul, row, vec)) for row in to_adapted)
+            by_map.setdefault((r, rest), [(0,) * h.dimL] * d)[i] = image
     coords = list(by_map.values())
 
     def stacked(start, stop):

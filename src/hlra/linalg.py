@@ -180,10 +180,11 @@ class Subspace:
     rows holds the RREF basis as primitive integer rows with positive
     pivots, which are just as canonical; they are the only stored form and
     the arithmetic runs on them.  basis, the RREF basis in Fractions, is
-    derived from them each time it is read.
+    derived from them each time it is read; sparse, the nonzero entries of
+    the rows, is derived once, on first read.
     """
 
-    __slots__ = ("ambient", "pivots", "rows")
+    __slots__ = ("ambient", "pivots", "rows", "_sparse")
 
     def __init__(self, ambient, vectors=()):
         work = []
@@ -201,6 +202,7 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_sparse", None)
 
     @classmethod
     def _reduced(cls, ambient, work, pivots):
@@ -230,6 +232,15 @@ class Subspace:
         return tuple(_fractions(w, c) for w, c in zip(self.rows, self.pivots))
 
     @property
+    def sparse(self):
+        """{(r,): {k: c}}: the nonzero entries c of each integer row r at
+        column k, built on first read; callers only read it."""
+        if self._sparse is None:
+            rows = {(r,): {k: c for k, c in enumerate(w) if c} for r, w in enumerate(self.rows)}
+            object.__setattr__(self, "_sparse", rows)
+        return self._sparse
+
+    @property
     def dim(self):
         return len(self.rows)
 
@@ -241,7 +252,7 @@ class Subspace:
         """A multiple of the integer row w with each of its first `blocks`
         blocks of ambient entries reduced along the basis; the entries past
         them are carried along."""
-        for at in range(0, blocks * self.ambient, self.ambient):
+        for at in range(0, blocks * self.ambient, self.ambient or 1):
             for row, c in zip(self.rows, self.pivots):
                 if w[at + c]:
                     w = _eliminate(w, row, c, at)
@@ -545,33 +556,35 @@ def _eval_mod(coeffs, x, m):
     return acc
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over Q, coefficients low degree
-    first; the remainder has no trailing zeros."""
+def _pseudo_remainder(a, b):
+    """The remainder of lc(b)^(deg a - deg b + 1) a by b in Z[x],
+    coefficients low degree first, without trailing zeros."""
     a = list(a)
-    q = [ZERO] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
+        c, shift = a[-1], len(a) - len(b)
+        a = [b[-1] * x for x in a]
         for i, bi in enumerate(b):
             a[shift + i] -= c * bi
-        a.pop()
         while a and a[-1] == 0:
             a.pop()
-    return q, a
+    return a
 
 
 def _square_free_part(f):
-    """f divided by gcd(f, f'), made primitive in Z[x]."""
-    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    """f divided by gcd(f, f'), primitive in Z[x] up to sign.  The gcd ends
+    the primitive pseudo-remainder sequence of f and f' (Collins 1967); f,
+    made primitive, is divided by it exactly, as by Gauss's lemma the
+    quotient of primitive polynomials dividing in Q[x] lies in Z[x]."""
+    f = _primitive(f)
+    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    g = _poly_divmod(f, a)[0]
-    den = lcm(*(c.denominator for c in g))
-    ints = [c.numerator * (den // c.denominator) for c in g]
-    content = gcd(*ints)
-    return [c // content for c in ints]
+        a, b = b, _primitive(_pseudo_remainder(a, b)) or []
+    q = [0] * (len(f) - len(a) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = f[shift + len(a) - 1] // a[-1]
+        for i, ai in enumerate(a):
+            f[shift + i] -= c * ai
+    return q
 
 
 def rational_roots(coeffs):
@@ -579,7 +592,8 @@ def rational_roots(coeffs):
 
     Method (Loos 1983, rational zeros by p-adic expansion):
     1. strip the factor x^k and take the square-free part g of the rest, a
-       primitive polynomial in Z[x] (exact Euclid over Q on f and f');
+       primitive polynomial in Z[x] (a primitive pseudo-remainder sequence
+       on f and f');
     2. take the smallest odd prime p not dividing lc(g) at which every root
        of g mod p is simple, and find those roots by search over 0..p-1;
     3. Hensel-lift each root r quadratically until the modulus M exceeds

@@ -17,13 +17,13 @@ Every map is evaluated through one `_Map` table per map, `HLRAlgebra.maps`.
 The defining identities, the morphism conditions, the ideal rules and the
 builders (twist, sub-algebra, fiber product) are all rows of terms over these
 maps; `_contract` evaluates a term on every tuple of rows of its argument
-spaces at once, and the subspace products take the span.  Every matrix of a
-structure map with one argument fixed (the root and weight operators of H,
-the annihilators, the unit equations and action, the fiber equalizer) is
-read off one such evaluation by `operators`.  `_bilinear` is the one
-per-vector evaluator: `compute_J` reports the first nonzero bracket of a
-basis vector of L with one of J, in basis order, and the benchmark tracer
-counts `_bilinear` by name.
+spaces at once, and the subspace products take the span.  The ideal rules are
+evaluated once, on the basis of L, into the integer `HLRAlgebra.rule_tables`
+that closures and ideal tests sum; annihilators solve one integer system of
+such values; `operators` reads every other structure-map matrix with one
+argument fixed (the operators of H, the unit equations, the fiber equalizer).
+`_bilinear` is the one per-vector evaluator, for the first nonzero bracket
+of L with J that `compute_J` reports; the benchmark tracer counts it by name.
 """
 
 from collections.abc import Mapping
@@ -163,6 +163,19 @@ class HLRAlgebra:
         maps = {name: _Map(getattr(self, name), dims[2]) for name, dims in tensor_shapes(self.dimL, self.dimA).items()}
         psi_inv = _Map({}, self.dimL) if self.psi_inv is None else _matrix_map(self.psi_inv)
         return SimpleNamespace(**maps, psi=_matrix_map(self.psi), phi=_matrix_map(self.phi), psi_inv=psi_inv)
+
+    @cached_property
+    def rule_tables(self):
+        """For each ideal rule by name, table[i] maps the basis indices of
+        the rule's further arguments to the nonzero integer coordinates
+        {k: c} of the image of basis vector i of L, over one denominator."""
+        tables = {}
+        for name, kinds, term in ideal_rules(self):
+            (values,), _ = _evaluate([_terms(term, len(kinds))], _full(self, kinds))
+            table = tables[name] = [{} for _ in range(self.dimL)]
+            for (i, *rest), vec in values.items():
+                table[i][tuple(rest)] = vec
+        return tables
 
 
 def _bilinear(m, u, v):
@@ -310,7 +323,7 @@ def _evaluate(sides, spaces):
     A total maps the row indices, in position order, to the nonzero
     coordinates {k: integer} of the sum there; den is one denominator for
     every side, so the sides compare and add as integers."""
-    basis = [{(r,): {k: c for k, c in enumerate(row) if c} for r, row in enumerate(s.rows)} for s in spaces]
+    basis = [s.sparse for s in spaces]
     contracted = [[_contract(term, basis) for term in side] for side in sides]
     den = lcm(*(d for side in contracted for _, _, d in side))
     totals = []
@@ -488,13 +501,8 @@ def find_unit(h):
     if h.dimA == 0:
         return None
     rhs = tuple(c for row in identity_matrix(h.dimA) for c in row)
-    return solve(stack_rows(*_right_products(h)), rhs)
-
-
-def _right_products(h):
-    """The matrix of e -> e * a for each basis vector a of A."""
     mul = h.maps.mul
-    return operators(lambda a, e: mul(e, a), h.full_A, h.full_A)
+    return solve(stack_rows(*operators(lambda a, e: mul(e, a), h.full_A, h.full_A)), rhs)
 
 
 # -- morphisms and twisting --------------------------------------------------
@@ -574,19 +582,26 @@ def ideal_rules(h):
     )
 
 
-def rule_values(h, rule, sub):
-    """(values, den) of one ideal rule on the rows of sub: values maps (row
-    index in sub, basis index of each further argument) to the nonzero
-    coordinates {k: integer} of den times the image."""
-    _, kinds, term = rule
-    (values,), den = _evaluate([_terms(term, len(kinds))], [sub] + _full(h, kinds[1:]))
-    return values, den
+def rule_images(h, rule, rows):
+    """{(r, further arguments): image}: the nonzero integer images of each
+    integer row r of rows under one ideal rule, sum_i w_i table[i] for row
+    w over the rule's table in h.rule_tables."""
+    table, out = h.rule_tables[rule[0]], {}
+    for r, w in enumerate(rows):
+        images = {}
+        for i, a in enumerate(w):
+            if a:
+                for rest, vec in table[i].items():
+                    acc = images.setdefault(rest, [0] * h.dimL)
+                    for k, c in vec.items():
+                        acc[k] += a * c
+        out.update(((r, rest), acc) for rest, acc in images.items() if any(acc))
+    return out
 
 
 def rule_image(h, rule, sub):
     """The span of the images of sub under one ideal rule."""
-    _, kinds, term = rule
-    return _span(term, [sub] + _full(h, kinds[1:]))
+    return Subspace._spanned(h.dimL, list(rule_images(h, rule, sub.rows).values()))
 
 
 @dataclass(frozen=True)
@@ -598,7 +613,9 @@ class IdealClosure:
 def ideal_closure(h, seed):
     """Smallest subspace containing the Subspace seed that is closed under
     all ideal rules, grown one rule at a time in cyclic order.  It stops
-    once every rule in turn has added nothing to the same space."""
+    once every rule in turn has added nothing to the same space.  Each step
+    reduces the integer rows of the space with their images under the rule,
+    read off h.rule_tables, so no structure map is evaluated once they are."""
     current = seed
     fired = []
     rules = ideal_rules(h)
@@ -606,7 +623,7 @@ def ideal_closure(h, seed):
     for rule in cycle(rules):
         if idle == len(rules):
             break
-        grown = current.add(rule_image(h, rule, current))
+        grown = Subspace._spanned(h.dimL, [*current.rows, *rule_images(h, rule, current.rows).values()])
         idle += 1
         if grown.dim > current.dim:
             current, idle = grown, 0
@@ -658,8 +675,21 @@ def annihilator(h, space):
     every vector of space.  Over all of L this is Z(L); over the zero space
     it is the kernel of the anchor."""
     br = h.maps.bracket
-    blocks = operators(lambda s, v: br(v, s), space, h.full_L) + operators(br, space, h.full_L)
-    return kernel(stack_rows(*blocks, *_anchor_operators(h)), ncols=h.dimL)
+    return _vanishing(h.full_L, ((br, space), (lambda v, s: br(s, v), space), (h.maps.anchor, h.full_A)))
+
+
+def _vanishing(full, parts):
+    """The v in full, h.full_L or h.full_A, with side(v, s) = 0 for every
+    (side, space) of parts and every row s of space: the kernel of one
+    integer system whose column j holds every coordinate of the values at
+    unit vector j, less the coordinates that are zero in every column."""
+    index, cols = {}, [{} for _ in range(full.dim)]
+    for p, (side, space) in enumerate(parts):
+        (values,), _ = _evaluate([_terms(side, 2)], [full, space])
+        for (j, r), vec in values.items():
+            for k, c in vec.items():
+                cols[j][index.setdefault((p, r, k), len(index))] = c
+    return Subspace.zero(len(index)).preimage([[col.get(t, 0) for t in range(len(index))] for col in cols])
 
 
 def _anchor_operators(h):
@@ -675,7 +705,7 @@ def annihilator_Z(h):
 
 def center_ZA(h):
     """Z(A): scalars multiplying everything to zero."""
-    return kernel(stack_rows(*_right_products(h)), ncols=h.dimA)
+    return _vanishing(h.full_A, ((h.maps.mul, h.full_A),))
 
 
 # -- subalgebra extraction ---------------------------------------------------

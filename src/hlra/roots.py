@@ -35,7 +35,7 @@ from .linalg import (
     vec_add,
     zero_vector,
 )
-from .model import InputError, operators
+from .model import InputError, _span, operators
 from .scalars import format_scalar
 
 
@@ -139,8 +139,7 @@ def root_decomposition(h, H=None):
     H = _resolve_h(h, H)
     if not h.bracket_space(H, H).is_zero:
         raise CartanError("not_abelian", "the chosen subalgebra is not abelian")
-    psi_inv = h.psi_inv
-    if psi_inv is None:
+    if h.psi_inv is None:
         raise CartanError("psi_singular", "the twist on L is singular; no regular decomposition")
     psi_cols = [H.coords(mat_vec(h.psi, b)) for b in H.basis]
     if None in psi_cols:
@@ -150,11 +149,11 @@ def root_decomposition(h, H=None):
     psi_h_inv = mat_inverse(psi_h)
 
     classes, w_rem = joint_eigenspaces(operators(h.maps.bracket, H, h.full_L), h.full_L)
-    root_spaces = {tup: w_sub.image(psi_inv) for tup, w_sub in classes}
+    root_spaces = {tup: _span(h.maps.psi_inv, [w_sub]) for tup, w_sub in classes}
     zero_space = root_spaces.pop(zero_vector(H.dim), Subspace.zero(h.dimL))
     # psi_inv is a bijection, so it maps a complement of the classes to a
     # complement of their images
-    remainder = w_rem.image(psi_inv)
+    remainder = _span(h.maps.psi_inv, [w_rem])
 
     split = remainder.is_zero and zero_space == H
     diagnosis = ""

@@ -16,7 +16,7 @@ fraction_rules applies the ideal rules to one vector at a time, as
 Fraction vectors summed over the tensor entries, and fraction_products,
 fraction_closure and fraction_is_ideal build the products of subspaces,
 the ideal closure and the ideal test on them: the per-vector path that the
-term rows evaluated on integer rows in hlra.model replace.
+integer rule tables of hlra.model replace.
 fraction_rref is Gauss-Jordan elimination over Fractions, the slow path
 that the integer-row elimination of hlra.linalg replaces; the fraction_*
 functions below it rebuild kernels, intersections, preimages, residuals,
@@ -25,7 +25,10 @@ Fractions throughout, and fraction_determinant eliminates over Fractions
 too.  faddeev_leverrier is the characteristic polynomial from whole-matrix
 products and traces over Fractions, the path that the Hessenberg form
 modulo 61-bit primes and Chinese remaindering in hlra.linalg.charpoly
-replace.
+replace.  fraction_square_free_part divides a polynomial by its gcd with
+its derivative found by Euclid's algorithm over Q, through
+fraction_poly_divmod: the path that the primitive pseudo-remainder
+sequence in Z[x] of hlra.linalg replaces.
 transport rewrites an algebra in other bases of L and A, for the tests
 that a result does not depend on the basis; seeded_transport draws the
 bases with random_basis.
@@ -47,6 +50,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import gcd, lcm
 from random import Random
 
 from hlra.connections import ConnectionPartition, ConnectionWitness, _displayed_root_sum, _pm
@@ -630,6 +634,36 @@ def faddeev_leverrier(m):
         coeffs[n - k] = c
         shifted = tuple(tuple(x + c * y for x, y in zip(row, irow)) for row, irow in zip(mk, ident))
     return tuple(coeffs)
+
+
+def fraction_poly_divmod(a, b):
+    """Quotient and remainder of a by b over Q, coefficients low degree
+    first; the remainder has no trailing zeros."""
+    a = list(a)
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] -= c * bi
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def fraction_square_free_part(f):
+    """f divided by gcd(f, f'), made primitive in Z[x], with the gcd from
+    Euclid's algorithm over Q."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, fraction_poly_divmod(a, b)[1]
+    g = fraction_poly_divmod(f, a)[0]
+    den = lcm(*(c.denominator for c in g))
+    ints = [c.numerator * (den // c.denominator) for c in g]
+    content = gcd(*ints)
+    return [c // content for c in ints]
 
 
 # -- change of basis -----------------------------------------------------------

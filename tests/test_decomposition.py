@@ -415,9 +415,12 @@ def test_window_matches_residual_matrices(bundled):
 
 def _window_inputs():
     """(label, h, rd): the split bundled files, random_instance seeds 0-19
-    plain and twisted with at most 8 roots, and three four-root files in a
-    seeded dense basis.  The oracle takes about 12 ms per root subset on
-    fix_s2 in such a basis, so that one is left to the scaling test."""
+    plain and twisted with at most 8 roots, and four-root files in a seeded
+    dense basis.  The oracle takes about 12 ms per root subset on fix_s2 in
+    such a basis, so that one is left to the scaling test.  The H rows of
+    fix_e2 at seed 1 and fix_p2 at seed 4 have the unequal pivot entries
+    (8445, 2815) and (174, 870), so each column of the integer window maps
+    needs its own factor; the other transports have equal ones or dim H 1."""
     for name in SPLIT_NAMES:
         h = fixtures.BUNDLED[name]()
         yield name, h, root_decomposition(h)
@@ -426,9 +429,9 @@ def _window_inputs():
             drawn = _split_draw((seed, twisted))
             if drawn is not None and len(drawn[1].gamma) <= 8:
                 yield (seed, twisted), *drawn
-    for name in ("fix_s", "fix_e2", "fix_p2"):
-        h = seeded_transport(fixtures.BUNDLED[name](), name)
-        yield f"{name} transported", h, root_decomposition(h)
+    for name, seed in (("fix_s", "fix_s"), ("fix_e2", "fix_e2"), ("fix_p2", "fix_p2"), ("fix_e2", 1), ("fix_p2", 4)):
+        h = seeded_transport(fixtures.BUNDLED[name](), seed)
+        yield f"{name} transported by {seed!r}", h, root_decomposition(h)
 
 
 def test_window_in_h_coordinates_matches_the_window_in_l_on_every_root_subset():

@@ -43,6 +43,7 @@ from oracles import (
     fraction_reduce,
     fraction_rref,
     fraction_solve,
+    fraction_square_free_part,
     random_basis,
 )
 
@@ -642,6 +643,40 @@ def test_eigenvalues_match_the_divisor_method_on_random_instances(seed, twisted)
     for op in ops:
         if op:
             assert eigenvalues(op) == divisor_rational_roots(charpoly(op))
+
+
+def eigen_big_charpolys(lam, mu):
+    """The characteristic polynomials of the root and anchor operators of H
+    on the shapes the eigen-big benchmark connects: fix_b with a 13-digit
+    eigenvalue lam and fix_s with a 3-digit mu."""
+    polys = []
+    for h in (fixtures._b_like(lam), fixtures._s_like(mu)):
+        H = Subspace(h.dimL, h.declared_H)
+        ops = operators(h.maps.bracket, H, h.full_L) + operators(h.maps.anchor, H, h.full_A)
+        polys += [charpoly(op) for op in ops if op]
+    return polys
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    split_polynomials().map(lambda case: [case[0]])
+    | st.builds(eigen_big_charpolys, st.integers(5 * 10**12, 5 * 10**12 + 10**9), st.integers(990, 999))
+)
+def test_square_free_part_matches_euclid_over_q(polys):
+    """The primitive pseudo-remainder sequence in Z[x] gives Euclid's
+    square-free part over Q up to sign, on polynomials with repeated
+    rational roots and on the eigen-big characteristic polynomials, and
+    rational_roots finds the same roots with either."""
+    for coeffs in polys:
+        coeffs = [F(c) for c in coeffs]
+        if len(coeffs) < 2:
+            continue
+        want = fraction_square_free_part(coeffs)
+        assert linalg._square_free_part(coeffs) in (want, [-c for c in want])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_square_free_part", fraction_square_free_part)
+            roots = rational_roots(coeffs)
+        assert rational_roots(coeffs) == roots
 
 
 # -- rational roots on inputs the divisor method cannot finish -----------------

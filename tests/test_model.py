@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlra import fixtures
+from hlra import fixtures, model
 from hlra.decomposition import ClassIdeal, verify_prop_3_3
 from hlra.fileio import dumps_algebra
 from hlra.linalg import Subspace, basis_vector, identity_matrix, kernel, mat_from_columns, mat_inverse, mat_vec, span
@@ -631,6 +631,33 @@ def test_rules_and_products_match_the_per_vector_oracle(h, data):
     for claim_id, name in (("prop3.3.3", "action"), ("prop3.3.4", "anchor")):
         images = dict(oracle)[name]
         assert claims[claim_id] == ("PASS" if all(absorbs(ci.space, images) for ci in ideals) else "FAIL"), claim_id
+
+
+def test_rules_are_evaluated_once_per_algebra(monkeypatch):
+    """h.rule_tables evaluates each ideal rule once; after it, the closures
+    and ideal tests of fix_s2 sum its integer rows and evaluate no map,
+    and annihilator solves one system from at most three evaluations."""
+    calls = []
+    evaluate = model._evaluate
+
+    def counted(sides, spaces):
+        calls.append(spaces)
+        return evaluate(sides, spaces)
+
+    monkeypatch.setattr(model, "_evaluate", counted)
+    h = fixtures.fix_s2()
+    assert len(h.rule_tables) == len(calls) == len(ideal_rules(h)) == 6
+    calls.clear()
+    for i in range(h.dimL):
+        seed = Subspace(h.dimL, [basis_vector(h.dimL, i)])
+        closure = ideal_closure(h, seed)
+        assert is_ideal(h, closure.space) == (True, [])
+        assert is_ideal(h, seed)[0] == (closure.space == seed)
+    assert calls == []
+    for space in (Subspace.zero(h.dimL), h.full_L):
+        annihilator(h, space)
+        assert len(calls) <= 3
+        calls.clear()
 
 
 # -- structure-map matrices against the Fraction operators ----------------------
