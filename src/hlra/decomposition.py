@@ -20,7 +20,6 @@ from .linalg import (
     basis_vector,
     complement,
     mat_from_columns,
-    mat_inverse,
     mat_vec,
     span,
     sum_and_overlap,
@@ -279,23 +278,18 @@ def _window_parts(h, rd):
 
     The rule maps are split along the direct sum L = H + (sum of the root
     spaces) of a split decomposition.  Every rule image of the basis of H
-    is written once in the adapted basis (the RREF basis of H, then the
-    basis of each root space in gamma order).  Its H components give one
-    d x d map T_m per rule map m, with d = dim H; K_j holds the x in Q^d
-    whose images all have a zero component in the root space of gamma[j].
-    Rule maps that vanish on H are dropped.  The window tops of
-    `enumerate_ideals` are meets of these cores.  The maps are integer: the
-    change of basis is cleared to one denominator and the image of row i of
-    H, its RREF basis vector i times scale[i], is multiplied by lcm(scale) /
-    scale[i], so every column of a map carries one factor and no preimage
-    changes.
+    is written once in the adapted basis through `RootDecomposition.to_adapted`.
+    Its H components give one d x d map T_m per rule map m, with d = dim H;
+    K_j holds the x in Q^d whose images all have a zero component in the
+    root space of gamma[j].  Rule maps that vanish on H are dropped.  The
+    window tops of `enumerate_ideals` are meets of these cores.  The maps
+    are integer: to_adapted is cleared to one denominator and the image of
+    row i of H, its RREF basis vector i times scale[i], is multiplied by
+    lcm(scale) / scale[i], so every column of a map carries one factor and
+    no preimage changes.
     """
     d = rd.H.dim
-    spaces = [rd.space(g) for g in rd.gamma]
-    adapted = [*rd.H.basis, *(b for s in spaces for b in s.basis)]
-    to_adapted = mat_inverse(mat_from_columns(adapted, nrows=h.dimL))
-    den = lcm(*(x.denominator for row in to_adapted for x in row))
-    to_adapted = [[x.numerator * (den // x.denominator) for x in row] for row in to_adapted]
+    to_adapted, offsets = rd.to_adapted
     scale = [row[p] for row, p in zip(rd.H.rows, rd.H.pivots)]
     factors = [lcm(*scale) // c for c in scale]
     by_map = {}  # (rule, its further arguments), one linear map -> its columns
@@ -309,12 +303,7 @@ def _window_parts(h, rd):
         return [tuple(x for c in coords for x in c[i][start:stop]) for i in range(d)]
 
     t_cols = stacked(0, d)
-    cores = []
-    at = d
-    for s in spaces:
-        cores.append(_invariant_core(Subspace.zero(s.dim).preimage(stacked(at, at + s.dim)), t_cols))
-        at += s.dim
-    return cores
+    return [_invariant_core(Subspace.zero(b - a).preimage(stacked(a, b)), t_cols) for a, b in zip(offsets[1:], offsets[2:])]
 
 
 @dataclass(frozen=True)
@@ -342,7 +331,8 @@ def enumerate_ideals(h, rd):
     root spaces.  So each sum of them is graded too, and meets L_d exactly
     when some C_g with g in S does.  The feasible subsets are therefore the
     down-closed ones: supp(C_g) lies in S for every g in S, where supp(C_g)
-    is the set of roots d with C_g meeting L_d.  Only the |Gamma|
+    is the set of roots d with C_g meeting L_d: those where the graded C_g
+    has a nonzero part (`RootDecomposition.parts`).  Only the |Gamma|
     single-root closures are computed, and they are kept as the seeds;
     infeasible subsets are never closed.
 
@@ -385,8 +375,9 @@ def enumerate_ideals(h, rd):
         found = {Subspace.zero(n), h.full_L, *seeds}
         note = f"root subset count 2^{len(gamma)} exceeds the cap; closure seeds only"
         return EnumeratedIdeals(_sorted_spaces(found), False, note, seeds)
-    support = [sum(1 << j for j, s in enumerate(spaces) if not c.intersect(s).is_zero) for c in seeds]
-    h_parts = [Subspace(d, [rd.H.coords(v) for v in c.intersect(rd.H).basis]) for c in seeds]
+    seed_parts = [rd.parts(c) for c in seeds]
+    support = [sum(1 << j for j, p in enumerate(ps[1:]) if not p.is_zero) for ps in seed_parts]
+    h_parts = [ps[0] for ps in seed_parts]
     complete = all(s.dim == 1 for s in spaces)
     note = "" if complete else "a root space has dimension above one; enumeration is heuristic"
     cores = _window_parts(h, rd)

@@ -6,6 +6,9 @@ side live in one coordinate space and can be added freely.  Composition
 with the twist acts on those coordinate tuples through the transpose of
 the restricted twist matrix.
 
+Grading questions are answered in the adapted basis of a split L (the RREF
+basis of H, then each root space's basis in gamma order): see `parts`.
+
 The two sides follow different conventions today:
 
 - a root space is an eigenspace of ad h pulled back through psi^-1, so
@@ -22,6 +25,8 @@ the root of e to -lambda while the weight of t stays lambda.
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .claims import FAIL, PASS, ClaimResult
 from .linalg import (
@@ -89,12 +94,31 @@ class RootDecomposition:
         space = self.root_spaces.get(tuple(f))
         return Subspace.zero(self.H.ambient) if space is None else space
 
+    @cached_property
+    def to_adapted(self):
+        """(rows, offsets): the inverse of the adapted basis cleared to one
+        denominator, and where each piece's coordinates start, then dim L."""
+        if not self.split:
+            raise ValueError("root decomposition is not split; L has no adapted basis")
+        pieces = [self.H] + [self.root_spaces[g] for g in self.gamma]
+        inverse = mat_inverse(mat_from_columns([b for p in pieces for b in p.basis], nrows=self.H.ambient))
+        den = lcm(*(x.denominator for row in inverse for x in row))
+        offsets = tuple(sum(p.dim for p in pieces[:k]) for k in range(len(pieces) + 1))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse), offsets
+
+    def parts(self, space):
+        """The components of space in H and then in each root space in
+        gamma order, each in coordinates on that piece's basis, from one
+        integer product per row of space.  They span space or more, and
+        exactly space when it is graded: then each is the intersection of
+        space with its piece."""
+        rows, offsets = self.to_adapted
+        images = [[sum(map(mul, row, w)) for row in rows] for w in space.rows]
+        return [Subspace(stop - start, [v[start:stop] for v in images]) for start, stop in zip(offsets, offsets[1:])]
+
     def is_graded(self, space):
-        """True when space is the sum of its intersections with the zero
-        space and the root spaces (their sum is direct, so counting
-        dimensions decides it)."""
-        parts = [self.zero_space] + [self.root_spaces[g] for g in self.gamma]
-        return sum(space.intersect(p).dim for p in parts) == space.dim
+        """True when the dimensions of the parts of space add up to its own."""
+        return sum(p.dim for p in self.parts(space)) == space.dim
 
 
 @dataclass(eq=False)

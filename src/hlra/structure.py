@@ -116,20 +116,18 @@ class JSplit:
 
 
 def j_split(rd, jrep):
-    """Classify each root by whether its space sits inside J."""
-    gj = []
-    gnj = []
+    """Classify each root of a split rd by whether its space sits inside J.
+    J is graded (see `decomposition.enumerate_ideals`): its parts are its meets."""
+    gj, gnj, notes = [], [], []
     clean = True
-    notes = []
-    for g in rd.gamma:
-        inter = jrep.J.intersect(rd.space(g))
-        if inter.is_zero:
+    for g, part in zip(rd.gamma, rd.parts(jrep.J)[1:]):
+        if part.is_zero:
             gnj.append(g)
         else:
             gj.append(g)
-            if inter != rd.space(g):
+            if part.dim != rd.space(g).dim:
                 clean = False
-                notes.append(f"J meets the root space of {format_root(g)} partially (dim {inter.dim})")
+                notes.append(f"J meets the root space of {format_root(g)} partially (dim {part.dim})")
     graded = rd.is_graded(jrep.J)
     if not graded:
         notes.append("J does not decompose into its H and root parts")
@@ -377,7 +375,8 @@ def verify_theorem_5_12(a, seed):
     if seed.is_zero:
         # J is an ideal_closure output, closed under every ideal rule
         return run("degenerate", True, "zero seed: the whole of J serves as the complement", js.J)
-    gamma_ji = tuple(g for g in js.gamma_J if not seed.intersect(rd.space(g)).is_zero)
+    # the seed is an ideal inside J, so graded, with root parts inside J's
+    gamma_ji = tuple(g for g, part in zip(rd.gamma, rd.parts(seed)[1:]) if not part.is_zero)
     ji_set = set(gamma_ji)
     if any(vec_neg(g) in ji_set for g in gamma_ji):
         good = seed == js.J

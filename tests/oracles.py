@@ -31,7 +31,12 @@ fraction_poly_divmod: the path that the primitive pseudo-remainder
 sequence in Z[x] of hlra.linalg replaces.
 transport rewrites an algebra in other bases of L and A, for the tests
 that a result does not depend on the basis; seeded_transport draws the
-bases with random_basis.
+bases with random_basis, and random_rational_basis draws bases with
+rational entries.
+intersection_parts meets a subspace with H and with each root space, one
+intersection per piece: the path that RootDecomposition.parts, one
+product by the inverse of the adapted basis per row, replaces on graded
+subspaces.
 h_part_window is the H-part window of the ideal enumeration computed in L,
 by a preimage of W + F_S in the ambient space per step: the slow path that
 the per-root kernels in H coordinates replace, and window_enumeration
@@ -678,6 +683,15 @@ def random_basis(rng, n):
             return m
 
 
+def random_rational_basis(rng, n):
+    """An invertible n x n matrix whose entries have numerators and
+    denominators of 1 to 3 digits, drawn from rng until one is invertible."""
+    while True:
+        m = tuple(tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(n)) for _ in range(n))
+        if fraction_inverse(m) is not None:
+            return m
+
+
 # the spaces (L or A) of the two arguments and of the value of each tensor
 TENSOR_KINDS = {"bracket": "LLL", "mul": "AAA", "action": "ALL", "anchor": "LAA"}
 
@@ -728,6 +742,17 @@ def seeded_transport(h, seed):
     seed: every tensor comes out dense."""
     rng = Random(seed)
     return transport(h, random_basis(rng, h.dimL), random_basis(rng, h.dimA))
+
+
+# -- the parts of a subspace ---------------------------------------------------
+
+
+def intersection_parts(rd, space):
+    """space meet H in coordinates on the RREF basis of H, then space meet
+    L_g in coordinates on the RREF basis of L_g for each root g in gamma
+    order."""
+    pieces = [rd.H] + [rd.space(g) for g in rd.gamma]
+    return [Subspace(p.dim, [p.coords(v) for v in space.intersect(p).basis]) for p in pieces]
 
 
 # -- the H-part window in L ----------------------------------------------------

@@ -2,11 +2,13 @@
 
 import time
 from fractions import Fraction
+from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hlra import cli, decomposition, fixtures
+from hlra import cli, decomposition, fixtures, roots
 from hlra.decomposition import enumerate_ideals, run_decomposition
 from hlra.fileio import dumps_algebra
 from hlra.linalg import (
@@ -24,11 +26,15 @@ from hlra.structure import Analysis, run_structure
 
 from conftest import SPLIT_NAMES
 from oracles import (
+    fraction_inverse,
     fraction_reduce,
     fraction_rules,
     h_part_window,
+    intersection_parts,
+    random_rational_basis,
     rule_images_on_h,
     seeded_transport,
+    transport,
     window_enumeration,
 )
 
@@ -323,6 +329,14 @@ def test_enumeration_rejects_a_non_split_decomposition(bundled):
         enumerate_ideals(h, root_decomposition(h, H=((0, 1),)))
 
 
+def test_grading_rejects_a_non_split_decomposition(bundled):
+    h = bundled["fix_b"]
+    rd = root_decomposition(h, H=((0, 1),))
+    for ask in (rd.parts, rd.is_graded):
+        with pytest.raises(ValueError, match="not split"):
+            ask(h.full_L)
+
+
 def test_gradedness_predicate(bundled):
     h = bundled["fix_s"]
     rd = root_decomposition(h)
@@ -448,6 +462,71 @@ def test_window_in_h_coordinates_matches_the_window_in_l_on_every_root_subset():
             f_space = Subspace(h.dimL, [b for i in members for b in rd.space(gamma[i]).basis])
             got = decomposition._from_h_coords(rd, _meet_of_cores(rd.H.dim, cores, mask))
             assert got == h_part_window(rd, f_space, images), (label, mask)
+
+
+# the files the grading test also draws in a basis of 1- to 3-digit rationals
+RATIONAL = ("fix_s", "fix_b2", "fix_e2", "fix_p2")
+
+
+def _graded_inputs():
+    """The window inputs, then four files in a basis of 1- to 3-digit
+    rationals, whose adapted bases have inverses with unequal denominators.
+    fix_s2 in such a basis takes 1.4 s, so it is left out."""
+    yield from _window_inputs()
+    for name in RATIONAL:
+        h, rng = fixtures.BUNDLED[name](), Random(name)
+        h = transport(h, random_rational_basis(rng, h.dimL), random_rational_basis(rng, h.dimA))
+        yield f"{name} in a rational basis", h, root_decomposition(h)
+
+
+def test_parts_match_the_intersections_on_graded_spaces():
+    """On every seed, J, enumerated ideal and class ideal, each part is the
+    intersection with its piece, as the oracle finds it.  On spans of
+    random vectors, mostly not graded, and on sums of random pieces,
+    is_graded agrees with the oracle's dimension count.  to_adapted is the inverse of the adapted basis times the lcm
+    of its denominators, which are unequal on every rational basis."""
+    unequal = set()
+    for label, h, rd in _graded_inputs():
+        assert rd.split, label
+        rows, offsets = rd.to_adapted
+        pieces = [rd.H] + [rd.space(g) for g in rd.gamma]
+        inverse = fraction_inverse(mat_from_columns([b for p in pieces for b in p.basis], nrows=h.dimL))
+        dens = {x.denominator for row in inverse for x in row}
+        if len(dens) > 1:
+            unequal.add(label)
+        assert tuple(tuple(x * lcm(*dens) for x in row) for row in inverse) == rows, label
+        assert offsets == tuple(sum(p.dim for p in pieces[:k]) for k in range(len(pieces) + 1)), label
+        a = Analysis(h, rd, weight_decomposition(h, rd))
+        graded = [*a.enum.seeds, a.js.J, *a.enum.ideals]
+        if a.wd.split:
+            graded += [ci.space for ci in a.root_ideals]
+        for space in graded:
+            assert rd.parts(space) == intersection_parts(rd, space), (label, space.basis)
+        rng = Random(str(label))
+        for _ in range(8):
+            vectors = [[rng.randint(-2, 2) for _ in range(h.dimL)] for _ in range(rng.randint(1, 3))]
+            picks = [b for p in pieces if rng.random() < 0.3 for b in p.basis]
+            for space in (Subspace(h.dimL, vectors), Subspace(h.dimL, picks)):
+                dims = sum(p.dim for p in intersection_parts(rd, space))
+                assert rd.is_graded(space) == (dims == space.dim), (label, space.basis)
+    assert {f"{name} in a rational basis" for name in RATIONAL} <= unequal
+
+
+def test_grading_inverts_the_adapted_basis_once_and_meets_nothing_in_l(monkeypatch):
+    """On fix_s2 the adapted basis is inverted once, though the window
+    cores and the seeds both read it.  Enumeration, the J-split and every
+    gradedness test then intersect no subspaces of L: the only meets left
+    are those of the window cores and tops, in H coordinates."""
+    h = fixtures.fix_s2()
+    rd = root_decomposition(h)
+    a = Analysis(h, rd, None)
+    inversions, meets = [], []
+    inverse, intersect = roots.mat_inverse, Subspace.intersect
+    monkeypatch.setattr(roots, "mat_inverse", lambda m: inversions.append(m) or inverse(m))
+    monkeypatch.setattr(Subspace, "intersect", lambda s, o: meets.append(s.ambient) or intersect(s, o))
+    assert all(map(rd.is_graded, (*a.enum.seeds, a.js.J, *a.enum.ideals)))
+    assert len(inversions) == 1
+    assert meets and set(meets) == {rd.H.dim} != {h.dimL}
 
 
 def test_window_shrinks_until_no_map_leaves_it():

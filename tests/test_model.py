@@ -669,8 +669,11 @@ def _oracle_kernel(blocks, n):
 
 
 def _lie_space(h, H):
-    """H plus the root spaces outside J: the space Z_Lie annihilates."""
+    """H plus the root spaces outside J: the space Z_Lie annihilates.  Only
+    a split decomposition has a J-split; on another this is H."""
     rd = root_decomposition(h, H.basis)
+    if not rd.split:
+        return H
     return span(h.dimL, [rd.H] + [rd.space(g) for g in j_split(rd, compute_J(h)).gamma_notJ])
 
 
