@@ -15,16 +15,7 @@ from math import lcm
 from operator import mul
 
 from .claims import FAIL, INFO, PASS, REFUSED, ClaimResult
-from .linalg import (
-    Subspace,
-    basis_vector,
-    complement,
-    mat_from_columns,
-    mat_vec,
-    span,
-    sum_and_overlap,
-    vec_neg,
-)
+from .linalg import Subspace, basis_vector, complement, mat_from_columns, mat_vec, span, sum_and_overlap
 from .model import annihilator, center_ZA, ideal_closure, ideal_rules, is_ideal, rule_image, rule_images
 from .roots import format_class, verify_lemma_closures
 
@@ -36,45 +27,6 @@ ENUMERATION_CAP = 512
 class ClassIdeal:
     cls: tuple
     space: Subspace
-
-
-def build_root_ideal(h, rd, wd, cls):
-    """Ideal attached to one root class: opposite products inside H plus
-    the root spaces of the class."""
-    inner = root_inner_sum(h, rd, wd, cls)
-    return ClassIdeal(tuple(cls), span(h.dimL, [inner] + [rd.space(xi) for xi in cls]))
-
-
-def build_weight_ideal(h, rd, wd, cls):
-    """Ideal of A attached to one weight class: anchor images and opposite
-    products inside the zero weight space, plus the weight spaces."""
-    inner = weight_inner_sum(h, rd, wd, cls, rd.root_spaces)
-    return ClassIdeal(tuple(cls), span(h.dimA, [inner] + [wd.space(beta) for beta in cls]))
-
-
-def root_inner_sum(h, rd, wd, roots):
-    """Sum of opposite-weight actions and opposite-root brackets over the
-    given (nonzero) roots; the candidate generator of H."""
-    parts = []
-    for g in roots:
-        neg = vec_neg(g)
-        parts.append(h.act_space(wd.space(neg), rd.space(g)))
-        parts.append(h.bracket_space(rd.space(neg), rd.space(g)))
-    return span(h.dimL, parts)
-
-
-def weight_inner_sum(h, rd, wd, weights, anchor_roots):
-    """Sum of anchor images and opposite-weight products over the given
-    (nonzero) weights; the candidate generator of the zero weight space.
-    The anchor image at a weight counts only when its negative is in
-    anchor_roots; passing every root counts them all."""
-    parts = []
-    for a in weights:
-        neg = vec_neg(a)
-        if neg in anchor_roots:
-            parts.append(h.anchor_space(rd.space(neg), wd.space(a)))
-        parts.append(h.mul_space(wd.space(neg), wd.space(a)))
-    return span(h.dimA, parts)
 
 
 def _every_ideal(claim_id, ideals, holds, fail, ok):
@@ -146,7 +98,7 @@ def verify_prop_3_3(a):
             "bracket escapes the ideal of class {}", f"{len(ideals)} class ideals",
         ),
         _every_ideal(
-            "prop3.3.2", ideals, lambda s: s.image(h.psi) == s,
+            "prop3.3.2", ideals, lambda s: rule_image(h, rules["psi"], s) == s,
             "twist image differs on the ideal of class {}", "twist fixes every class ideal",
         ),
         _every_ideal(

@@ -302,11 +302,6 @@ class Subspace:
         units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         return _cancelled([self._residual(_primitive(tuple(col) + e), blocks) for col, e in zip(columns, units)], k)
 
-    def image(self, m):
-        """Span of m applied to this subspace."""
-        nrows = len(m)
-        return Subspace(nrows, tuple(mat_vec(m, w) for w in self.rows))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

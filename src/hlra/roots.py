@@ -40,7 +40,7 @@ from .linalg import (
     vec_add,
     zero_vector,
 )
-from .model import InputError, _span, operators
+from .model import InputError, _span, ideal_rules, operators, rule_image
 from .scalars import format_scalar
 
 
@@ -213,16 +213,16 @@ def weight_decomposition(h, rd):
     classes, remainder = joint_eigenspaces(ops, h.full_A)
     weights = dict(classes)
     a0 = weights.pop(zero_vector(rd.H.dim), Subspace.zero(h.dimA))
+    # phi must keep each piece; any map keeps the zero space and the whole of A
+    pieces = [(f"the weight space at {format_root(tup)}", weights[tup]) for tup in sorted(weights)]
     diagnosis = next(
         (
-            f"phi does not preserve the weight space at {format_root(tup)}"
-            for tup in sorted(weights)
-            if not weights[tup].contains_space(weights[tup].image(h.phi))
+            f"phi does not preserve {name}"
+            for name, space in pieces + [("the zero weight space", a0)]
+            if space.dim not in (0, h.dimA) and not space.contains_space(_span(h.maps.phi, [space]))
         ),
         "",
     )
-    if not diagnosis and not a0.contains_space(a0.image(h.phi)):
-        diagnosis = "phi does not preserve the zero weight space"
     split = remainder.is_zero
     if not split and not diagnosis:
         diagnosis = (
@@ -296,15 +296,15 @@ def verify_lemma_closures(h, rd, wd):
         )
     )
 
-    psi_inv = h.psi_inv
+    rules = {rule[0]: rule for rule in ideal_rules(h)}  # psi and psi_inv images off h.rule_tables
     bad = ""
     for g in rd.gamma:
-        fwd = rd.root_spaces[g].image(h.psi)
+        fwd = rule_image(h, rules["psi"], rd.root_spaces[g])
         fwd_target = rd.space(compose_psi_power(g, -1, rd))
         if fwd != fwd_target:
             bad = f"twist image of the root space at {format_root(g)} is not the root space at the inverse-composed functional"
             break
-        bwd = rd.root_spaces[g].image(psi_inv)
+        bwd = rule_image(h, rules["psi_inv"], rd.root_spaces[g])
         bwd_target = rd.space(compose_psi_power(g, 1, rd))
         if bwd != bwd_target:
             bad = f"inverse twist image of the root space at {format_root(g)} mismatches"

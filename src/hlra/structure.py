@@ -7,9 +7,11 @@ decomposition, and the zero/nonzero pairing counts between scalar and root
 class ideals.
 
 `Analysis` holds one split instance and builds each derived object once, on
-first use; every verifier here and in `decomposition` reads it.  It lives
-here because this module already imports `decomposition`, so the class can
-own the J-split and the profile without an import cycle.
+first use; every verifier here and in `decomposition` reads it, and its
+opposite-product tables are the one place where the products generating H
+and the zero weight space are evaluated.  It lives here because this module
+already imports `decomposition`, so the class can own the J-split and the
+profile without an import cycle.
 """
 
 from dataclasses import dataclass
@@ -17,16 +19,7 @@ from functools import cached_property
 
 from .claims import FAIL, INFO, PASS, REFUSED, ClaimResult
 from .connections import root_partition, weight_partition
-from .decomposition import (
-    build_root_ideal,
-    build_weight_ideal,
-    enumerate_ideals,
-    first_nonzero_pair,
-    refusal,
-    root_inner_sum,
-    simplicity_check,
-    weight_inner_sum,
-)
+from .decomposition import ClassIdeal, enumerate_ideals, first_nonzero_pair, refusal, simplicity_check
 from .linalg import Subspace, span, sum_and_overlap, vec_add, vec_neg
 from .model import ClosureError, annihilator, annihilator_Z, center_ZA, compute_J, is_ideal, sub_algebra
 from .roots import CartanError, compose_psi_power, format_class, format_root, root_decomposition
@@ -35,7 +28,13 @@ from .roots import CartanError, compose_psi_power, format_class, format_root, ro
 class Analysis:
     """One split instance: the algebra h with its root decomposition rd and
     weight decomposition wd.  Every derived object is a member computed on
-    first use and kept, so one run builds each of them at most once."""
+    first use and kept, so one run builds each of them at most once.
+
+    root_opposites and weight_opposites evaluate each opposite product once;
+    the class ideals, the generated parts of H and of the zero weight space
+    (all of them, or at the not-J roots for tight.5 and tight.6) and the
+    thm5.12 complement are spans of their entries.  A product at a root or
+    weight whose negative is not one has a zero side and adds nothing."""
 
     def __init__(self, h, rd, wd):
         self.h = h
@@ -59,22 +58,59 @@ class Analysis:
         return weight_partition(self.rd, self.wd)
 
     @cached_property
+    def root_opposites(self):
+        """{gamma: (A_-gamma . L_gamma, [L_-gamma, L_gamma])} over the roots."""
+        h, rd, wd = self.h, self.rd, self.wd
+        return {
+            g: (h.act_space(wd.space(vec_neg(g)), rd.space(g)), h.bracket_space(rd.space(vec_neg(g)), rd.space(g)))
+            for g in rd.gamma
+        }
+
+    @cached_property
+    def weight_opposites(self):
+        """{alpha: (rho(L_-alpha)(A_alpha), A_-alpha A_alpha)} over the weights."""
+        h, rd, wd = self.h, self.rd, self.wd
+        return {
+            a: (h.anchor_space(rd.space(vec_neg(a)), wd.space(a)), h.mul_space(wd.space(vec_neg(a)), wd.space(a)))
+            for a in wd.lam
+        }
+
+    def root_sum(self, roots, spaces=()):
+        """The span of the opposite products at roots and of spaces."""
+        return span(self.h.dimL, [s for g in roots for s in self.root_opposites[g]] + list(spaces))
+
+    def weight_sum(self, weights, spaces=()):
+        """The span of the anchor images and opposite products at weights
+        and of spaces."""
+        return span(self.h.dimA, [s for a in weights for s in self.weight_opposites[a]] + list(spaces))
+
+    @cached_property
     def root_ideals(self):
-        return tuple(build_root_ideal(self.h, self.rd, self.wd, c) for c in self.root_part.classes)
+        """Per root class: its opposite products plus its root spaces."""
+        return tuple(ClassIdeal(tuple(c), self.root_sum(c, map(self.rd.space, c))) for c in self.root_part.classes)
 
     @cached_property
     def weight_ideals(self):
-        return tuple(build_weight_ideal(self.h, self.rd, self.wd, c) for c in self.weight_part.classes)
+        """Per weight class: its anchor images and opposite products plus
+        its weight spaces."""
+        return tuple(ClassIdeal(tuple(c), self.weight_sum(c, map(self.wd.space, c))) for c in self.weight_part.classes)
 
     @cached_property
     def root_inner(self):
         """The part of H generated by opposite products over all roots."""
-        return root_inner_sum(self.h, self.rd, self.wd, self.rd.gamma)
+        return self.root_sum(self.rd.gamma)
 
     @cached_property
     def weight_inner(self):
         """The part of the zero weight space generated over all weights."""
-        return weight_inner_sum(self.h, self.rd, self.wd, self.wd.lam, self.rd.root_spaces)
+        return self.weight_sum(self.wd.lam)
+
+    @cached_property
+    def actions(self):
+        """actions[i][j]: weight class ideal j acts nontrivially on root
+        class ideal i."""
+        act = self.h.act_space
+        return tuple(tuple(not act(cj.space, ci.space).is_zero for cj in self.weight_ideals) for ci in self.root_ideals)
 
     @cached_property
     def enum(self):
@@ -222,9 +258,10 @@ def tightness_check(a):
     za = center_ZA(h)
     aa = h.mul_space(h.full_A, h.full_A)
     al = h.act_space(h.full_A, h.full_L)
-    # opposite products and anchor images restricted to the not-J roots
-    hs = root_inner_sum(h, rd, wd, js.gamma_notJ)
-    a0s = weight_inner_sum(h, rd, wd, wd.lam, set(js.gamma_notJ))
+    # opposite products at the not-J roots; rho(L_-alpha)(A_alpha) only when -alpha is one
+    hs = a.root_sum(js.gamma_notJ)
+    notj, opposites = set(js.gamma_notJ), a.weight_opposites
+    a0s = span(h.dimA, [opposites[x][0] for x in wd.lam if vec_neg(x) in notj] + [opposites[x][1] for x in wd.lam])
     clauses = (
         ("tight.1", zl.is_zero, f"Lie annihilator dim {zl.dim}"),
         ("tight.2", za.is_zero, f"scalar annihilator dim {za.dim}"),
@@ -363,7 +400,7 @@ def verify_theorem_5_12(a, seed):
     complementary ideal built from the negative seed roots.  The branch runs
     whatever the hypotheses; when some fail, the detail says the caller
     assumed them (`run_structure` refuses instead)."""
-    h, rd, wd, js = a.h, a.rd, a.wd, a.js
+    h, rd, js = a.h, a.rd, a.js
     if not js.J.contains_space(seed):
         raise ValueError("the seed ideal is not contained in J")
     prefix = "hypotheses assumed by caller: " if _hypothesis_gaps(a.profile) else ""
@@ -389,14 +426,8 @@ def verify_theorem_5_12(a, seed):
     neg_ji = {vec_neg(g) for g in gamma_ji}
     if set(js.gamma_J) != ji_set | neg_ji or ji_set & neg_ji:
         return run("complement", False, "the J-roots do not split disjointly into seed roots and their negatives")
-    n = h.dimL
-    lam_set = set(wd.lam)
-    iprime = Subspace.zero(n)
-    for g in gamma_ji:
-        neg = vec_neg(g)
-        if g in lam_set:
-            iprime = iprime.add(h.act_space(wd.space(g), rd.space(neg)))
-        iprime = iprime.add(rd.space(neg))
+    # A_g . L_-g, the first opposite product at -g, plus L_-g; -g is a J-root
+    iprime = span(h.dimL, [s for g in neg_ji for s in (a.root_opposites[g][0], rd.space(g))])
     ok_ideal, failed = is_ideal(h, iprime)
     direct = seed.intersect(iprime).is_zero
     spans = seed.add(iprime) == js.J
@@ -474,8 +505,8 @@ def verify_cor_5_13(a):
 
     components = []
     verdict_gap = None
-    for ci in l_ideals:
-        hits = [j for j, cj in enumerate(a_ideals) if not h.act_space(cj.space, ci.space).is_zero]
+    for ci, acts in zip(l_ideals, a.actions):
+        hits = [j for j, nonzero in enumerate(acts) if nonzero]
         if len(hits) != 1:
             problems.append(f"component of class {format_class(ci.cls)} pairs with {len(hits)} scalar components")
             # no unique scalar partner; judge simplicity over all of A,
@@ -534,9 +565,8 @@ def verify_pairing_5_9(a, criterion=None):
     should be one, so both are reported; an optional criterion turns one
     reading into a pass/fail."""
     rows = []
-    for ci in a.root_ideals:
-        zero = sum(1 for cj in a.weight_ideals if a.h.act_space(cj.space, ci.space).is_zero)
-        rows.append(PairingRow(root_class=ci.cls, zero_classes=zero, nonzero_classes=len(a.weight_ideals) - zero))
+    for ci, acts in zip(a.root_ideals, a.actions):
+        rows.append(PairingRow(root_class=ci.cls, zero_classes=acts.count(False), nonzero_classes=acts.count(True)))
     tight_note = "tight" if all(a.profile.tight) else "not tight"
     if not rows:
         body = "vacuous: no root classes"

@@ -37,10 +37,16 @@ intersection_parts meets a subspace with H and with each root space, one
 intersection per piece: the path that RootDecomposition.parts, one
 product by the inverse of the adapted basis per row, replaces on graded
 subspaces.
+build_root_ideal, build_weight_ideal, root_inner_sum and weight_inner_sum
+evaluate the opposite products afresh for each class ideal and generated
+part, and theorem_5_12_run adds up the thm5.12 complement one root at a
+time: the per-caller path that the opposite-product tables of
+hlra.structure.Analysis replace.
 h_part_window is the H-part window of the ideal enumeration computed in L,
 by a preimage of W + F_S in the ambient space per step: the slow path that
 the per-root kernels in H coordinates replace, and window_enumeration
 assembles the enumerated ideals from it.
+swapped_line is an input whose twist moves a root.
 scan_identities and scan_morphism check the defining identities of an
 algebra and of a morphism pair by evaluating both sides, as Fraction
 vectors, on every tuple of basis vectors in itertools.product order: the
@@ -59,9 +65,28 @@ from math import gcd, lcm
 from random import Random
 
 from hlra.connections import ConnectionPartition, ConnectionWitness, _displayed_root_sum, _pm
-from hlra.decomposition import _from_h_coords
-from hlra.linalg import Subspace, basis_vector, identity_matrix, mat_columns, mat_from_columns, mat_vec, vec_add, vec_neg
-from hlra.model import ClosureError, HLRAlgebra, InputError, TwistError, check_morphism, ideal_closure
+from hlra import fixtures
+from hlra.decomposition import ClassIdeal, _from_h_coords
+from hlra.linalg import (
+    Subspace,
+    basis_vector,
+    identity_matrix,
+    mat_columns,
+    mat_from_columns,
+    mat_vec,
+    span,
+    vec_add,
+    vec_neg,
+)
+from hlra.model import (
+    ClosureError,
+    HLRAlgebra,
+    InputError,
+    TwistError,
+    check_morphism,
+    ideal_closure,
+    twist_by_endomorphism,
+)
 from hlra.roots import compose_psi_power, psi_orbit
 from hlra.scalars import format_vector
 
@@ -755,6 +780,83 @@ def intersection_parts(rd, space):
     return [Subspace(p.dim, [p.coords(v) for v in space.intersect(p).basis]) for p in pieces]
 
 
+# -- opposite products per caller ---------------------------------------------
+
+
+def build_root_ideal(h, rd, wd, cls):
+    """Ideal attached to one root class: opposite products inside H plus
+    the root spaces of the class."""
+    inner = root_inner_sum(h, rd, wd, cls)
+    return ClassIdeal(tuple(cls), span(h.dimL, [inner] + [rd.space(xi) for xi in cls]))
+
+
+def build_weight_ideal(h, rd, wd, cls):
+    """Ideal of A attached to one weight class: anchor images and opposite
+    products inside the zero weight space, plus the weight spaces."""
+    inner = weight_inner_sum(h, rd, wd, cls, rd.root_spaces)
+    return ClassIdeal(tuple(cls), span(h.dimA, [inner] + [wd.space(beta) for beta in cls]))
+
+
+def root_inner_sum(h, rd, wd, roots):
+    """Sum of opposite-weight actions and opposite-root brackets over the
+    given (nonzero) roots; the candidate generator of H."""
+    parts = []
+    for g in roots:
+        neg = vec_neg(g)
+        parts.append(h.act_space(wd.space(neg), rd.space(g)))
+        parts.append(h.bracket_space(rd.space(neg), rd.space(g)))
+    return span(h.dimL, parts)
+
+
+def weight_inner_sum(h, rd, wd, weights, anchor_roots):
+    """Sum of anchor images and opposite-weight products over the given
+    (nonzero) weights; the candidate generator of the zero weight space.
+    The anchor image at a weight counts only when its negative is in
+    anchor_roots; passing every root counts them all."""
+    parts = []
+    for a in weights:
+        neg = vec_neg(a)
+        if neg in anchor_roots:
+            parts.append(h.anchor_space(rd.space(neg), wd.space(a)))
+        parts.append(h.mul_space(wd.space(neg), wd.space(a)))
+    return span(h.dimA, parts)
+
+
+def theorem_5_12_run(h, rd, wd, js, seed):
+    """(branch, ok, detail, I') of the two-ideal split for one seed ideal
+    inside J, with the complement I' added up one root at a time."""
+    if seed.is_zero:
+        return "degenerate", True, "zero seed: the whole of J serves as the complement", js.J
+    gamma_ji = tuple(g for g, part in zip(rd.gamma, intersection_parts(rd, seed)[1:]) if not part.is_zero)
+    ji_set = set(gamma_ji)
+    if any(vec_neg(g) in ji_set for g in gamma_ji):
+        good = seed == js.J
+        detail = "a root and its negative both support the seed; expected I=J"
+        return "equal_J", good, detail + ("" if good else f"; got dim {seed.dim} versus dim {js.J.dim}"), None
+    neg_ji = {vec_neg(g) for g in gamma_ji}
+    if set(js.gamma_J) != ji_set | neg_ji or ji_set & neg_ji:
+        return "complement", False, "the J-roots do not split disjointly into seed roots and their negatives", None
+    lam_set = set(wd.lam)
+    iprime = Subspace.zero(h.dimL)
+    for g in gamma_ji:
+        neg = vec_neg(g)
+        if g in lam_set:
+            iprime = iprime.add(h.act_space(wd.space(g), rd.space(neg)))
+        iprime = iprime.add(rd.space(neg))
+    ok_ideal, failed = fraction_is_ideal(h, iprime)
+    direct = seed.intersect(iprime).is_zero
+    total = seed.add(iprime)
+    bits = []
+    if not ok_ideal:
+        bits.append(f"complement fails ideal rules: {', '.join(failed)}")
+    if not direct:
+        bits.append("seed and complement overlap")
+    if total != js.J:
+        bits.append(f"seed and complement span dim {total.dim} of {js.J.dim}")
+    detail = "; ".join(bits) if bits else f"J = I + I' with dims {seed.dim}+{iprime.dim}={js.J.dim}"
+    return "complement", ok_ideal and direct and total == js.J, detail, iprime
+
+
 # -- the H-part window in L ----------------------------------------------------
 
 
@@ -893,3 +995,15 @@ def scan_morphism(g, f, src, dst):
         ("morphism.5", "LA", lambda x, a: g(s_anc(x, a)), lambda x, a: d_anc(f(x), g(a))),
     )
     return scan_violations(src, rows)
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def swapped_line():
+    """[h,e] = e and [h,f] = -f over the rational line, twisted by the
+    identity on A and psi: h -> -h, e -> f, f -> -e.  psi is -1 on H, so
+    composing with it swaps the roots 1 and -1: each psi_orbit has length 2."""
+    h = fixtures._over_line(("h", "e", "f"), {(0, 1, 1): 1, (1, 0, 1): -1, (0, 2, 2): -1, (2, 0, 2): 1}, ((1, 0, 0),))
+    psi = tuple(tuple(map(Fraction, row)) for row in ((-1, 0, 0), (0, 0, -1), (0, 1, 0)))
+    return twist_by_endomorphism(h, identity_matrix(1), psi)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hlra import cli, connections, decomposition, model, roots, structure
+from hlra.linalg import vec_neg
 
 # (module, name) of each counted builder; root_partition counts only the
 # unrestricted partition, since the profile also takes the not-J one
@@ -85,3 +86,45 @@ def test_cor_5_13_builds_no_weight_decomposition(monkeypatch, bundled):
     report = structure.verify_cor_5_13(a)
     assert [c.simple_verdict for c in report.components] == ["simple", "simple"]
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ("fix_s2", "fix_p2"))
+def test_opposite_products_are_evaluated_once_per_analysis(monkeypatch, bundled, name):
+    """The class ideals, the generated parts, the profile with tightness
+    and the pairing evaluate each opposite product once, and the pairing
+    verifiers read the actions table instead of acting again."""
+    h = bundled[name]
+    rd = roots.root_decomposition(h)
+    wd = roots.weight_decomposition(h, rd)
+    a = structure.Analysis(h, rd, wd)
+    evaluated, acted = [], []
+    evaluate, act_space = model._evaluate, model.HLRAlgebra.act_space
+
+    def counted(sides, spaces):
+        evaluated.append((sides[0][0].fn, *spaces))
+        return evaluate(sides, spaces)
+
+    monkeypatch.setattr(model, "_evaluate", counted)
+    a.root_ideals, a.weight_ideals, a.root_inner, a.weight_inner, a.profile, a.actions
+    m = h.maps
+    opposites = [
+        key
+        for g in rd.gamma
+        for key in ((m.action, wd.space(vec_neg(g)), rd.space(g)), (m.bracket, rd.space(vec_neg(g)), rd.space(g)))
+    ] + [
+        key
+        for x in wd.lam
+        for key in ((m.anchor, rd.space(vec_neg(x)), wd.space(x)), (m.mul, wd.space(vec_neg(x)), wd.space(x)))
+    ]
+    assert len(opposites) == 2 * (len(rd.gamma) + len(wd.lam)) > 0
+    assert all(evaluated.count(key) <= 1 for key in opposites)
+
+    def recorded(self, sa, sl):
+        if self is h:
+            acted.append((sa, sl))
+        return act_space(self, sa, sl)
+
+    monkeypatch.setattr(model.HLRAlgebra, "act_space", recorded)
+    structure.verify_pairing_5_9(a)
+    structure.verify_cor_5_13(a)
+    assert acted == []

@@ -32,6 +32,7 @@ from oracles import (
     pairwise_weights_connected,
     same_class,
     seeded_transport,
+    swapped_line,
 )
 
 F = Fraction
@@ -312,6 +313,10 @@ def _differential_input(source):
         return fixtures.product_sum([fixtures._s_like(i) for i in (1, 2, 3)])
     if source == "three_root_line":
         return three_root_line()
+    if source == "swapped_line":
+        return swapped_line()
+    if source == "swapped_line+s1":
+        return fixtures.product_sum([swapped_line(), fixtures._s_like(1)])
     if isinstance(source, str):
         return fixtures.BUNDLED[source]()
     if source[0] == "transported":
@@ -321,12 +326,13 @@ def _differential_input(source):
 
 
 # the transported twisted seeds put dense coordinates on H; on seeds 0, 2, 6
-# and 10 psi on H is not even diagonal, though it fixes every root and weight
+# and 10 psi on H is not even diagonal, though it fixes every root and weight.
+# The swapped line's twist swaps its roots 1 and -1.
 DIFFERENTIAL_SOURCES = (
     list(SPLIT_NAMES)
     + [(seed, twisted) for seed in range(20) for twisted in (False, True)]
     + [("transported", seed) for seed in range(12)]
-    + ["blocks3", "three_root_line"]
+    + ["blocks3", "three_root_line", "swapped_line", "swapped_line+s1"]
 )
 
 

@@ -400,7 +400,7 @@ def is_ideal_by_subspace_products(h, sub):
         failed.append("action")
     if not sub.contains_space(h.act_space(h.anchor_space(sub, full_a), full_l)):
         failed.append("anchor")
-    if not sub.contains_space(sub.image(h.psi)):
+    if not sub.contains_space(Subspace(h.dimL, [mat_vec(h.psi, w) for w in sub.basis])):
         failed.append("psi")
     return (not failed, failed)
 

@@ -18,6 +18,8 @@ from hlra.roots import (
     weight_decomposition,
 )
 
+from oracles import swapped_line
+
 F = Fraction
 
 
@@ -207,6 +209,35 @@ def test_psi_orbit_identity_twist(bundled):
     assert compose_psi_power(one(2), -3, rd) == one(2)
     with pytest.raises(OrbitError):
         psi_orbit(one(7), rd)
+
+
+def test_psi_orbit_of_a_twist_that_swaps_roots():
+    """psi is -1 on H, so composing with it maps each root to its negative."""
+    h = swapped_line()
+    assert validate_hlr(h, model.STRICT).ok
+    rd = root_decomposition(h)
+    assert rd.split and weight_decomposition(h, rd).split
+    assert rd.gamma == [one(-1), one(1)]
+    for g in rd.gamma:
+        neg = tuple(-c for c in g)
+        assert psi_orbit(g, rd) == [g, neg]
+        assert compose_psi_power(g, 1, rd) == compose_psi_power(g, -1, rd) == neg
+
+
+@pytest.mark.parametrize(
+    "anchor, diagnosis",
+    [
+        ({(0, 0, 0): 1, (0, 1, 1): 2}, "phi does not preserve the weight space at (1)"),
+        ({(0, 1, 1): 1}, "phi does not preserve the zero weight space"),
+    ],
+)
+def test_weight_diagnosis_names_the_piece_phi_moves(anchor, diagnosis):
+    """phi: a -> a + b, b -> b keeps the weight space <b> but moves the
+    weight space <a + b> at 1 in the first input and the zero weight space
+    <a> in the second."""
+    phi = ((F(1), F(0)), (F(1), F(1)))
+    h = model.HLRAlgebra(1, 2, {}, {}, {}, anchor, psi=((F(1),),), phi=phi, declared_H=((1,),))
+    assert weight_decomposition(h, root_decomposition(h)).diagnosis == diagnosis
 
 
 def uncached_psi_power(f, z, rd):

@@ -1,13 +1,13 @@
 """J-split, structure profile, two-ideal split theorem, simple components."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hlra import fixtures, structure
 from hlra.claims import CLAIM_TITLES, DESCRIPTIVE_CLAIMS, FAIL, PASS, ClaimResult
-from hlra.decomposition import weight_inner_sum
 from hlra.linalg import Subspace
 from hlra.model import InputError, annihilator_Z, compute_J, twist_by_endomorphism
 from hlra.roots import CartanError, RootDecomposition, root_decomposition, weight_decomposition
@@ -22,7 +22,16 @@ from hlra.structure import (
 )
 
 from conftest import SPLIT_NAMES
-from oracles import entry_bilinear, seeded_transport
+from oracles import (
+    build_root_ideal,
+    build_weight_ideal,
+    entry_bilinear,
+    root_inner_sum,
+    seeded_transport,
+    swapped_line,
+    theorem_5_12_run,
+    weight_inner_sum,
+)
 
 F = Fraction
 
@@ -185,6 +194,59 @@ def test_tight_3_and_6_together_force_the_zero_algebra():
             both.append(label)
     assert len(split) == 98
     assert both == ["fix_zero"]
+
+
+def _split_analyses(inputs):
+    """(label, Analysis) for each (label, algebra) of inputs whose root and
+    weight decompositions both split."""
+    for label, h in inputs:
+        try:
+            rd = root_decomposition(h)
+            wd = weight_decomposition(h, rd)
+        except (CartanError, InputError):
+            continue
+        if rd.split and wd.split:
+            yield label, Analysis(h, rd, wd)
+
+
+def test_opposite_product_tables_match_the_per_caller_oracle():
+    """The class ideals, the generated parts of H and of the zero weight
+    space, tight.5 and tight.6, and every thm5.12 run on an enumerated
+    ideal inside J, read off the opposite-product tables, equal the oracle
+    that evaluates the products afresh for each caller."""
+    inputs = [(name, fixtures.BUNDLED[name]()) for name in SPLIT_NAMES] + [("swapped line", swapped_line())]
+    for seed in range(12):
+        h, g, f = fixtures.random_instance(seed)
+        inputs += [(f"seed{seed}", h), (f"seed{seed} twisted", twist_by_endomorphism(h, g, f))]
+    for seed, name in enumerate(("fix_s", "fix_e2", "fix_t")):
+        inputs.append((f"{name} transported {seed}", seeded_transport(fixtures.BUNDLED[name](), seed)))
+    labels, branches = [], Counter()
+    for label, a in _split_analyses(inputs):
+        labels.append(label)
+        h, rd, wd, js = a.h, a.rd, a.wd, a.js
+        assert a.root_ideals == tuple(build_root_ideal(h, rd, wd, c) for c in a.root_part.classes), label
+        assert a.weight_ideals == tuple(build_weight_ideal(h, rd, wd, c) for c in a.weight_part.classes), label
+        assert a.root_inner == root_inner_sum(h, rd, wd, rd.gamma), label
+        assert a.weight_inner == weight_inner_sum(h, rd, wd, wd.lam, rd.root_spaces), label
+        hs = root_inner_sum(h, rd, wd, js.gamma_notJ)
+        a0s = weight_inner_sum(h, rd, wd, wd.lam, set(js.gamma_notJ))
+        assert a.root_sum(js.gamma_notJ) == hs, label
+        tight = {c.claim_id: c for c in a.tight_claims}
+        assert tight["tight.5"] == ClaimResult(
+            "tight.5", PASS if hs == rd.H else FAIL, f"generated part of H has dim {hs.dim} of {rd.H.dim}"
+        ), label
+        assert tight["tight.6"] == ClaimResult(
+            "tight.6",
+            PASS if a0s == wd.A0 else FAIL,
+            f"generated part of the zero weight space has dim {a0s.dim} of {wd.A0.dim}",
+        ), label
+        for ideal in a.enum.ideals:
+            if js.J.contains_space(ideal):
+                run = verify_theorem_5_12(a, ideal)[1]
+                assert (run.branch, run.ok, run.detail, run.I_prime) == theorem_5_12_run(h, rd, wd, js, ideal), label
+                branches[run.branch] += 1
+    assert len(labels) == 42 and "swapped line" in labels
+    assert branches == {"degenerate": 42, "equal_J": 17, "complement": 82}
 
 
 def test_simple_core_escape_clause(reports):
